@@ -82,6 +82,14 @@ def emit(report: dict, args) -> None:
         print(payload)
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -217,7 +225,7 @@ def cmd_tau(args) -> int:
                 results[f"ratio_{i}"] = r
             results["average_tangent_count"] = tau
         else:
-            if (k, n) != (1, 3):
+            if (k, n) != (1, 3) or any(b.matrix is None for b in bodies):
                 return fail(EXIT_USAGE, "empirical mode counts tangent lines "
                                         "to quadrics in RP^3 only")
             est = average_tangent_count_empirical(bodies, args.trials,
@@ -229,7 +237,9 @@ def cmd_tau(args) -> int:
     except DegenerateConfigurationError as exc:
         return fail(EXIT_REFUSED, str(exc))
     except PathFailureError as exc:
-        return fail(EXIT_NUMERICAL, str(exc))
+        code = fail(EXIT_NUMERICAL, str(exc))
+        print("\n".join(exc.path_log), file=sys.stderr)
+        return code
     report = make_report("tau", {"k": k, "n": n, "mode": args.mode,
                                  "bodies": list(args.bodies),
                                  "trials": args.trials,
@@ -277,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=True):
         p.add_argument("--out", help="write the JSON report to this path")
         p.add_argument("--format", choices=("report", "csv"), default="report")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=positive_int,
+                       default=os.cpu_count() or 1)
         p.add_argument("--level", type=int, default=4,
                        help="quadrature refinement level")
         if seed:
@@ -292,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta", help="expected degree of the k-flat Grassmannian")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=positive_int, default=1_000_000)
     common(p)
     p.set_defaults(func=cmd_delta)
 
@@ -301,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--method", choices=("auto", "convex", "semialgebraic",
                                         "h-integral"), default="auto")
-    p.add_argument("--samples", type=int, default=64,
+    p.add_argument("--samples", type=positive_int, default=64,
                    help="tangent-plane Monte Carlo samples per node")
     p.add_argument("--sweep-radius", nargs=3, type=float, default=None,
                    metavar=("LO", "HI", "COUNT"),
@@ -314,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--mode", choices=("formula", "empirical"), default="formula")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=positive_int, default=200)
     p.add_argument("--delta-source", default="reference",
                    help="exact | reference | mc:<samples> | value:<x>")
     common(p)

@@ -8,7 +8,8 @@ a start system of squared generic linear forms, with a random complex
 factor on the start system so that paths avoid the real discriminant, a
 predictor-corrector loop with adaptive steps, and renormalization to the
 unit sphere of C^6 after every step (the patch row of the bordered Jacobian
-is the conjugate of the current point).
+is the conjugate of the current point).  The paths of several trials are
+tracked together as rows of one array, each with its own t and step.
 
 Endpoints are polished with Newton on the target system, deduplicated, and
 classified real when, after phase alignment and a real Newton polish, the
@@ -39,6 +40,12 @@ PLUCKER_FORM[1, 4] = PLUCKER_FORM[4, 1] = -0.5
 PLUCKER_FORM[2, 3] = PLUCKER_FORM[3, 2] = 0.5
 
 _TOTAL_PATHS = 32
+_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=5)))
+_MAX_STEPS = 4000
+_RETRIES = 2
+#: Trials tracked together.  Larger chunks save a little more CPU time, but
+#: peak memory grows by about 0.45 MB per trial of a chunk.
+_CHUNK_TRIALS = 8
 _STALL_T = 1e-4                 # paths stalling past 1 - _STALL_T may still polish
 _RESIDUAL_TOL = 1e-10
 _DEDUP_TOL = 1e-8
@@ -159,16 +166,15 @@ def _normalize_forms(quadrics) -> np.ndarray:
 
 
 def _start_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    starts = np.empty((_TOTAL_PATHS, 6), dtype=complex)
-    for idx, signs in enumerate(itertools.product((1.0, -1.0), repeat=5)):
-        L = a - np.array(signs)[:, None] * b
-        _, _, vh = np.linalg.svd(L)
-        starts[idx] = vh[-1].conj()
+    """Unit start solutions of every trial, the kernels of a - s b over the
+    32 sign vectors s: (T * 32, 6) for a, b of shape (T, 5, 6)."""
+    L = a[:, None] - _SIGNS[None, :, :, None] * b[:, None]
+    starts = np.linalg.svd(L)[2][..., -1, :].conj().reshape(-1, 6)
     return starts / np.linalg.norm(starts, axis=1, keepdims=True)
 
 
-def solve_tangency_system(quadrics, rng: RngStream, max_steps: int = 4000,
-                          retries: int = 2) -> SolutionSet:
+def solve_tangency_system(quadrics, rng: RngStream, max_steps: int = _MAX_STEPS,
+                          retries: int = _RETRIES) -> SolutionSet:
     """Track all 32 total-degree paths for four tangency quadrics plus the
     Pluecker quadric and classify the endpoints.
 
@@ -188,72 +194,72 @@ def solve_tangency_system(quadrics, rng: RngStream, max_steps: int = 4000,
 
 
 def _solve_once(quadrics, rng: RngStream, max_steps: int) -> SolutionSet:
-    Ms = _normalize_forms(quadrics)
-    gen = rng.generator()
-    gam = np.exp(2j * np.pi * gen.uniform())
-    a = gen.standard_normal((5, 6)) + 1j * gen.standard_normal((5, 6))
-    b = gen.standard_normal((5, 6)) + 1j * gen.standard_normal((5, 6))
-    p = _start_points(a, b)
+    result = _solve_batch(_normalize_forms(quadrics)[None], [rng], max_steps)[0]
+    if isinstance(result, PathFailureError):
+        raise result
+    return result
 
-    def target(pp):
-        return np.einsum('bi,sij,bj->bs', pp, Ms, pp)
 
-    def start(pp):
-        ap = pp @ a.T
-        bp = pp @ b.T
-        return ap ** 2 - bp ** 2
+def _homotopy(K, gam, p, t):
+    """Values, Jacobians and t-derivatives of H = (1 - t) gam G + t F at the
+    rows p.  Row r carries its trial's five forms M_s of F(p) = p^T M_s p
+    stacked as K[r, :30], and the linear forms a, b of the start system
+    G(p) = (a p)^2 - (b p)^2 as K[r, 30:35] and K[r, 35:]."""
+    W = np.matmul(K, p[:, :, None])[..., 0]
+    Y = W[:, :30].reshape(-1, 5, 6)
+    ap, bp = W[:, 30:35], W[:, 35:]
+    F = np.matmul(Y, p[:, :, None])[..., 0]
+    gG = gam[:, None] * (ap ** 2 - bp ** 2)
+    s = (1 - t)[:, None]
+    JG = 2.0 * (ap[:, :, None] * K[:, 30:35] - bp[:, :, None] * K[:, 35:])
+    J = (s * gam[:, None])[:, :, None] * JG + 2.0 * t[:, None, None] * Y
+    return s * gG + t[:, None] * F, J, F - gG
 
-    def homotopy(pp, tt):
-        return (1 - tt)[:, None] * gam * start(pp) + tt[:, None] * target(pp)
 
-    def jacobian(pp, tt):
-        JF = 2.0 * np.einsum('sij,bj->bsi', Ms, pp)
-        ap = pp @ a.T
-        bp = pp @ b.T
-        JG = 2.0 * (ap[:, :, None] * a[None, :, :] - bp[:, :, None] * b[None, :, :])
-        return (1 - tt)[:, None, None] * gam * JG + tt[:, None, None] * JF
+def _bordered(J, p):
+    """Jacobians bordered by the patch row conj(p) of the unit sphere."""
+    return np.concatenate([J, p.conj()[:, None]], axis=1)
 
-    def dhomotopy_dt(pp):
-        return target(pp) - gam * start(pp)
 
-    def bordered_solve(J, patch, rhs):
-        Jb = np.empty((J.shape[0], 6, 6), dtype=complex)
-        Jb[:, :5] = J
-        Jb[:, 5] = patch
-        try:
-            return np.linalg.solve(Jb, rhs[..., None])[..., 0], \
-                np.ones(J.shape[0], dtype=bool)
-        except np.linalg.LinAlgError:
-            out = np.zeros_like(rhs)
-            ok = np.ones(J.shape[0], dtype=bool)
-            for q in range(J.shape[0]):
-                try:
-                    out[q] = np.linalg.solve(Jb[q], rhs[q])
-                except np.linalg.LinAlgError:
-                    ok[q] = False
-            return out, ok
+def _newton_steps(J, p, rhs):
+    """Bordered Newton steps; ok is False on rows whose system is singular."""
+    Jb, b = _bordered(J, p), np.zeros((len(J), 6, 1), dtype=complex)
+    b[:, :5, 0] = rhs
+    ok = np.ones(len(J), dtype=bool)
+    try:
+        return np.linalg.solve(Jb, b)[..., 0], ok
+    except np.linalg.LinAlgError:
+        out = np.zeros((len(J), 6), dtype=complex)
+        for q in range(len(J)):
+            try:
+                out[q] = np.linalg.solve(Jb[q], b[q])[:, 0]
+            except np.linalg.LinAlgError:
+                ok[q] = False
+        return out, ok
 
-    B = _TOTAL_PATHS
-    t = np.zeros(B)
-    dt = np.full(B, 0.1)
-    active = np.ones(B, dtype=bool)
-    stalled_t = np.zeros(B)
-    steps = 0
-    while active.any() and steps < max_steps:
-        steps += 1
-        idx = np.where(active)[0]
+
+def _track(K, gam, owner, p, max_steps):
+    """Predictor-corrector continuation of the paths p (rows of the trials
+    `owner`) from t = 0 to 1, in place, each with its own t and step dt; a
+    trial stops after max_steps steps.  Every operation acts row by row, so
+    no path depends on the others.  Returns t and the t where paths stalled."""
+    t, stalled_t, dt = np.zeros(len(p)), np.zeros(len(p)), np.full(len(p), 0.1)
+    active = np.full(len(p), max_steps > 0)
+    steps, idx = np.zeros(owner[-1] + 1, dtype=int), owner[:0]
+    while active.any():
+        if active.sum() != len(idx):        # paths only ever leave the set
+            idx = np.flatnonzero(active)
+            Ka, ga, live = K[owner[idx]], gam[owner[idx]], np.unique(owner[idx])
+        steps[live] += 1
         pc, tc = p[idx], t[idx]
         t_new = np.minimum(tc + dt[idx], 1.0)
-        rhs = np.zeros((len(idx), 6), dtype=complex)
-        rhs[:, :5] = -dhomotopy_dt(pc) * (t_new - tc)[:, None]
-        dp, ok0 = bordered_solve(jacobian(pc, tc), pc.conj(), rhs)
+        _, J, dH = _homotopy(Ka, ga, pc, tc)
+        dp, ok = _newton_steps(J, pc, -dH * (t_new - tc)[:, None])
         pn = pc + dp
-        ok = ok0.copy()
         prev = None
         for _ in range(3):
-            rhs2 = np.zeros((len(idx), 6), dtype=complex)
-            rhs2[:, :5] = -homotopy(pn, t_new)
-            dd, okc = bordered_solve(jacobian(pn, t_new), pn.conj(), rhs2)
+            H, J, _ = _homotopy(Ka, ga, pn, t_new)
+            dd, okc = _newton_steps(J, pn, -H)
             ok &= okc
             pn = pn + dd
             nrm = np.linalg.norm(dd, axis=1)
@@ -266,88 +272,116 @@ def _solve_once(quadrics, rng: RngStream, max_steps: int) -> SolutionSet:
         t[acc] = t_new[ok]
         dt[acc] = np.minimum(dt[acc] * 1.5, 0.1)
         dt[idx[~ok]] *= 0.5
-        dead = active & (dt < 1e-9)
+        dead = active & ((dt < 1e-9) | (steps[owner] >= max_steps))
         stalled_t[dead] = t[dead]
-        active &= ~dead
-        active[t >= 1.0] = False
+        active &= ~dead & (t < 1.0)
+    return t, stalled_t
 
-    stalled_t[active] = t[active]           # ran out of steps
+
+def _solve_batch(forms, rngs, max_steps: int) -> list:
+    """Solve the systems (T, 5, 6, 6) of T trials together, one stream each.
+    Returns, per trial, its SolutionSet or the PathFailureError its attempt
+    ended in, the same bit for bit whichever trials share the batch."""
+    T, gens = len(rngs), [rng.generator() for rng in rngs]
+    gam = np.exp(2j * np.pi * np.array([gen.uniform() for gen in gens]))
+    z = np.array([gen.standard_normal((4, 5, 6)) for gen in gens])
+    a, b = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
+    K = np.concatenate([forms.reshape(T, 30, 6), a, b], axis=1)
+    owner = np.repeat(np.arange(T), _TOTAL_PATHS)
+    p = _start_points(a, b)
+    t, stalled_t = _track(K, gam, owner, p, max_steps)
     reached = (t >= 1.0)
     near = (~reached) & (stalled_t >= 1.0 - _STALL_T)
 
-    # polish everything at t = 1 with guarded minimum-norm Newton steps: the
-    # pseudo-inverse handles endpoints on positive-dimensional components,
-    # where the bordered Jacobian is rank deficient and a plain solve blows up
+    # polish at t = 1 with guarded minimum-norm Newton steps: the pseudo-
+    # inverse handles endpoints on positive-dimensional components, where the
+    # bordered Jacobian is rank deficient and a plain solve blows up.  A trial
+    # stops once its residuals are all below 1e-15 or a round improves none.
+    K, gam, ones = K[owner], gam[owner], np.ones(len(p))
+    polishing = np.ones(T, dtype=bool)
     for _ in range(12):
-        res_now = np.abs(target(p)).max(axis=1)
-        if (res_now < 1e-15).all():
+        rows = np.flatnonzero(polishing[owner])
+        F, J, _ = _homotopy(K[rows], gam[rows], p[rows], ones[rows])
+        res_now = np.abs(F).max(axis=1)
+        polishing &= np.bincount(owner[rows], res_now >= 1e-15, minlength=T) > 0
+        keep = polishing[owner[rows]]
+        if not keep.any():
             break
-        Jb = np.empty((B, 6, 6), dtype=complex)
-        Jb[:, :5] = jacobian(p, np.ones(B))
-        Jb[:, 5] = p.conj()
-        rhs = np.zeros((B, 6), dtype=complex)
-        rhs[:, :5] = -target(p)
-        dd = np.einsum('bij,bj->bi', np.linalg.pinv(Jb, rcond=1e-12), rhs)
-        p_try = p + dd
+        rows, res_now = rows[keep], res_now[keep]
+        pinv = np.linalg.pinv(_bordered(J[keep], p[rows]), rcond=1e-12)
+        p_try = p[rows] - np.matmul(pinv[:, :, :5], F[keep][:, :, None])[..., 0]
         p_try = p_try / np.linalg.norm(p_try, axis=1, keepdims=True)
-        res_try = np.abs(target(p_try)).max(axis=1)
-        improved = res_try < res_now
-        p[improved] = p_try[improved]
-        if not improved.any():
-            break
-    residuals = np.abs(target(p)).max(axis=1)
-
-    good = (reached | near) & (residuals < _RESIDUAL_TOL)
-    tracked_clean = reached & (residuals < _RESIDUAL_TOL)
-    singular = near & (residuals < _RESIDUAL_TOL)
-    lost = ~good
-    if lost.sum() > 0.01 * _TOTAL_PATHS:
-        log = [f"path {i}: stalled at t = {stalled_t[i]:.12f}, "
-               f"residual {residuals[i]:.3e}" for i in np.where(lost)[0]]
-        raise PathFailureError(
-            f"{lost.sum()} of {_TOTAL_PATHS} paths lost before t = 1", log)
-    sols = p[good]
-    res = residuals[good]
+        F_try = _homotopy(K[rows], gam[rows], p_try, ones[rows])[0]
+        improved = np.abs(F_try).max(axis=1) < res_now
+        p[rows[improved]] = p_try[improved]
+        polishing &= np.bincount(owner[rows], improved, minlength=T) > 0
+    F, J, _ = _homotopy(K, gam, p, ones)
+    residuals = np.abs(F).max(axis=1)
+    small = residuals < _RESIDUAL_TOL
+    good = (reached | near) & small
+    tracked_clean, near_ok = reached & small, near & small
 
     # rank of the bordered Jacobian at every good endpoint: a clean track
     # onto a rank-deficient endpoint means the target solution set itself is
     # positive dimensional there (non-transverse configuration)
-    Jb_end = np.empty((int(good.sum()), 6, 6), dtype=complex)
-    Jb_end[:, :5] = jacobian(sols, np.ones(int(good.sum())))
-    Jb_end[:, 5] = sols.conj()
-    sv = np.linalg.svd(Jb_end, compute_uv=False)
-    rank_deficient = sv[:, -1] < 1e-7 * sv[:, 0]
-    nonisolated = int((rank_deficient & tracked_clean[good]).sum())
+    sv = np.linalg.svd(_bordered(J[good], p[good]), compute_uv=False)
+    nonisolated = tracked_clean.copy()
+    nonisolated[good] &= sv[:, -1] < 1e-7 * sv[:, 0]
 
-    # dedup by phase-aligned distance
-    order = np.argsort(res)
-    kept: list[int] = []
-    mult: list[int] = []
+    # squared phase-aligned distances |x|^2 + |y|^2 - 2 |<x, y>|, good to about
+    # 1e-15: pairs above 1e-12 are certainly further apart than _DEDUP_TOL
+    P = p.reshape(T, _TOTAL_PATHS, 6)
+    sq = (P.real ** 2 + P.imag ** 2).sum(axis=2)
+    gram = np.abs(np.matmul(P.conj(), P.transpose(0, 2, 1)))
+    close = sq[:, :, None] + sq[:, None, :] - 2.0 * gram < 1e-12
+
+    tracked, singular, nonisolated = (
+        x.reshape(T, -1).sum(axis=1) for x in (tracked_clean, near_ok, nonisolated))
+    results = []
+    for k in range(T):
+        rows = slice(k * _TOTAL_PATHS, (k + 1) * _TOTAL_PATHS)
+        g = good[rows]
+        lost = int((~g).sum())
+        if lost > 0.01 * _TOTAL_PATHS:
+            results.append(PathFailureError(
+                f"{lost} of {_TOTAL_PATHS} paths lost before t = 1",
+                [f"path {i}: stalled at t = {stalled_t[rows][i]:.12f}, residual "
+                 f"{residuals[rows][i]:.3e}" for i in np.flatnonzero(~g)]))
+            continue
+        sols, res = p[rows][g], residuals[rows][g]
+        order = np.argsort(res)
+        pairs = close[k][np.ix_(g, g)]
+        np.fill_diagonal(pairs, False)
+        kept, mult = _merge(sols, order) if pairs.any() else \
+            (order, np.ones(len(order), dtype=int))
+        results.append(_classify(
+            forms[k], sols[kept], res[kept], mult, tracked=int(tracked[k]),
+            singular=int(singular[k]), failed=lost, nonisolated=int(nonisolated[k])))
+    return results
+
+
+def _merge(sols, order):
+    """Greedy merge, in residual order, of endpoints closer than _DEDUP_TOL
+    after phase alignment; returns the kept indices and multiplicities."""
+    kept, mult = [], []
     for i in order:
-        merged_into = None
         for j, kdx in enumerate(kept):
             ov = np.vdot(sols[kdx], sols[i])
-            dist = np.linalg.norm(sols[i] * np.exp(-1j * np.angle(ov)) - sols[kdx]) \
-                if abs(ov) > 0 else 2.0
-            if dist < _DEDUP_TOL:
-                merged_into = j
+            if abs(ov) > 0 and np.linalg.norm(
+                    sols[i] * np.exp(-1j * np.angle(ov)) - sols[kdx]) < _DEDUP_TOL:
+                mult[j] += 1
                 break
-        if merged_into is None:
+        else:
             kept.append(i)
             mult.append(1)
-        else:
-            mult[merged_into] += 1
-    solutions = sols[kept]
-    residuals_kept = res[kept]
-    multiplicities = np.array(mult, dtype=int)
-    merged = int((multiplicities > 1).sum())
+    return np.array(kept, dtype=int), np.array(mult, dtype=int)
 
-    # reality classification with a real Newton polish; a real solution with
-    # rank-deficient Jacobian signals a non-isolated real family
-    real_pts = []
-    borderline = 0
-    real_singular = 0
-    for i, sol in enumerate(solutions):
+
+def _classify(Ms, solutions, residuals, multiplicities, **paths) -> SolutionSet:
+    """Reality classification with a real Newton polish; a real solution with
+    rank-deficient Jacobian signals a non-isolated real family."""
+    real_pts, borderline, real_singular = [], 0, 0
+    for sol in solutions:
         m = np.argmax(np.abs(sol))
         aligned = sol * (sol[m].conj() / abs(sol[m]))
         ratio = np.linalg.norm(aligned.imag) / np.linalg.norm(aligned.real)
@@ -356,14 +390,11 @@ def _solve_once(quadrics, rng: RngStream, max_steps: int) -> SolutionSet:
         x = aligned.real / np.linalg.norm(aligned.real)
         for _ in range(8):
             J = 2.0 * np.einsum('sij,j->si', Ms, x)
-            Jb = np.vstack([J, x[None, :]])
             r = np.concatenate([-np.einsum('i,sij,j->s', x, Ms, x), [0.0]])
-            step, *_ = np.linalg.lstsq(Jb, r, rcond=1e-12)
-            x = x + step
+            x = x + np.linalg.lstsq(np.vstack([J, x[None, :]]), r, rcond=1e-12)[0]
             x = x / np.linalg.norm(x)
         real_res = np.abs(np.einsum('i,sij,j->s', x, Ms, x)).max()
-        is_real = ratio < _REAL_RATIO and real_res < _RESIDUAL_TOL
-        if is_real:
+        if ratio < _REAL_RATIO and real_res < _RESIDUAL_TOL:
             J = 2.0 * np.einsum('sij,j->si', Ms, x)
             sv = np.linalg.svd(np.vstack([J, x[None, :]]), compute_uv=False)
             if sv[-1] < 1e-7 * sv[0]:
@@ -371,38 +402,29 @@ def _solve_once(quadrics, rng: RngStream, max_steps: int) -> SolutionSet:
             real_pts.append(x)
         else:
             borderline += 1
-    real_solutions = np.array(real_pts) if real_pts else np.empty((0, 6))
-
     return SolutionSet(
-        solutions=solutions,
-        residuals=residuals_kept,
-        multiplicities=multiplicities,
-        real_solutions=real_solutions,
-        tracked=int(tracked_clean.sum()),
-        singular=int(singular.sum()),
-        failed=int(lost.sum()),
-        merged=merged,
-        borderline=borderline,
-        real_singular=real_singular,
-        nonisolated=nonisolated,
-    )
+        solutions, residuals, multiplicities,
+        np.array(real_pts) if real_pts else np.empty((0, 6)),
+        merged=int((multiplicities > 1).sum()), borderline=borderline,
+        real_singular=real_singular, **paths)
 
 
-def count_real_tangent_lines(bodies, rotations, rng: RngStream) -> int:
-    """Number of real lines tangent to four rotated quadric bodies in RP^3.
-
-    The moved body g X has matrix g A g^T (membership: x in gX iff g^T x
-    in X).  Raises DegenerateConfigurationError for non-isolated or
-    borderline draws.
-    """
+def _moved_quadrics(bodies, rotations) -> list:
+    """Tangency quadrics of the moved bodies g X, whose matrices are
+    g A g^T (membership: x in gX iff g^T x in X)."""
     if len(bodies) != 4 or len(rotations) != 4:
         raise ValueError("need four bodies and four rotations")
     quadrics = []
     for body, g in zip(bodies, rotations):
         g = g.g if hasattr(g, "g") else np.asarray(g, float)
-        A = body.defining_matrix()
-        quadrics.append(tangency_quadric_of(g @ A @ g.T))
-    sols = solve_tangency_system(quadrics, rng)
+        quadrics.append(tangency_quadric_of(g @ body.defining_matrix() @ g.T))
+    return quadrics
+
+
+def count_real_tangent_lines(bodies, rotations, rng: RngStream) -> int:
+    """Number of real lines tangent to four rotated quadric bodies in RP^3;
+    raises DegenerateConfigurationError for non-isolated or borderline draws."""
+    sols = solve_tangency_system(_moved_quadrics(bodies, rotations), rng)
     if sols.degenerate:
         raise DegenerateConfigurationError(
             f"merged endpoints: {sols.merged}, borderline reality: "
@@ -411,15 +433,31 @@ def count_real_tangent_lines(bodies, rotations, rng: RngStream) -> int:
     return sols.real_count
 
 
-def _tau_trial(args):
-    bodies, seed, trial = args
-    stream = RngStream(seed, trial)
-    gen = stream.generator()
-    gs = haar_matrices(4, 4, gen)
-    try:
-        return count_real_tangent_lines(bodies, gs, stream.substream(1 << 32))
-    except (DegenerateConfigurationError, PathFailureError):
-        return -1
+def _tau_chunk(args) -> list[int]:
+    """Real tangent counts of a run of trials solved as one batch, -1 for a
+    discarded trial (degenerate, or paths lost after every retry).  Trials
+    whose attempt loses paths go into a later batch with the next
+    substream, as in solve_tangency_system."""
+    bodies, seed, trials = args
+    streams = [RngStream(seed, trial) for trial in trials]
+    forms = np.array([_normalize_forms(_moved_quadrics(
+        bodies, haar_matrices(4, 4, s.generator()))) for s in streams])
+    rngs = [s.substream(1 << 32) for s in streams]
+    results, pending = [None] * len(rngs), list(range(len(rngs)))
+    for attempt in range(_RETRIES + 1):
+        batch = _solve_batch(forms[pending], [rngs[i].substream(attempt)
+                                              for i in pending], _MAX_STEPS)
+        for i, result in zip(pending, batch):
+            results[i] = result
+        pending = [i for i in pending if isinstance(results[i], PathFailureError)]
+        if not pending:
+            break
+    return [-1 if isinstance(r, PathFailureError) or r.degenerate
+            else r.real_count for r in results]
+
+
+def _tau_trial(args) -> int:
+    return _tau_chunk((*args[:2], [args[2]]))[0]
 
 
 def average_tangent_count_empirical(bodies, trials: int, seed: int,
@@ -427,18 +465,20 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
     """Empirical average of real tangent-line counts over independent Haar
     rotation 4-tuples of the given bodies.
 
+    Trials are solved in chunks of _CHUNK_TRIALS, and workers > 1 spreads
+    whole chunks over a process pool; no count depends on the chunking.
     Degenerate draws are discarded and reported; more than five percent of
     them raises a diagnostic error.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    tasks = [(tuple(bodies), seed, i) for i in range(trials)]
-    if workers > 1:
-        with Pool(workers) as pool:
-            counts = pool.map(_tau_trial, tasks)
+    chunks = [(tuple(bodies), seed, range(i, min(i + _CHUNK_TRIALS, trials)))
+              for i in range(0, trials, _CHUNK_TRIALS)]
+    if workers > 1 and len(chunks) > 1:
+        with Pool(min(workers, len(chunks))) as pool:
+            counts = np.concatenate(pool.map(_tau_chunk, chunks))
     else:
-        counts = [_tau_trial(t) for t in tasks]
-    counts = np.array(counts)
+        counts = np.concatenate([_tau_chunk(c) for c in chunks])
     ok = counts[counts >= 0]
     degenerate = int((counts < 0).sum())
     if degenerate > 0.05 * trials:

@@ -148,3 +148,55 @@ def test_out_file(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "intrinsic", body, "--out", str(out_path))
     assert code == 0
     assert json.loads(out_path.read_text())["command"] == "intrinsic"
+
+
+IMPLICIT_BODY = ("kind = implicit\nn = 3\nconvex = true\n"
+                 "term = 1.0 0 4 0 0\nterm = 1.0 0 0 4 0\nterm = 1.0 0 0 0 4\n"
+                 "term = 1.2 0 2 2 0\nterm = 1.2 0 0 2 2\nterm = 1.2 0 2 0 2\n"
+                 "term = -1.0 4 0 0 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("tau", "BODIES", "--mode", "empirical", "--trials", "0"),
+    ("tau", "BODIES", "--mode", "empirical", "--trials", "-3"),
+    ("tau", "BODIES", "--mode", "empirical", "--workers", "0"),
+    ("delta", "1", "3", "--samples", "0"),
+], ids=["trials-0", "trials-negative", "workers-0", "samples-0"])
+def test_nonpositive_counts_are_usage_errors(capsys, tmp_path, argv):
+    bodies = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(4)]
+    argv = [a for arg in argv for a in (bodies if arg == "BODIES" else [arg])]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_tau_empirical_refuses_implicit_body(capsys, tmp_path):
+    bodies = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(3)]
+    implicit = tmp_path / "quartic.body"
+    implicit.write_text(IMPLICIT_BODY)
+    code, _, err = run_cli(capsys, "tau", *bodies, str(implicit),
+                           "--mode", "empirical", "--trials", "2")
+    assert code == 2
+    assert "quadrics" in err
+
+
+def test_tau_path_failure_prints_path_log(capsys, tmp_path, monkeypatch):
+    from tangentflats import cli
+
+    def losing_solver(*args, **kwargs):
+        raise cli.PathFailureError("2 of 32 paths lost before t = 1",
+                                   ["path 3: stalled at t = 0.500000000000, "
+                                    "residual 1.000e-02",
+                                    "path 17: stalled at t = 0.250000000000, "
+                                    "residual 3.000e-01"])
+
+    monkeypatch.setattr(cli, "average_tangent_count_empirical", losing_solver)
+    bodies = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(4)]
+    code, _, err = run_cli(capsys, "tau", *bodies, "--mode", "empirical",
+                           "--trials", "2")
+    assert code == 4
+    lines = err.splitlines()
+    assert lines[0] == "error: 2 of 32 paths lost before t = 1"
+    assert lines[1].startswith("path 3: stalled at t = 0.5")
+    assert lines[2].startswith("path 17: stalled at t = 0.25")

@@ -2,7 +2,21 @@ import numpy as np
 import pytest
 
 import tangentflats as tf
+from conftest import random_ellipsoid
+from tangentflats import tangency
 from tangentflats.projective import haar_matrices
+
+SPHERE_RADII = (np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 4)
+
+
+def main_theorem_spheres():
+    return [tf.metric_sphere(3, r) for r in SPHERE_RADII]
+
+
+def moved_quadrics(bodies, stream):
+    gs = haar_matrices(4, 4, stream.generator())
+    return [tf.tangency_quadric_of(g @ b.defining_matrix() @ g.T)
+            for b, g in zip(bodies, gs)]
 
 
 def random_symmetric(gen, scale=1.0):
@@ -121,12 +135,54 @@ def test_affine_sphere_real_bound_small():
 
 
 def test_tau_empirical_deterministic_and_parallel():
+    # 16 trials are two chunks, so two workers split them
     bodies = [tf.metric_sphere(3, np.pi / 4)] * 4
-    e1 = tf.average_tangent_count_empirical(bodies, trials=8, seed=3)
-    e2 = tf.average_tangent_count_empirical(bodies, trials=8, seed=3)
+    e1 = tf.average_tangent_count_empirical(bodies, trials=16, seed=3)
+    e2 = tf.average_tangent_count_empirical(bodies, trials=16, seed=3)
     assert e1 == e2
-    e3 = tf.average_tangent_count_empirical(bodies, trials=8, seed=3, workers=2)
+    e3 = tf.average_tangent_count_empirical(bodies, trials=16, seed=3, workers=2)
     assert e1 == e3
+
+
+def test_trial_result_independent_of_chunk_companions():
+    bodies = main_theorem_spheres()
+    forms = np.array([tangency._normalize_forms(
+        moved_quadrics(bodies, tf.RngStream(31, k))) for k in range(8)])
+    rngs = [tf.RngStream(32, k) for k in range(8)]
+    together = tangency._solve_batch(forms, rngs, tangency._MAX_STEPS)
+    for k in range(8):
+        alone = tangency._solve_batch(forms[k:k + 1], rngs[k:k + 1],
+                                      tangency._MAX_STEPS)[0]
+        chunked = together[k]
+        assert (chunked.tracked, chunked.singular, chunked.failed,
+                chunked.real_count) == (alone.tracked, alone.singular,
+                                        alone.failed, alone.real_count)
+        assert np.array_equal(chunked.residuals, alone.residuals)
+        assert np.array_equal(chunked.solutions, alone.solutions)
+
+
+def test_main_theorem_spheres_have_twelve_isolated_solutions():
+    # four spheres have at most 12 common tangent lines (Macdonald, Pach and
+    # Theobald); the other 20 paths stall on the excess component at infinity
+    bodies = main_theorem_spheres()
+    for trial in range(12):
+        stream = tf.RngStream(21, trial)
+        sols = tf.solve_tangency_system(moved_quadrics(bodies, stream),
+                                        stream.substream(1 << 32))
+        assert (sols.tracked, sols.singular, sols.failed) == (12, 20, 0)
+        assert sols.real_count <= 12
+
+
+def test_empirical_estimates_match_recorded_values():
+    # recorded before the trials were tracked in chunks
+    gen = tf.RngStream(9).generator()
+    families = {"spheres": (main_theorem_spheres(), 3.85, 0.30707470067537607),
+                "ellipsoids": ([random_ellipsoid(gen) for _ in range(4)], 4.45,
+                               0.24271435147155268)}
+    for name, (bodies, mean, stderr) in families.items():
+        est = tf.average_tangent_count_empirical(bodies, trials=40, seed=2024)
+        assert (est.mean, est.samples, est.degenerate) == (mean, 40, 0), name
+        assert est.stderr == pytest.approx(stderr, rel=1e-12), name
 
 
 def test_tau_shrinking_radius_kills_tangents():
