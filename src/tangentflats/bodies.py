@@ -11,7 +11,8 @@ Body files are plain key-value text; see `parse_body_text` for the schema.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import pi, tan
 
 import numpy as np
@@ -35,12 +36,44 @@ class BodyFileError(BodyError):
         self.line = line
 
 
+def _monomials(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Monomials x^e (M, N) at the points x (N, d) for the rows e of
+    `exponents`, gathered from powers x^0 .. x^deg built by multiplication."""
+    xt = x.T
+    powers = np.empty((int(exponents.max(initial=0)) + 1,) + xt.shape)
+    powers[0] = 1.0
+    for k in range(1, powers.shape[0]):
+        powers[k] = powers[k - 1] * xt
+    mono = powers[exponents[:, 0], 0]
+    for j in range(1, xt.shape[0]):
+        mono = mono * powers[exponents[:, j], j]
+    return mono
+
+
+def _partial(coeffs: np.ndarray, exponents: np.ndarray, j: int):
+    """Coefficients and exponents of the partial derivative in x_j."""
+    keep = exponents[:, j] > 0
+    e = exponents[keep].copy()
+    c = coeffs[keep] * e[:, j]
+    e[:, j] -= 1
+    return c, e
+
+
+def _evaluate(x: np.ndarray, parts) -> np.ndarray:
+    """Values (N, len(parts)) of polynomials given as (coeffs, exponents)."""
+    x = np.atleast_2d(x)
+    return np.stack([c @ _monomials(x, e) for c, e in parts], axis=-1)
+
+
 @dataclass(frozen=True)
 class HomogeneousPolynomial:
-    """Homogeneous polynomial in n+1 variables given by monomials."""
+    """Homogeneous polynomial in n+1 variables given by monomials; the terms
+    of its first and second partial derivatives are tabulated at construction."""
 
     coeffs: np.ndarray        # (M,)
     exponents: np.ndarray     # (M, n+1) nonnegative ints
+    _gradient: list = field(init=False, repr=False, compare=False)
+    _hessian: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -50,8 +83,16 @@ class HomogeneousPolynomial:
         degs = e.sum(axis=1)
         if len(set(degs.tolist())) != 1:
             raise BodyError("polynomial must be homogeneous")
+        if (e < 0).any():
+            raise BodyError("exponents must be nonnegative")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "exponents", e)
+        d = e.shape[1]
+        grad = [_partial(c, e, j) for j in range(d)]
+        # upper triangle, row by row, in the order of np.triu_indices
+        hess = [_partial(*grad[i], j) for i in range(d) for j in range(i, d)]
+        object.__setattr__(self, "_gradient", grad)
+        object.__setattr__(self, "_hessian", hess)
 
     @property
     def nvars(self) -> int:
@@ -62,50 +103,16 @@ class HomogeneousPolynomial:
         return int(self.exponents[0].sum())
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        mono = np.prod(x[:, None, :] ** self.exponents[None, :, :], axis=2)
-        return mono @ self.coeffs
+        return _evaluate(x, [(self.coeffs, self.exponents)])[:, 0]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        out = np.zeros_like(x)
-        for j in range(self.nvars):
-            mask = self.exponents[:, j] > 0
-            if not mask.any():
-                continue
-            e2 = self.exponents[mask].copy()
-            c2 = self.coeffs[mask] * e2[:, j]
-            e2[:, j] -= 1
-            mono = np.prod(x[:, None, :] ** e2[None, :, :], axis=2)
-            out[:, j] = mono @ c2
-        return out
+        return _evaluate(x, self._gradient)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        d = self.nvars
-        out = np.zeros((x.shape[0], d, d))
-        for i in range(d):
-            for j in range(i, d):
-                e = self.exponents
-                if i == j:
-                    mask = e[:, i] > 1
-                    if not mask.any():
-                        continue
-                    e2 = e[mask].copy()
-                    c2 = self.coeffs[mask] * e2[:, i] * (e2[:, i] - 1)
-                    e2[:, i] -= 2
-                else:
-                    mask = (e[:, i] > 0) & (e[:, j] > 0)
-                    if not mask.any():
-                        continue
-                    e2 = e[mask].copy()
-                    c2 = self.coeffs[mask] * e2[:, i] * e2[:, j]
-                    e2[:, i] -= 1
-                    e2[:, j] -= 1
-                mono = np.prod(x[:, None, :] ** e2[None, :, :], axis=2)
-                out[:, i, j] = mono @ c2
-                if i != j:
-                    out[:, j, i] = out[:, i, j]
+        upper = _evaluate(x, self._hessian)
+        i, j = np.triu_indices(self.nvars)
+        out = np.empty((upper.shape[0], self.nvars, self.nvars))
+        out[:, i, j] = out[:, j, i] = upper
         return out
 
 
@@ -134,12 +141,16 @@ class ConvexBody:
             raise BodyError(f"body kind {self.kind!r} has no quadric matrix")
         return self.matrix
 
+    @cached_property
+    def eigh(self):
+        """Eigendecomposition of the quadric matrix, computed once per body."""
+        return np.linalg.eigh(self.defining_matrix())
+
     def star_center(self) -> np.ndarray:
         """Interior point on S^n from which the surface is star-shaped."""
         if self.center is not None:
             return self.center
-        lam, vec = np.linalg.eigh(self.defining_matrix())
-        return vec[:, 0]
+        return self.eigh[1][:, 0]
 
     def surface_value(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)

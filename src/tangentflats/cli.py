@@ -82,12 +82,18 @@ def emit(report: dict, args) -> None:
         print(payload)
 
 
-def positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def at_least(low, kind):
+    """argparse type for numbers of the given kind that must be >= low."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = kind.__name__          # argparse names it in errors
+    return parse
+
+
+positive_int = at_least(1, int)
 
 
 def fail(code: int, message: str) -> int:
@@ -137,6 +143,9 @@ def cmd_omega(args) -> int:
         body = parse_body_file(args.body)
     except (BodyFileError, BodyError, OSError) as exc:
         return fail(EXIT_USAGE, f"{args.body}: {exc}")
+    if not 0 <= args.k <= body.n - 1:
+        return fail(EXIT_USAGE, f"need 0 <= k <= n-1, got (k, n) = "
+                                f"({args.k}, {body.n})")
     method = args.method
     if method == "auto":
         method = "convex" if body.convex else "semialgebraic"
@@ -164,9 +173,7 @@ def cmd_omega(args) -> int:
             est = tangent_volume_ratio_semialgebraic(
                 body, args.k, grid, args.samples, RngStream(args.seed))
             results["tangent_ratio"] = estimate_entry(est)
-    except NonConvexBodyError as exc:
-        return fail(EXIT_REFUSED, str(exc))
-    except SurfaceDegeneracyError as exc:
+    except (NonConvexBodyError, SurfaceDegeneracyError) as exc:
         return fail(EXIT_REFUSED, str(exc))
     report = make_report("omega", {"body": args.body, "k": args.k,
                                    "level": args.level, "method": method},
@@ -232,9 +239,9 @@ def cmd_tau(args) -> int:
                                                   args.seed, args.workers)
             results["average_tangent_count"] = estimate_entry(est)
             degenerate["discarded_trials"] = est.degenerate
-    except NonConvexBodyError as exc:
-        return fail(EXIT_REFUSED, str(exc))
-    except DegenerateConfigurationError as exc:
+            degenerate["path_failure_trials"] = est.failed
+    except (NonConvexBodyError, SurfaceDegeneracyError,
+            DegenerateConfigurationError) as exc:
         return fail(EXIT_REFUSED, str(exc))
     except PathFailureError as exc:
         code = fail(EXIT_NUMERICAL, str(exc))
@@ -262,13 +269,15 @@ def cmd_intrinsic(args) -> int:
         results["volume"] = profile.volume
         results["polar_volume"] = profile.polar
         results["reach_estimate"] = profile.reach
-        results["sum_identity_residual"] = sum_identity_residual(body, grid)
+        results["sum_identity_residual"] = sum_identity_residual(body, grid,
+                                                                 profile)
         for k in range(body.n):
-            results[f"bound_ok_k{k}"] = bool(bound_check(body, k, grid))
+            results[f"bound_ok_k{k}"] = bound_check(body, k, grid,
+                                                    profile=profile)
         results["tube_volume"] = steiner_tube_volume(body, args.eps, profile)
-    except NonConvexBodyError as exc:
-        return fail(EXIT_REFUSED, str(exc))
-    except TubeRadiusError as exc:
+    except BodyError as exc:
+        return fail(EXIT_USAGE, f"{args.body}: {exc}")
+    except (NonConvexBodyError, SurfaceDegeneracyError, TubeRadiusError) as exc:
         return fail(EXIT_REFUSED, str(exc))
     report = make_report("intrinsic", {"body": args.body, "eps": args.eps,
                                        "level": args.level}, None, results,
@@ -289,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("report", "csv"), default="report")
         p.add_argument("--workers", type=positive_int,
                        default=os.cpu_count() or 1)
-        p.add_argument("--level", type=int, default=4,
+        p.add_argument("--level", type=positive_int, default=4,
                        help="quadrature refinement level")
         if seed:
             p.add_argument("--seed", type=int, default=0)
@@ -333,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("intrinsic", help="intrinsic volume profile and checks")
     p.add_argument("body", help="body file")
-    p.add_argument("--eps", type=float, default=0.0,
+    p.add_argument("--eps", type=at_least(0, float), default=0.0,
                    help="tube radius for the Steiner evaluation")
     common(p, seed=False)
     p.set_defaults(func=cmd_intrinsic, seed=None)

@@ -116,22 +116,19 @@ def surface_grid(n: int, level: int) -> QuadratureGrid:
 def _center_frame(body: ConvexBody):
     """Star center c and an orthonormal basis W of c-perp."""
     if body.matrix is not None:
-        lam, vec = np.linalg.eigh(body.matrix)
+        lam, vec = body.eigh
         return vec[:, 0], vec[:, 1:], lam
     c = body.star_center()
-    d = len(c)
-    sign = 1.0 if c[0] >= 0 else -1.0
-    u = c.copy()
-    u[0] += sign
-    u = u / np.linalg.norm(u)
-    H = np.eye(d) - 2.0 * np.outer(u, u)
-    return c, H[:, 1:], None
+    return c, _orthobasis_complement(c[None, :])[0], None
 
 
 def _radial_roots(body: ConvexBody, omega: np.ndarray):
     """Geodesic radius rho(omega) of the surface along each ray from the
-    star center, plus the center frame. Closed form for quadrics, bracketed
-    bisection for implicit surfaces."""
+    star center, plus the center frame.  Closed form for quadrics.  On
+    implicit surfaces a 192-step scan brackets the first sign change of F
+    on each ray (rejecting bodies not star-shaped around the center), then
+    Illinois regula falsi, each step at least an ulp inside the bracket,
+    narrows it to two ulps.  F is evaluated only on rays still open."""
     c, W, lam = _center_frame(body)
     if body.matrix is not None:
         lam0 = -lam[0]
@@ -139,42 +136,54 @@ def _radial_roots(body: ConvexBody, omega: np.ndarray):
         q = (omega ** 2) @ d
         rho = np.arctan(np.sqrt(lam0 / q))
         return rho, c, W
-    # implicit: sign change of F along t -> cos(t) c + sin(t) omega~
     omt = omega @ W.T
     s_in = body.interior_sign()
-    tgrid = np.linspace(1e-9, pi / 2 - 1e-9, 192)
-    lo = np.zeros(omega.shape[0])
-    hi = np.full(omega.shape[0], np.nan)
-    prev = np.full(omega.shape[0], 1e-9)
-    found = np.zeros(omega.shape[0], dtype=bool)
-    for t in tgrid:
-        x = np.cos(t) * c[None, :] + np.sin(t) * omt
-        sgn = np.sign(body.surface_value(x))
-        crossed = (~found) & (sgn != s_in)
-        lo[crossed] = prev[crossed]
-        hi[crossed] = t
-        found |= crossed
-        prev = np.where(found, prev, t)
-        if found.all():
+    N = omega.shape[0]
+    lo, hi, flo, fhi = (np.empty(N) for _ in range(4))
+    active = np.arange(N)
+    t_prev = f_prev = None
+    for t in np.linspace(1e-9, pi / 2 - 1e-9, 192):
+        f = body.surface_value(np.cos(t) * c[None, :] + np.sin(t) * omt[active])
+        out = np.sign(f) != s_in
+        idx = active[out]
+        lo[idx], flo[idx] = (t, f[out]) if t_prev is None else (t_prev, f_prev[out])
+        hi[idx], fhi[idx] = t, f[out]
+        active, t_prev, f_prev = active[~out], t, f[~out]
+        if not active.size:
             break
-    if not found.all():
+    if active.size:
         raise SurfaceDegeneracyError(
             "no surface crossing along some rays; the body is not "
             "star-shaped around its center axis")
+    side = np.zeros(N)          # -1 / +1: lo / hi moved on the last step
+    active = np.arange(N)
     for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        x = np.cos(mid)[:, None] * c[None, :] + np.sin(mid)[:, None] * omt
-        sgn = np.sign(body.surface_value(x))
-        inside = sgn == s_in
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
+        active = active[hi[active] - lo[active] > 2 * np.spacing(hi[active])]
+        if not active.size:
+            break
+        a, b, fa, fb = lo[active], hi[active], flo[active], fhi[active]
+        # the ulp margin closes the bracket once one end has converged
+        ulp = np.spacing(b)
+        t = np.clip(a - fa * (b - a) / (fb - fa), a + ulp, b - ulp)
+        f = body.surface_value(np.cos(t)[:, None] * c[None, :]
+                               + np.sin(t)[:, None] * omt[active])
+        inside = np.sign(f) == s_in
+        # Illinois: halve the value kept at an end that stays put twice
+        fb = np.where(inside & (side[active] < 0), 0.5 * fb, fb)
+        fa = np.where(~inside & (side[active] > 0), 0.5 * fa, fa)
+        lo[active] = np.where(inside | (f == 0), t, a)
+        flo[active] = np.where(inside, f, fa)
+        hi[active] = np.where(inside, b, t)
+        fhi[active] = np.where(inside, fb, f)
+        side[active] = np.where(inside, -1.0, 1.0)
     return 0.5 * (lo + hi), c, W
 
 
-def surface_points(body: ConvexBody, grid: QuadratureGrid):
-    """Surface nodes x (N, n+1) and area-element values J (N,)."""
+def surface_points(body: ConvexBody, grid: QuadratureGrid, roots=None):
+    """Surface nodes x (N, n+1) and area-element values J (N,).  `roots`
+    reuses the (rho, c, W) that _radial_roots returned for these nodes."""
     omega = grid.nodes
-    rho, c, W = _radial_roots(body, omega)
+    rho, c, W = _radial_roots(body, omega) if roots is None else roots
     omt = omega @ W.T
     x = np.cos(rho)[:, None] * c[None, :] + np.sin(rho)[:, None] * omt
 
@@ -191,6 +200,27 @@ def surface_points(body: ConvexBody, grid: QuadratureGrid):
     grad_rho2 = np.sin(rho) ** 2 * ang2 / dFdt ** 2
     J = np.sin(rho) ** (grid.n - 2) * np.sqrt(np.sin(rho) ** 2 + grad_rho2)
     return x, J
+
+
+@dataclass(frozen=True)
+class SurfaceSample:
+    """A body's surface on a quadrature grid, shared by every quadrature over
+    it: radial profile rho from the star center (W spans center-perp), nodes
+    x, area element J and descending principal curvatures (N, n-1)."""
+
+    rho: np.ndarray
+    center: np.ndarray
+    W: np.ndarray
+    x: np.ndarray
+    J: np.ndarray
+    principal: np.ndarray
+
+
+def surface_sample(body: ConvexBody, grid: QuadratureGrid) -> SurfaceSample:
+    """Radial roots, area element and principal curvatures at every node."""
+    roots = _radial_roots(body, grid.nodes)
+    x, J = surface_points(body, grid, roots)
+    return SurfaceSample(*roots, x, J, principal_curvature_arrays(body, x))
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +322,7 @@ def elementary_symmetric(values: np.ndarray, k: int) -> np.ndarray:
     N, m = values.shape
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= {m}")
-    e = np.zeros((N, m + 1))
-    e[:, 0] = 1.0
-    for j in range(m):
-        e[:, 1:j + 2] += values[:, j:j + 1] * e[:, 0:j + 1].copy()
-    return e[:, k]
+    return _elementary_symmetric_all(values)[:, k]
 
 
 def _elementary_symmetric_all(values: np.ndarray) -> np.ndarray:
@@ -341,24 +367,13 @@ def _ratio_prefactor(k: int, n: int) -> float:
     return gamma((k + 1) / 2) * gamma((n - k) / 2) / pi ** ((n + 1) / 2)
 
 
-def _convex_sigma_data(body: ConvexBody, grid: QuadratureGrid):
-    x, J = surface_points(body, grid)
-    d = principal_curvature_arrays(body, x)
-    if body.convex:
-        prod = np.abs(d).prod(axis=1)
-        if d.min() <= 0.0 or prod.min() < DEGENERATE_DET_TOL:
-            raise NonConvexBodyError(
-                "non-positive principal curvature at a quadrature node of a "
-                "body declared convex")
-    return x, J, d
-
-
-def tangent_volume_ratio_profile(body: ConvexBody, grid: QuadratureGrid) -> np.ndarray:
+def tangent_volume_ratio_profile(body: ConvexBody, grid: QuadratureGrid,
+                                 sample: SurfaceSample | None = None) -> np.ndarray:
     """Tangent volume ratios for every k = 0..n-1 at once (convex bodies).
 
     Entry k is Gamma((k+1)/2)Gamma((n-k)/2) / pi^{(n+1)/2} times the surface
     integral of the k-th elementary symmetric polynomial of the principal
-    curvatures.
+    curvatures, from `sample` (the body's surface_sample on grid) if given.
     """
     if not body.convex:
         raise NonConvexBodyError("tangent volume ratios by curvature integral "
@@ -366,9 +381,14 @@ def tangent_volume_ratio_profile(body: ConvexBody, grid: QuadratureGrid) -> np.n
     n = body.n
     if grid.n != n:
         raise ValueError("grid dimension does not match the body")
-    _, J, d = _convex_sigma_data(body, grid)
+    sample = sample or surface_sample(body, grid)
+    d = sample.principal
+    if d.min() <= 0.0 or np.abs(d).prod(axis=1).min() < DEGENERATE_DET_TOL:
+        raise NonConvexBodyError(
+            "non-positive principal curvature at a quadrature node of a "
+            "body declared convex")
     sig = _elementary_symmetric_all(d)              # (N, n)
-    wj = grid.weights * J
+    wj = grid.weights * sample.J
     integrals = wj @ sig[:, :n]
     return np.array([_ratio_prefactor(k, n) * integrals[k] for k in range(n)])
 
@@ -425,10 +445,10 @@ def tangent_line_volume_rp3(body: ConvexBody, grid: QuadratureGrid) -> float:
     """
     if body.n != 3:
         raise ValueError("this formula is specific to surfaces in RP^3")
-    x, J = surface_points(body, grid)
-    d = principal_curvature_arrays(body, x)
+    sample = surface_sample(body, grid)
+    d = sample.principal
     h = abs_normal_curvature_integral(d[:, 0], d[:, 1])
-    return float(np.sum(grid.weights * J * h))
+    return float(np.sum(grid.weights * sample.J * h))
 
 
 def tangent_volume_ratio_semialgebraic(body: ConvexBody, k: int,
@@ -445,11 +465,11 @@ def tangent_volume_ratio_semialgebraic(body: ConvexBody, k: int,
     n = body.n
     if not 0 <= k <= n - 1:
         raise ValueError("need 0 <= k <= n-1")
-    x, J = surface_points(body, grid)
-    d = principal_curvature_arrays(body, x)
-    N = x.shape[0]
+    sample = surface_sample(body, grid)
+    d = sample.principal
+    N = d.shape[0]
     pref = comb(n - 1, k) * _ratio_prefactor(k, n)
-    wj = grid.weights * J * pref
+    wj = grid.weights * sample.J * pref
     if k == 0:
         return MCEstimate(float(wj.sum()), 0.0, mc_samples, rng.seed)
 
@@ -474,9 +494,10 @@ def surface_area(body: ConvexBody, grid: QuadratureGrid) -> float:
     return float(np.sum(grid.weights * J))
 
 
-def min_curvature_radius(body: ConvexBody, grid: QuadratureGrid) -> float:
-    """Conservative reach proxy: min over nodes of 1/max|d_i|, capped at pi/4."""
-    x, _ = surface_points(body, grid)
-    d = principal_curvature_arrays(body, x)
+def min_curvature_radius(body: ConvexBody, grid: QuadratureGrid,
+                         sample: SurfaceSample | None = None) -> float:
+    """Conservative reach proxy: min over nodes of 1/max|d_i|, capped at pi/4,
+    from `sample` (the body's surface_sample on grid) if given."""
+    d = (sample or surface_sample(body, grid)).principal
     dmax = np.abs(d).max(axis=1)
     return float(min(pi / 4, 1.0 / dmax.max()))

@@ -18,8 +18,9 @@ from math import pi
 import numpy as np
 
 from .bodies import BodyError, ConvexBody, quadric
-from .curvature import (NonConvexBodyError, QuadratureGrid, _radial_roots,
-                        min_curvature_radius, tangent_volume_ratio_profile)
+from .curvature import (NonConvexBodyError, QuadratureGrid, SurfaceSample,
+                        _radial_roots, min_curvature_radius, surface_sample,
+                        tangent_volume_ratio_profile)
 from .rng import MCEstimate, RngStream
 from .volumes import sphere_volume, steiner_coefficient
 
@@ -39,12 +40,14 @@ def _cap_profile_volume(rho: np.ndarray, weights: np.ndarray, n: int) -> float:
     return float(weights @ inner)
 
 
-def body_volume(body: ConvexBody, grid: QuadratureGrid) -> float:
+def body_volume(body: ConvexBody, grid: QuadratureGrid,
+                sample: SurfaceSample | None = None) -> float:
     """Volume of the convex region bounded by the body, computed on one
-    lifted component (equal to the projective volume)."""
+    lifted component (equal to the projective volume), from the radial
+    profile of `sample` (the body's surface_sample on grid) if given."""
     if not body.convex:
         raise NonConvexBodyError("volume of the bounded region needs a convex body")
-    rho, _, _ = _radial_roots(body, grid.nodes)
+    rho = sample.rho if sample else _radial_roots(body, grid.nodes)[0]
     return _cap_profile_volume(rho, grid.weights, body.n)
 
 
@@ -83,14 +86,19 @@ class IntrinsicProfile:
 
 
 def compute_profile(body: ConvexBody, grid: QuadratureGrid) -> IntrinsicProfile:
-    ratios = tangent_volume_ratio_profile(body, grid)
+    """Intrinsic volume profile of a convex quadric-backed body.  The polar
+    comes first, refusing implicit bodies before any quadrature; the ratios,
+    reach and region volume then come from one surface sample."""
+    polar = polar_volume(body, grid)
+    sample = surface_sample(body, grid)
+    ratios = tangent_volume_ratio_profile(body, grid, sample)
     values = ratios[::-1] / 4.0                       # V_j = ratio_{n-1-j} / 4
     if body.kind == "metric_sphere":
         reach = pi / 2 - body.radius
     else:
-        reach = min_curvature_radius(body, grid)
-    return IntrinsicProfile(body, values, ratios, body_volume(body, grid),
-                            polar_volume(body, grid), reach)
+        reach = min_curvature_radius(body, grid, sample)
+    return IntrinsicProfile(body, values, ratios,
+                            body_volume(body, grid, sample), polar, reach)
 
 
 def intrinsic_volume(body: ConvexBody, j: int, grid: QuadratureGrid) -> float:
@@ -149,16 +157,21 @@ def mc_tube_volume(body: ConvexBody, eps: float, samples: int,
     return MCEstimate(float(mean), float(stderr), samples, rng.seed)
 
 
-def sum_identity_residual(body: ConvexBody, grid: QuadratureGrid) -> float:
-    """Deviation of 4|C|/|S^n| + 4|C*|/|S^n| + sum_k ratio_k from 4."""
-    profile = compute_profile(body, grid)
+def sum_identity_residual(body: ConvexBody, grid: QuadratureGrid,
+                          profile: IntrinsicProfile | None = None) -> float:
+    """Deviation of 4|C|/|S^n| + 4|C*|/|S^n| + sum_k ratio_k from 4, from
+    `profile` (the body's compute_profile on grid) if given."""
+    profile = profile or compute_profile(body, grid)
     sn = sphere_volume(body.n)
     lhs = 4.0 * profile.volume / sn + 4.0 * profile.polar / sn + profile.ratios.sum()
     return float(lhs - 4.0)
 
 
 def bound_check(body: ConvexBody, k: int, grid: QuadratureGrid,
-                slack: float = 1e-6) -> bool:
-    """True iff the tangent volume ratio respects the universal bound of 4."""
-    ratio = tangent_volume_ratio_profile(body, grid)[k]
+                slack: float = 1e-6,
+                profile: IntrinsicProfile | None = None) -> bool:
+    """True iff the tangent volume ratio respects the universal bound of 4;
+    the ratio is read from `profile` when given."""
+    ratio = (profile.ratios if profile else
+             tangent_volume_ratio_profile(body, grid))[k]
     return bool(ratio <= 4.0 + slack)

@@ -40,7 +40,8 @@ class MCEstimate:
     stderr: float
     samples: int
     seed: int
-    degenerate: int = 0
+    degenerate: int = 0         # samples discarded
+    failed: int = 0             # of those, lost to a numerical failure
 
     def within(self, target: float, nsigma: float) -> bool:
         """True if `target` lies within nsigma standard errors of the mean."""

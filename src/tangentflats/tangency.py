@@ -51,6 +51,7 @@ _RESIDUAL_TOL = 1e-10
 _DEDUP_TOL = 1e-8
 _REAL_RATIO = 1e-6
 _BORDERLINE_RATIO = 1e-4
+_DEGENERATE, _PATHS_LOST = -1, -2   # per-trial counts of discarded trials
 
 
 class PathFailureError(RuntimeError):
@@ -434,10 +435,10 @@ def count_real_tangent_lines(bodies, rotations, rng: RngStream) -> int:
 
 
 def _tau_chunk(args) -> list[int]:
-    """Real tangent counts of a run of trials solved as one batch, -1 for a
-    discarded trial (degenerate, or paths lost after every retry).  Trials
-    whose attempt loses paths go into a later batch with the next
-    substream, as in solve_tangency_system."""
+    """Real tangent counts of a run of trials solved as one batch; a
+    discarded trial reads _DEGENERATE, or _PATHS_LOST when it lost paths
+    after every retry.  Trials whose attempt loses paths go into a later
+    batch with the next substream, as in solve_tangency_system."""
     bodies, seed, trials = args
     streams = [RngStream(seed, trial) for trial in trials]
     forms = np.array([_normalize_forms(_moved_quadrics(
@@ -452,8 +453,8 @@ def _tau_chunk(args) -> list[int]:
         pending = [i for i in pending if isinstance(results[i], PathFailureError)]
         if not pending:
             break
-    return [-1 if isinstance(r, PathFailureError) or r.degenerate
-            else r.real_count for r in results]
+    return [_PATHS_LOST if isinstance(r, PathFailureError) else
+            _DEGENERATE if r.degenerate else r.real_count for r in results]
 
 
 def _tau_trial(args) -> int:
@@ -481,9 +482,12 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
         counts = np.concatenate([_tau_chunk(c) for c in chunks])
     ok = counts[counts >= 0]
     degenerate = int((counts < 0).sum())
+    failed = int((counts == _PATHS_LOST).sum())
     if degenerate > 0.05 * trials:
         raise DegenerateConfigurationError(
-            f"{degenerate} of {trials} trials degenerate; inspect the bodies")
+            f"{degenerate} of {trials} trials discarded ({degenerate - failed} "
+            f"degenerate, {failed} lost paths after every retry)")
     mean = float(ok.mean())
     stderr = float(ok.std(ddof=1) / np.sqrt(ok.size)) if ok.size > 1 else 0.0
-    return MCEstimate(mean, stderr, int(ok.size), seed, degenerate=degenerate)
+    return MCEstimate(mean, stderr, int(ok.size), seed, degenerate=degenerate,
+                      failed=failed)

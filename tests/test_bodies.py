@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tangentflats as tf
-from tangentflats.bodies import BodyFileError
+from tangentflats.bodies import BodyFileError, HomogeneousPolynomial
 
 
 def test_metric_sphere_homogeneous_equation():
@@ -74,6 +75,60 @@ def test_implicit_polynomial_evaluation():
     with pytest.raises(tf.BodyError):
         tf.bodies.HomogeneousPolynomial(np.array([1.0, 1.0]),
                                         np.array([[2, 0, 0], [1, 0, 0]]))
+
+
+def _direct_terms(coeffs, exponents, x, partials=()):
+    """Terms of a partial derivative of sum_m c_m x^e_m, by the x ** e
+    formula, shape (N, M)."""
+    c, e = coeffs.copy(), exponents.copy()
+    for j in partials:
+        c = c * e[:, j]
+        e[:, j] = np.maximum(e[:, j] - 1, 0)
+    return c * np.prod(x[:, None, :] ** e[None, :, :], axis=2)
+
+
+@st.composite
+def polynomials_and_points(draw):
+    d = draw(st.integers(2, 4))
+    degree = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, degree), min_size=d - 1,
+                                  max_size=d - 1), min_size=1, max_size=6))
+    # cut points of a composition of `degree` into d parts
+    exponents = np.diff([[0] + sorted(r) + [degree] for r in rows], axis=1)
+    coeffs = draw(st.lists(st.floats(-5, 5), min_size=len(rows),
+                           max_size=len(rows)))
+    coordinate = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                           st.floats(-3, 3))
+    x = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                      min_size=1, max_size=5))
+    return np.array(coeffs), exponents, np.array(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials_and_points())
+def test_polynomial_matches_direct_powers(case):
+    coeffs, exponents, x = case
+    poly = HomogeneousPolynomial(coeffs, exponents)
+    d = x.shape[1]
+
+    def check(got, partials):
+        terms = _direct_terms(coeffs, exponents, x, partials)
+        # relative to the sum of |terms|, which bounds the rounding error
+        assert np.all(np.abs(got - terms.sum(1))
+                      <= 1e-13 * np.abs(terms).sum(1))
+
+    check(poly.value(x), ())
+    grad, hess = poly.gradient(x), poly.hessian(x)
+    for i in range(d):
+        check(grad[:, i], (i,))
+        for j in range(d):
+            check(hess[:, i, j], (i, j))
+
+
+def test_polynomial_rejects_negative_exponents():
+    with pytest.raises(tf.BodyError, match="nonnegative"):
+        HomogeneousPolynomial(np.array([1.0, 1.0]),
+                              np.array([[3, -1, 0], [0, 1, 1]]))
 
 
 @pytest.mark.parametrize("text", [

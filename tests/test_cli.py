@@ -161,10 +161,18 @@ IMPLICIT_BODY = ("kind = implicit\nn = 3\nconvex = true\n"
     ("tau", "BODIES", "--mode", "empirical", "--trials", "-3"),
     ("tau", "BODIES", "--mode", "empirical", "--workers", "0"),
     ("delta", "1", "3", "--samples", "0"),
-], ids=["trials-0", "trials-negative", "workers-0", "samples-0"])
+    ("volumes", "1", "3", "--level", "0"),
+    ("delta", "1", "3", "--level", "0"),
+    ("omega", "BODY", "--level", "0"),
+    ("tau", "BODIES", "--level", "-1"),
+    ("intrinsic", "BODY", "--level", "0"),
+], ids=["trials-0", "trials-negative", "workers-0", "samples-0",
+        "volumes-level-0", "delta-level-0", "omega-level-0",
+        "tau-level-negative", "intrinsic-level-0"])
 def test_nonpositive_counts_are_usage_errors(capsys, tmp_path, argv):
     bodies = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(4)]
-    argv = [a for arg in argv for a in (bodies if arg == "BODIES" else [arg])]
+    placeholders = {"BODIES": bodies, "BODY": bodies[:1]}
+    argv = [a for arg in argv for a in placeholders.get(arg, [arg])]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -200,3 +208,128 @@ def test_tau_path_failure_prints_path_log(capsys, tmp_path, monkeypatch):
     assert lines[0] == "error: 2 of 32 paths lost before t = 1"
     assert lines[1].startswith("path 3: stalled at t = 0.5")
     assert lines[2].startswith("path 17: stalled at t = 0.25")
+
+
+def test_omega_flat_dimension_out_of_range(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "omega", sphere_file(tmp_path), "--k", "7")
+    assert code == 2
+    assert "need 0 <= k <= n-1, got (k, n) = (7, 3)" in err
+
+
+def test_tau_formula_refuses_body_not_star_shaped(capsys, tmp_path):
+    # x1^2 - x2^2 + 0.1 (x0^2 + x3^2) stays positive along the x1 axis
+    saddle = tmp_path / "saddle.body"
+    saddle.write_text("kind = implicit\nn = 3\nconvex = true\n"
+                      "term = 1.0 0 2 0 0\nterm = -1.0 0 0 2 0\n"
+                      "term = 0.1 2 0 0 0\nterm = 0.1 0 0 0 2\n")
+    bodies = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(3)]
+    code, _, err = run_cli(capsys, "tau", str(saddle), *bodies, "--level", "1")
+    assert code == 3
+    assert "not star-shaped" in err
+
+
+def test_intrinsic_negative_tube_radius(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["intrinsic", sphere_file(tmp_path), "--eps", "-1"])
+    assert exc.value.code == 2
+    assert "must be at least 0" in capsys.readouterr().err
+
+
+def test_intrinsic_refuses_implicit_body(capsys, tmp_path):
+    implicit = tmp_path / "quartic.body"
+    implicit.write_text(IMPLICIT_BODY)
+    code, _, err = run_cli(capsys, "intrinsic", str(implicit))
+    assert code == 2
+    assert "polar body is implemented for quadric-backed kinds only" in err
+
+
+def _lose_paths(monkeypatch, offsets):
+    """Make every tracker attempt on substream 2^32 + o, o in offsets, lose
+    paths.  A trial's attempts use substreams trial + 2^32 + attempt."""
+    from tangentflats import tangency
+    solve = tangency._solve_batch
+
+    def losing(forms, rngs, max_steps):
+        return [tangency.PathFailureError("1 of 32 paths lost", ["path 0"])
+                if r.stream_id - (1 << 32) in offsets else result
+                for result, r in zip(solve(forms, rngs, max_steps), rngs)]
+
+    monkeypatch.setattr(tangency, "_solve_batch", losing)
+
+
+def test_tau_counts_path_failures_apart_from_degenerate(capsys, tmp_path,
+                                                        monkeypatch):
+    bodies = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(4)]
+    argv = ("tau", *bodies, "--mode", "empirical", "--seed", "3",
+            "--workers", "1")
+    # every attempt of trial 0 fails; trials 1 and 2 recover on a retry
+    _lose_paths(monkeypatch, {0, 1, 2})
+    code, out, _ = run_cli(capsys, *argv, "--trials", "20")
+    assert code == 0
+    assert json.loads(out)["degenerate_counts"] == {
+        "discarded_trials": 1, "path_failure_trials": 1}
+    # both of two trials lost: refused, naming both counts
+    _lose_paths(monkeypatch, {0, 1, 2, 3})
+    code, _, err = run_cli(capsys, *argv, "--trials", "2")
+    assert code == 3
+    assert "2 of 2 trials discarded (0 degenerate, 2 lost paths after " \
+        "every retry)" in err
+
+
+# Reports of `intrinsic --eps 0.05` recorded before the quadrature shared one
+# surface sample per body; quadric roots are closed-form, so every field
+# must stay bitwise the same.
+INTRINSIC_REPORTS = {
+    "semiaxes = 1.0 0.8 0.5": {
+        "V_0": 0.3210937776567672, "V_1": 0.3144556848254653,
+        "V_2": 0.1789062223432333, "polar_volume": 2.71968672572981,
+        "reach_estimate": 0.2500001073552304,
+        "sum_identity_residual": 1.7763568394002505e-15,
+        "tube_volume": 1.1832851059963283, "volume": 0.9428112535575844},
+    "semiaxes = 1.4 0.7 1.1": {
+        "V_0": 0.24310922248251868, "V_1": 0.32825852836158204,
+        "V_2": 0.2568907775174814, "polar_volume": 1.620406283790956,
+        "reach_estimate": 0.3500001563298924,
+        "sum_identity_residual": 3.552713678800501e-15,
+        "tube_volume": 2.1086239463354586, "volume": 1.7696344848732442},
+    f"radius = {pi / 6!r}": {
+        "V_0": 0.37500000000000977, "V_1": 0.2756644477108886,
+        "V_2": 0.12500000000000047, "polar_volume": 3.8590372210415778,
+        "reach_estimate": 1.0471975511965979,
+        "sum_identity_residual": 1.0658141036401503e-14,
+        "tube_volume": 0.7401025513076871, "volume": 0.5691690873451256},
+}
+
+
+@pytest.mark.parametrize("line", sorted(INTRINSIC_REPORTS))
+def test_intrinsic_reports_match_recorded_values(capsys, tmp_path, line):
+    kind = "ellipsoid" if line.startswith("semiaxes") else "metric_sphere"
+    body = tmp_path / "b.body"
+    body.write_text(f"kind = {kind}\nn = 3\n{line}\n")
+    code, out, _ = run_cli(capsys, "intrinsic", str(body), "--eps", "0.05")
+    assert code == 0
+    expected = dict(INTRINSIC_REPORTS[line],
+                    **{f"bound_ok_k{k}": True for k in range(3)})
+    assert json.loads(out)["results"] == expected
+
+
+def test_intrinsic_samples_the_surface_once(capsys, tmp_path, monkeypatch):
+    from tangentflats import curvature, intrinsic
+    calls = {"surface_points": 0, "_radial_roots": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((curvature, "surface_points"),
+                         (curvature, "_radial_roots"),
+                         (intrinsic, "_radial_roots")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    body = tmp_path / "e.body"
+    body.write_text("kind = ellipsoid\nn = 3\nsemiaxes = 1.0 0.8 0.5\n")
+    code, _, _ = run_cli(capsys, "intrinsic", str(body), "--eps", "0.05")
+    assert code == 0
+    assert calls["surface_points"] == 1
+    assert calls["_radial_roots"] <= 2             # the body and its polar

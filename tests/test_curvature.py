@@ -301,3 +301,19 @@ def test_grid_invariants():
     assert np.abs(np.linalg.norm(g2.nodes, axis=1) - 1).max() < 1e-12
     # node count is a deterministic function of the level
     assert tf.surface_grid(3, 2).nodes.shape == g2.nodes.shape
+
+
+@pytest.mark.parametrize("a, convex, expected", [
+    (1.2, True, 1.2741399695891777),
+    (-0.9, False, 2.168597810553167),
+], ids=["convex", "nonconvex"])
+def test_octahedral_quartic_ratios_match_recorded_values(grid3, a, convex,
+                                                         expected):
+    """Ratios recorded with bisection roots and float-pow monomials; root
+    finding and polynomial evaluation may move only the last bits."""
+    body = octahedral_quartic(a, 1.0, convex)
+    if convex:
+        ratio = tf.tangent_volume_ratio_convex(body, 1, grid3)
+    else:
+        ratio = tf.tangent_line_volume_rp3(body, grid3) / tf.schubert_volume(1, 3)
+    assert ratio == pytest.approx(expected, rel=1e-12, abs=0)
