@@ -13,9 +13,8 @@ product formula for the average tangent count under random rotations.
 __version__ = "0.1.0"
 
 from .rng import MCEstimate, RngStream
-from .projective import (FlatFrame, PluckerVector, ProjectivePoint, Rotation,
-                         apply_rotation, haar_rotation, plucker_embed,
-                         sample_flat)
+from .projective import (PLUCKER_PAIRING, ProjectivePoint, haar_matrices,
+                         lines_to_plucker, plucker_embed, uniform_flat_frames)
 from .volumes import (SchubertRatio, TangentCountInputs,
                       average_scaling_factor, average_tangent_count,
                       expected_degree_lines_asymptotic,

@@ -292,7 +292,8 @@ def parse_body_text(text: str, name: str = "<body>") -> ConvexBody:
         if not line:
             continue
         if "=" not in line:
-            raise BodyFileError(lineno, f"expected 'key = value', got {raw.strip()!r}")
+            raise BodyFileError(lineno, f"{name}: expected 'key = value', "
+                                       f"got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
@@ -316,11 +317,12 @@ def parse_body_text(text: str, name: str = "<body>") -> ConvexBody:
                 fields["term"].append((float(parts[0]),
                                        [int(t) for t in parts[1:]]))
             else:
-                raise BodyFileError(lineno, f"unknown key {key!r}")
+                raise BodyFileError(lineno, f"{name}: unknown key {key!r}")
         except BodyFileError:
             raise
         except (ValueError, IndexError) as exc:
-            raise BodyFileError(lineno, f"bad value for {key!r}: {exc}") from exc
+            raise BodyFileError(lineno, f"{name}: bad value for {key!r}: "
+                                        f"{exc}") from exc
 
     def require(key):
         if key not in fields:

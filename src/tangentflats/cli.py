@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bodies import BodyError, BodyFileError, parse_body_file
+from .bodies import BodyError, metric_sphere, parse_body_file
 from .curvature import (NonConvexBodyError, SurfaceDegeneracyError,
                         surface_grid, tangent_line_volume_rp3,
                         tangent_volume_ratio_convex,
@@ -45,6 +46,16 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 EXIT_NUMERICAL = 4
+
+#: Exit code of every exception a command may end in; main prints the
+#: message, then the per-path log of an exception that carries one.
+EXIT_CODES = {
+    BodyError: EXIT_USAGE, OSError: EXIT_USAGE,
+    UnsupportedIndicesError: EXIT_USAGE,
+    NonConvexBodyError: EXIT_REFUSED, SurfaceDegeneracyError: EXIT_REFUSED,
+    TubeRadiusError: EXIT_REFUSED, DegenerateConfigurationError: EXIT_REFUSED,
+    PathFailureError: EXIT_NUMERICAL,
+}
 
 
 def make_report(command: str, parameters: dict, seed, results: dict,
@@ -120,11 +131,8 @@ def cmd_volumes(args) -> int:
 
 def cmd_delta(args) -> int:
     t0 = time.perf_counter()
-    try:
-        est = estimate_expected_degree(args.k, args.n, args.samples, args.seed,
-                                       workers=args.workers)
-    except UnsupportedIndicesError as exc:
-        return fail(EXIT_USAGE, str(exc))
+    est = estimate_expected_degree(args.k, args.n, args.samples, args.seed,
+                                   workers=args.workers)
     results = {"expected_degree": estimate_entry(est)}
     report = make_report("delta", {"k": args.k, "n": args.n,
                                    "samples": args.samples}, args.seed,
@@ -133,16 +141,9 @@ def cmd_delta(args) -> int:
     return EXIT_OK
 
 
-def _load_bodies(paths):
-    return [parse_body_file(p) for p in paths]
-
-
 def cmd_omega(args) -> int:
     t0 = time.perf_counter()
-    try:
-        body = parse_body_file(args.body)
-    except (BodyFileError, BodyError, OSError) as exc:
-        return fail(EXIT_USAGE, f"{args.body}: {exc}")
+    body = parse_body_file(args.body)
     if not 0 <= args.k <= body.n - 1:
         return fail(EXIT_USAGE, f"need 0 <= k <= n-1, got (k, n) = "
                                 f"({args.k}, {body.n})")
@@ -151,38 +152,53 @@ def cmd_omega(args) -> int:
         method = "convex" if body.convex else "semialgebraic"
     grid = surface_grid(body.n, args.level)
     results: dict = {}
-    degenerate: dict = {}
-    try:
-        if args.sweep_radius and body.kind == "metric_sphere":
-            from .bodies import metric_sphere
-            lo, hi, count = args.sweep_radius
-            for r in np.linspace(lo, hi, int(count)):
-                ratio = tangent_volume_ratio_convex(metric_sphere(body.n, r),
-                                                    args.k, grid)
-                results[f"ratio_r_{r:.6f}"] = ratio
-        elif method == "convex":
-            results["tangent_ratio"] = tangent_volume_ratio_convex(
-                body, args.k, grid)
-        elif method == "h-integral":
-            if body.n != 3:
-                return fail(EXIT_USAGE, "h-integral method needs n = 3")
-            vol = tangent_line_volume_rp3(body, grid)
-            results["tangent_volume"] = vol
-            results["tangent_ratio"] = vol / schubert_volume(1, 3)
-        else:
-            est = tangent_volume_ratio_semialgebraic(
-                body, args.k, grid, args.samples, RngStream(args.seed))
-            results["tangent_ratio"] = estimate_entry(est)
-    except (NonConvexBodyError, SurfaceDegeneracyError) as exc:
-        return fail(EXIT_REFUSED, str(exc))
+    if args.sweep_radius and body.kind == "metric_sphere":
+        lo, hi, count = args.sweep_radius
+        for r in np.linspace(lo, hi, int(count)):
+            ratio = tangent_volume_ratio_convex(metric_sphere(body.n, r),
+                                                args.k, grid)
+            results[f"ratio_r_{r:.6f}"] = ratio
+    elif method == "convex":
+        results["tangent_ratio"] = tangent_volume_ratio_convex(body, args.k, grid)
+    elif method == "h-integral":
+        if body.n != 3:
+            return fail(EXIT_USAGE, "h-integral method needs n = 3")
+        vol = tangent_line_volume_rp3(body, grid)
+        results["tangent_volume"] = vol
+        results["tangent_ratio"] = vol / schubert_volume(1, 3)
+    else:
+        est = tangent_volume_ratio_semialgebraic(
+            body, args.k, grid, args.samples, RngStream(args.seed))
+        results["tangent_ratio"] = estimate_entry(est)
     report = make_report("omega", {"body": args.body, "k": args.k,
                                    "level": args.level, "method": method},
-                         args.seed, results, degenerate, t0)
+                         args.seed, results, {}, t0)
     emit(report, args)
     return EXIT_OK
 
 
+def delta_source(text: str) -> str:
+    """argparse type for --delta-source; returns the text unchanged."""
+    kind, _, value = text.partition(":")
+    if kind == "mc":
+        positive_int(value)
+    elif kind == "value":
+        if not (math.isfinite(float(value)) and float(value) >= 0):
+            raise argparse.ArgumentTypeError(
+                f"value:<x> needs a finite x >= 0, got {value!r}")
+    elif text not in ("exact", "reference"):
+        raise argparse.ArgumentTypeError(
+            f"expected exact, reference, mc:<samples> or value:<x>, got {text!r}")
+    return text
+
+
 def _resolve_delta(source: str, k: int, n: int, seed: int, workers: int):
+    kind, _, value = source.partition(":")
+    if kind == "mc":
+        return estimate_expected_degree(k, n, int(value), seed,
+                                        workers=workers).mean
+    if kind == "value":
+        return float(value)
     if source == "exact":
         if k not in (0, n - 1):
             raise UnsupportedIndicesError(
@@ -190,17 +206,10 @@ def _resolve_delta(source: str, k: int, n: int, seed: int, workers: int):
                 f"(k, n) = ({k}, {n}) needs 'reference', 'mc:<samples>' or "
                 "'value:<x>'")
         return 1.0
-    if source == "reference":
-        if (k, n) != (1, 3):
-            raise UnsupportedIndicesError(
-                "the packaged reference value covers (k, n) = (1, 3) only")
-        return EXPECTED_DEGREE_LINES_RP3
-    if source.startswith("mc:"):
-        return estimate_expected_degree(k, n, int(source[3:]), seed,
-                                        workers=workers).mean
-    if source.startswith("value:"):
-        return float(source[6:])
-    raise ValueError(f"unknown delta source {source!r}")
+    if (k, n) != (1, 3):
+        raise UnsupportedIndicesError(
+            "the packaged reference value covers (k, n) = (1, 3) only")
+    return EXPECTED_DEGREE_LINES_RP3
 
 
 def cmd_tau(args) -> int:
@@ -210,43 +219,28 @@ def cmd_tau(args) -> int:
     if len(args.bodies) != d:
         return fail(EXIT_USAGE,
                     f"(k, n) = ({k}, {n}) needs {d} body files, got {len(args.bodies)}")
-    try:
-        bodies = _load_bodies(args.bodies)
-    except (BodyFileError, BodyError, OSError) as exc:
-        return fail(EXIT_USAGE, str(exc))
+    bodies = [parse_body_file(p) for p in args.bodies]
     if any(b.n != n for b in bodies):
         return fail(EXIT_USAGE, "all bodies must live in the same RP^n")
-    try:
-        delta = _resolve_delta(args.delta_source, k, n, args.seed, args.workers)
-    except (UnsupportedIndicesError, ValueError) as exc:
-        return fail(EXIT_USAGE, str(exc))
+    delta = _resolve_delta(args.delta_source, k, n, args.seed, args.workers)
     results: dict = {"expected_degree": delta}
     degenerate: dict = {}
-    try:
-        if args.mode == "formula":
-            grid = surface_grid(n, args.level)
-            ratios = [tangent_volume_ratio_convex(b, k, grid) for b in bodies]
-            tau = average_tangent_count(
-                TangentCountInputs(k, n, tuple(ratios), delta))
-            for i, r in enumerate(ratios):
-                results[f"ratio_{i}"] = r
-            results["average_tangent_count"] = tau
-        else:
-            if (k, n) != (1, 3) or any(b.matrix is None for b in bodies):
-                return fail(EXIT_USAGE, "empirical mode counts tangent lines "
-                                        "to quadrics in RP^3 only")
-            est = average_tangent_count_empirical(bodies, args.trials,
-                                                  args.seed, args.workers)
-            results["average_tangent_count"] = estimate_entry(est)
-            degenerate["discarded_trials"] = est.degenerate
-            degenerate["path_failure_trials"] = est.failed
-    except (NonConvexBodyError, SurfaceDegeneracyError,
-            DegenerateConfigurationError) as exc:
-        return fail(EXIT_REFUSED, str(exc))
-    except PathFailureError as exc:
-        code = fail(EXIT_NUMERICAL, str(exc))
-        print("\n".join(exc.path_log), file=sys.stderr)
-        return code
+    if args.mode == "formula":
+        grid = surface_grid(n, args.level)
+        ratios = [tangent_volume_ratio_convex(b, k, grid) for b in bodies]
+        tau = average_tangent_count(TangentCountInputs(k, n, tuple(ratios), delta))
+        for i, r in enumerate(ratios):
+            results[f"ratio_{i}"] = r
+        results["average_tangent_count"] = tau
+    else:
+        if (k, n) != (1, 3) or any(b.matrix is None for b in bodies):
+            return fail(EXIT_USAGE, "empirical mode counts tangent lines "
+                                    "to quadrics in RP^3 only")
+        est = average_tangent_count_empirical(bodies, args.trials,
+                                              args.seed, args.workers)
+        results["average_tangent_count"] = estimate_entry(est)
+        degenerate["discarded_trials"] = est.degenerate
+        degenerate["path_failure_trials"] = est.failed
     report = make_report("tau", {"k": k, "n": n, "mode": args.mode,
                                  "bodies": list(args.bodies),
                                  "trials": args.trials,
@@ -258,27 +252,17 @@ def cmd_tau(args) -> int:
 
 def cmd_intrinsic(args) -> int:
     t0 = time.perf_counter()
-    try:
-        body = parse_body_file(args.body)
-    except (BodyFileError, BodyError, OSError) as exc:
-        return fail(EXIT_USAGE, f"{args.body}: {exc}")
+    body = parse_body_file(args.body)
     grid = surface_grid(body.n, args.level)
-    try:
-        profile = compute_profile(body, grid)
-        results: dict = {f"V_{j}": float(v) for j, v in enumerate(profile.values)}
-        results["volume"] = profile.volume
-        results["polar_volume"] = profile.polar
-        results["reach_estimate"] = profile.reach
-        results["sum_identity_residual"] = sum_identity_residual(body, grid,
-                                                                 profile)
-        for k in range(body.n):
-            results[f"bound_ok_k{k}"] = bound_check(body, k, grid,
-                                                    profile=profile)
-        results["tube_volume"] = steiner_tube_volume(body, args.eps, profile)
-    except BodyError as exc:
-        return fail(EXIT_USAGE, f"{args.body}: {exc}")
-    except (NonConvexBodyError, SurfaceDegeneracyError, TubeRadiusError) as exc:
-        return fail(EXIT_REFUSED, str(exc))
+    profile = compute_profile(body, grid)
+    results: dict = {f"V_{j}": float(v) for j, v in enumerate(profile.values)}
+    results["volume"] = profile.volume
+    results["polar_volume"] = profile.polar
+    results["reach_estimate"] = profile.reach
+    results["sum_identity_residual"] = sum_identity_residual(body, grid, profile)
+    for k in range(body.n):
+        results[f"bound_ok_k{k}"] = bound_check(body, k, grid, profile=profile)
+    results["tube_volume"] = steiner_tube_volume(body, args.eps, profile)
     report = make_report("intrinsic", {"body": args.body, "eps": args.eps,
                                        "level": args.level}, None, results,
                          t0=t0)
@@ -335,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--mode", choices=("formula", "empirical"), default="formula")
     p.add_argument("--trials", type=positive_int, default=200)
-    p.add_argument("--delta-source", default="reference",
+    p.add_argument("--delta-source", type=delta_source, default="reference",
                    help="exact | reference | mc:<samples> | value:<x>")
     common(p)
     p.set_defaults(func=cmd_tau)
@@ -356,6 +340,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
+    except tuple(EXIT_CODES) as exc:
+        code = next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
+        print("\n".join([f"error: {exc}", *getattr(exc, "path_log", ())]),
+              file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -335,26 +335,32 @@ def _elementary_symmetric_all(values: np.ndarray) -> np.ndarray:
     return e
 
 
+def _abs_minors(d: np.ndarray, k: int, mc_samples: int,
+                generator: np.random.Generator) -> np.ndarray:
+    """|det| of the diagonal forms d (N, m) restricted to mc_samples uniform
+    k-planes each, shape (N, mc_samples); the planes are QR frames of
+    Gaussian (m, k) draws, taken from the generator in row order."""
+    z = generator.standard_normal((d.shape[0], mc_samples, d.shape[1], k))
+    q, _ = np.linalg.qr(z)
+    restricted = np.einsum('nsik,ni,nsil->nskl', q, d, q)
+    return np.abs(restricted[..., 0, 0] if k == 1 else np.linalg.det(restricted))
+
+
 def mean_abs_minor(frame: CurvatureFrame, k: int, mc_samples: int,
                    rng: RngStream) -> MCEstimate:
     """Monte Carlo mean of |det| of the second fundamental form restricted
-    to a uniform k-plane of the tangent space.
+    to a uniform k-plane of the tangent space: a batch of one node of the
+    sampler in tangent_volume_ratio_semialgebraic.
 
     For positive definite forms this equals sigma_k / C(n-1, k); with mixed
     signs only the Monte Carlo average applies.
     """
-    d = frame.principal
-    m = d.shape[0]
+    m = frame.principal.shape[0]
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= {m}")
     if k == 0:
         return MCEstimate(1.0, 0.0, mc_samples, rng.seed)
-    g = rng.generator()
-    z = g.standard_normal((mc_samples, m, k))
-    q, _ = np.linalg.qr(z)
-    restricted = np.einsum('sik,i,sil->skl', q, d, q)
-    vals = np.abs(np.linalg.det(restricted)) if k > 1 else \
-        np.abs(restricted[:, 0, 0])
+    vals = _abs_minors(frame.principal[None], k, mc_samples, rng.generator())[0]
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else 0.0
     return MCEstimate(mean, stderr, mc_samples, rng.seed)
@@ -466,23 +472,14 @@ def tangent_volume_ratio_semialgebraic(body: ConvexBody, k: int,
     if not 0 <= k <= n - 1:
         raise ValueError("need 0 <= k <= n-1")
     sample = surface_sample(body, grid)
-    d = sample.principal
-    N = d.shape[0]
     pref = comb(n - 1, k) * _ratio_prefactor(k, n)
     wj = grid.weights * sample.J * pref
     if k == 0:
         return MCEstimate(float(wj.sum()), 0.0, mc_samples, rng.seed)
 
-    g = rng.generator()
-    z = g.standard_normal((N, mc_samples, n - 1, k))
-    q, _ = np.linalg.qr(z)
-    restricted = np.einsum('nsik,ni,nsil->nskl', q, d, q)
-    if k == 1:
-        vals = np.abs(restricted[:, :, 0, 0])
-    else:
-        vals = np.abs(np.linalg.det(restricted))
+    vals = _abs_minors(sample.principal, k, mc_samples, rng.generator())
     node_mean = vals.mean(axis=1)
-    node_var = vals.var(axis=1, ddof=1) if mc_samples > 1 else np.zeros(N)
+    node_var = vals.var(axis=1, ddof=1) if mc_samples > 1 else np.zeros(len(wj))
     total = float(wj @ node_mean)
     stderr = float(np.sqrt((wj ** 2 @ node_var) / mc_samples))
     return MCEstimate(total, stderr, mc_samples, rng.seed)

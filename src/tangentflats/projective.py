@@ -2,11 +2,14 @@
 
 Conventions
 -----------
-A k-flat in RP^n is stored as a row-orthonormal (k+1) x (n+1) frame whose
-row span is the corresponding (k+1)-plane in R^{n+1}.  Pluecker coordinates
-are derived from the frame: the wedge of the rows, listed over the
-C(n+1, k+1) index subsets in lexicographic order, normalized to unit length
-with the first nonzero coordinate made positive.
+Every function here is batched: a scalar is a batch of one.  A k-flat in
+RP^n is a row-orthonormal (k+1) x (n+1) frame, an array of shape
+(..., k+1, n+1) whose row span is the corresponding (k+1)-plane in
+R^{n+1}.  Pluecker coordinates are the wedge of the rows, listed over the
+C(n+1, k+1) index subsets in lexicographic order and left unnormalized
+(unit length for an orthonormal frame, up to sign for a given span).
+Lines in RP^3 meet exactly when their coordinates pair to zero under
+PLUCKER_PAIRING, which also gives the Pluecker quadric p^T P p / 2.
 """
 from __future__ import annotations
 
@@ -15,16 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream
-
 ORTHO_TOL = 1e-12
-SIGN_ZERO_TOL = 1e-12
 SPAN_TOL = 1e-9
 
 
 def plucker_index_pairs(n_plus_1: int, k_plus_1: int):
     """Lexicographically ordered index subsets for Pluecker coordinates."""
     return list(itertools.combinations(range(n_plus_1), k_plus_1))
+
+
+#: Incidence pairing of lines in RP^3: p @ PLUCKER_PAIRING @ q =
+#: p01 q23 - p02 q13 + p03 q12 + p12 q03 - p13 q02 + p23 q01 = det[u; v; u'; v']
+#: for p = u ^ v and q = u' ^ v', zero iff the lines meet.
+PLUCKER_PAIRING = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])).copy()
+PLUCKER_PAIRING.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -48,136 +55,29 @@ class ProjectivePoint:
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class FlatFrame:
-    """A projective k-flat in RP^n as a row-orthonormal frame.
+def plucker_embed(frames: np.ndarray) -> np.ndarray:
+    """Pluecker coordinates of flats from their frames (..., k+1, n+1): the
+    maximal minors over the lexicographic column subsets, (..., C(n+1, k+1)).
 
-    Two frames compare equal when they have the same row span; the frame
-    itself is only a representative.
+    The reference construction; lines_to_plucker is the fast path for lines.
     """
-
-    n: int
-    k: int
-    frame: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.frame, dtype=float)
-        if f.shape != (self.k + 1, self.n + 1):
-            raise ValueError(f"frame must be {(self.k + 1, self.n + 1)}, got {f.shape}")
-        gram = f @ f.T
-        if np.abs(gram - np.eye(self.k + 1)).max() > 1e-10:
-            raise ValueError("frame rows must be orthonormal")
-        object.__setattr__(self, "frame", f)
-
-    def projector(self) -> np.ndarray:
-        return self.frame.T @ self.frame
-
-    def __eq__(self, other):
-        if not isinstance(other, FlatFrame):
-            return NotImplemented
-        if (self.n, self.k) != (other.n, other.k):
-            return False
-        return np.abs(self.projector() - other.projector()).max() < SPAN_TOL
-
-    __hash__ = None
-
-
-@dataclass(frozen=True)
-class PluckerVector:
-    """Unit Pluecker coordinate vector with canonical sign."""
-
-    n: int
-    k: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        object.__setattr__(self, "coords", c)
-
-    def __eq__(self, other):
-        if not isinstance(other, PluckerVector):
-            return NotImplemented
-        return (self.n, self.k) == (other.n, other.k) and \
-            np.abs(self.coords - other.coords).max() < SPAN_TOL
-
-    __hash__ = None
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """An element of O(n+1) acting on RP^n."""
-
-    g: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        if np.abs(g.T @ g - np.eye(g.shape[0])).max() > ORTHO_TOL * 10:
-            raise ValueError("matrix is not orthogonal")
-        object.__setattr__(self, "g", g)
-
-    def inverse(self) -> "Rotation":
-        return Rotation(self.g.T)
-
-
-def canonical_sign(coords: np.ndarray, zero_tol: float = SIGN_ZERO_TOL) -> np.ndarray:
-    """Flip sign so the first coordinate larger than zero_tol is positive."""
-    for c in coords:
-        if abs(c) > zero_tol:
-            return coords if c > 0 else -coords
-    return coords
-
-
-def plucker_embed(f: FlatFrame) -> PluckerVector:
-    """Pluecker coordinates of a flat: the wedge of its frame rows.
-
-    Span-equal frames map to the same vector because the wedge of an
-    orthonormal frame is unique up to sign, which the canonicalization fixes.
-    """
-    pairsets = plucker_index_pairs(f.n + 1, f.k + 1)
-    coords = np.empty(len(pairsets))
-    rows = f.frame
-    for i, cols in enumerate(pairsets):
-        coords[i] = np.linalg.det(rows[:, cols])
-    nrm = np.linalg.norm(coords)
-    if nrm == 0.0:
-        raise ValueError("degenerate frame: zero wedge")
-    return PluckerVector(f.n, f.k, canonical_sign(coords / nrm))
-
-
-def haar_rotation(n: int, rng: RngStream) -> Rotation:
-    """Haar-distributed element of O(n+1).
-
-    QR of a standard Gaussian matrix with the R-diagonal sign correction;
-    without the correction the distribution of Q is not invariant.
-    """
-    g = rng.generator()
-    z = g.standard_normal((n + 1, n + 1))
-    q, r = np.linalg.qr(z)
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    return Rotation(q * d[None, :])
+    frames = np.asarray(frames, dtype=float)
+    k_plus_1, n_plus_1 = frames.shape[-2:]
+    return np.stack([np.linalg.det(frames[..., list(cols)])
+                     for cols in plucker_index_pairs(n_plus_1, k_plus_1)], axis=-1)
 
 
 def haar_matrices(n_plus_1: int, count: int, generator: np.random.Generator) -> np.ndarray:
-    """Batch of Haar orthogonal matrices, shape (count, n+1, n+1)."""
+    """Batch of Haar orthogonal matrices, shape (count, n+1, n+1).
+
+    QR of standard Gaussian matrices with the R-diagonal sign correction;
+    without the correction the distribution of Q is not invariant.
+    """
     z = generator.standard_normal((count, n_plus_1, n_plus_1))
     q, r = np.linalg.qr(z)
     d = np.sign(np.einsum('bii->bi', r))
     d[d == 0] = 1.0
     return q * d[:, None, :]
-
-
-def sample_flat(k: int, n: int, rng: RngStream) -> FlatFrame:
-    """Uniformly distributed k-flat in RP^n.
-
-    A Haar rotation applied to the coordinate flat span(e_0, ..., e_k);
-    invariance of the Haar measure makes the result uniform.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    g = haar_rotation(n, rng)
-    coord = np.eye(k + 1, n + 1)
-    return apply_rotation(g, FlatFrame(n, k, coord))
 
 
 def uniform_flat_frames(k: int, n: int, count: int,
@@ -186,22 +86,11 @@ def uniform_flat_frames(k: int, n: int, count: int,
 
     Orthonormalizes Gaussian (n+1) x (k+1) matrices; the resulting span is
     O(n+1)-invariant in distribution, hence uniform on the Grassmannian.
+    A rotation g moves a frame F to F @ g.T.
     """
     z = generator.standard_normal((count, n + 1, k + 1))
     q, _ = np.linalg.qr(z)
     return q.transpose(0, 2, 1)
-
-
-def apply_rotation(g: Rotation, f: FlatFrame) -> FlatFrame:
-    """Rotate a flat: the row span of the result is g applied to the span."""
-    if g.g.shape[0] != f.n + 1:
-        raise ValueError("rotation and flat dimensions do not agree")
-    rows = f.frame @ g.g.T
-    # re-orthonormalize to control floating-point drift
-    q, r = np.linalg.qr(rows.T)
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    return FlatFrame(f.n, f.k, (q * d[None, :]).T)
 
 
 def lines_to_plucker(frames: np.ndarray) -> np.ndarray:

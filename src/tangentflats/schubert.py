@@ -18,7 +18,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .projective import PluckerVector, lines_to_plucker, uniform_flat_frames
+from .projective import PLUCKER_PAIRING, lines_to_plucker, uniform_flat_frames
 from .rng import MCEstimate, RngStream
 
 #: Reference numerical value of the expected degree for lines in RP^3,
@@ -51,33 +51,10 @@ class TransversalCount:
         return self.count is None
 
 
-def _coords(line) -> np.ndarray:
-    if isinstance(line, PluckerVector):
-        return line.coords
-    return np.asarray(line, dtype=float)
-
-
 def line_meet_form(l, m) -> float:
-    """Symmetric incidence pairing of two lines in RP^3 (zero iff they meet):
-
-        p01 q23 - p02 q13 + p03 q12 + p23 q01 - p13 q02 + p12 q03
-    """
-    p = _coords(l)
-    q = _coords(m)
-    return float(p[0] * q[5] - p[1] * q[4] + p[2] * q[3]
-                 + p[5] * q[0] - p[4] * q[1] + p[3] * q[2])
-
-
-def _dual_coords(q: np.ndarray) -> np.ndarray:
-    """Vector T(q) with line_meet_form(p, q) = p . T(q)."""
-    out = np.empty_like(q)
-    out[..., 0] = q[..., 5]
-    out[..., 1] = -q[..., 4]
-    out[..., 2] = q[..., 3]
-    out[..., 3] = q[..., 2]
-    out[..., 4] = -q[..., 1]
-    out[..., 5] = q[..., 0]
-    return out
+    """Symmetric incidence pairing of two lines in RP^3 (zero iff they meet)."""
+    return float(np.asarray(l, dtype=float) @ PLUCKER_PAIRING
+                 @ np.asarray(m, dtype=float))
 
 
 def _count_batch(plucker: np.ndarray, tol: float = _DEGENERACY_TOL):
@@ -87,21 +64,17 @@ def _count_batch(plucker: np.ndarray, tol: float = _DEGENERACY_TOL):
     Returns (counts, degenerate, disc, cond) arrays; counts is -1 on
     degenerate draws.
     """
-    M = _dual_coords(plucker)                       # (B, 4, 6) rows of the system
+    M = plucker @ PLUCKER_PAIRING                   # (B, 4, 6) rows of the system
     q, r = np.linalg.qr(M.transpose(0, 2, 1), mode="complete")
     diag = np.abs(np.einsum('bii->bi', r[:, :4, :]))
     cond = diag.min(axis=1) / np.maximum(diag.max(axis=1), 1e-300)
     degenerate = diag.min(axis=1) < 1e-8 * diag.max(axis=1)
     u = q[:, :, 4]
     v = q[:, :, 5]
-
-    def quad(a, b):
-        return (a[:, 0] * b[:, 5] - a[:, 1] * b[:, 4] + a[:, 2] * b[:, 3]
-                + a[:, 5] * b[:, 0] - a[:, 4] * b[:, 1] + a[:, 3] * b[:, 2])
-
-    quu = 0.5 * quad(u, u)
-    qvv = 0.5 * quad(v, v)
-    quv = quad(u, v)                                # already the cross term
+    uP = u @ PLUCKER_PAIRING
+    quu = 0.5 * np.einsum('bi,bi->b', uP, u)
+    qvv = 0.5 * np.einsum('bi,bi->b', v @ PLUCKER_PAIRING, v)
+    quv = np.einsum('bi,bi->b', uP, v)              # already the cross term
     disc = quv ** 2 - 4.0 * quu * qvv
     scale = quv ** 2 + 4.0 * np.abs(quu * qvv) + 1e-300
     # a vanishing quadratic means the whole kernel line lies on the quadric
@@ -114,7 +87,7 @@ def _count_batch(plucker: np.ndarray, tol: float = _DEGENERACY_TOL):
 
 def count_line_transversals(l1, l2, l3, l4) -> TransversalCount:
     """Count the real lines meeting four given lines in RP^3."""
-    plucker = np.stack([_coords(l) for l in (l1, l2, l3, l4)])[None, :, :]
+    plucker = np.array([l1, l2, l3, l4], dtype=float)[None, :, :]
     counts, degenerate, disc, cond = _count_batch(plucker)
     if degenerate[0]:
         return TransversalCount(None, float(disc[0]), float(cond[0]))

@@ -28,16 +28,8 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .projective import haar_matrices
+from .projective import PLUCKER_PAIRING, haar_matrices, plucker_index_pairs
 from .rng import MCEstimate, RngStream
-
-_PAIRS = list(itertools.combinations(range(4), 2))
-
-#: Pluecker quadric p01 p23 - p02 p13 + p03 p12 as a symmetric 6x6 form.
-PLUCKER_FORM = np.zeros((6, 6))
-PLUCKER_FORM[0, 5] = PLUCKER_FORM[5, 0] = 0.5
-PLUCKER_FORM[1, 4] = PLUCKER_FORM[4, 1] = -0.5
-PLUCKER_FORM[2, 3] = PLUCKER_FORM[3, 2] = 0.5
 
 _TOTAL_PATHS = 32
 _SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=5)))
@@ -65,7 +57,10 @@ class PathFailureError(RuntimeError):
 
 class DegenerateConfigurationError(RuntimeError):
     """Configuration flagged degenerate (non-isolated or borderline-real
-    solutions)."""
+    solutions).  When trials lost paths, path_log holds the log of the
+    first of them."""
+
+    path_log = ()
 
 
 @dataclass(frozen=True)
@@ -93,9 +88,9 @@ class PluckerQuadric:
 def second_compound(A: np.ndarray) -> np.ndarray:
     """Second compound matrix: entries are the 2x2 minors det(A[{i,j},{k,l}])
     over lexicographic index pairs."""
-    M = np.empty((6, 6))
-    for a, (i, j) in enumerate(_PAIRS):
-        for b, (k, l) in enumerate(_PAIRS):
+    M, pairs = np.empty((6, 6)), plucker_index_pairs(4, 2)
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
             M[a, b] = A[i, k] * A[j, l] - A[i, l] * A[j, k]
     return M
 
@@ -158,11 +153,12 @@ class SolutionSet:
 
 
 def _normalize_forms(quadrics) -> np.ndarray:
+    """The four tangency forms and the Pluecker quadric, each of unit norm."""
     Ms = []
     for Q in quadrics:
         M = Q.matrix if isinstance(Q, PluckerQuadric) else np.asarray(Q, float)
         Ms.append(M / np.linalg.norm(M))
-    Ms.append(PLUCKER_FORM / np.linalg.norm(PLUCKER_FORM))
+    Ms.append(PLUCKER_PAIRING / np.linalg.norm(PLUCKER_PAIRING))
     return np.array(Ms)
 
 
@@ -415,11 +411,8 @@ def _moved_quadrics(bodies, rotations) -> list:
     g A g^T (membership: x in gX iff g^T x in X)."""
     if len(bodies) != 4 or len(rotations) != 4:
         raise ValueError("need four bodies and four rotations")
-    quadrics = []
-    for body, g in zip(bodies, rotations):
-        g = g.g if hasattr(g, "g") else np.asarray(g, float)
-        quadrics.append(tangency_quadric_of(g @ body.defining_matrix() @ g.T))
-    return quadrics
+    return [tangency_quadric_of(g @ body.defining_matrix() @ g.T)
+            for body, g in zip(bodies, np.asarray(rotations, dtype=float))]
 
 
 def count_real_tangent_lines(bodies, rotations, rng: RngStream) -> int:
@@ -434,11 +427,12 @@ def count_real_tangent_lines(bodies, rotations, rng: RngStream) -> int:
     return sols.real_count
 
 
-def _tau_chunk(args) -> list[int]:
-    """Real tangent counts of a run of trials solved as one batch; a
-    discarded trial reads _DEGENERATE, or _PATHS_LOST when it lost paths
-    after every retry.  Trials whose attempt loses paths go into a later
-    batch with the next substream, as in solve_tangency_system."""
+def _tau_chunk(args) -> tuple[list[int], list[str]]:
+    """Real tangent counts of a run of trials solved as one batch, and the
+    path log of the first trial that lost paths after every retry (empty if
+    none did); a discarded trial reads _DEGENERATE, or _PATHS_LOST.  Trials
+    whose attempt loses paths go into a later batch with the next substream,
+    as in solve_tangency_system."""
     bodies, seed, trials = args
     streams = [RngStream(seed, trial) for trial in trials]
     forms = np.array([_normalize_forms(_moved_quadrics(
@@ -453,12 +447,14 @@ def _tau_chunk(args) -> list[int]:
         pending = [i for i in pending if isinstance(results[i], PathFailureError)]
         if not pending:
             break
+    log = next(([f"trial {t}: {r}", *r.path_log] for t, r in zip(trials, results)
+                if isinstance(r, PathFailureError)), [])
     return [_PATHS_LOST if isinstance(r, PathFailureError) else
-            _DEGENERATE if r.degenerate else r.real_count for r in results]
+            _DEGENERATE if r.degenerate else r.real_count for r in results], log
 
 
 def _tau_trial(args) -> int:
-    return _tau_chunk((*args[:2], [args[2]]))[0]
+    return _tau_chunk((*args[:2], [args[2]]))[0][0]
 
 
 def average_tangent_count_empirical(bodies, trials: int, seed: int,
@@ -477,16 +473,19 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
               for i in range(0, trials, _CHUNK_TRIALS)]
     if workers > 1 and len(chunks) > 1:
         with Pool(min(workers, len(chunks))) as pool:
-            counts = np.concatenate(pool.map(_tau_chunk, chunks))
+            parts = pool.map(_tau_chunk, chunks)
     else:
-        counts = np.concatenate([_tau_chunk(c) for c in chunks])
+        parts = [_tau_chunk(c) for c in chunks]
+    counts = np.concatenate([c for c, _ in parts])
     ok = counts[counts >= 0]
     degenerate = int((counts < 0).sum())
     failed = int((counts == _PATHS_LOST).sum())
     if degenerate > 0.05 * trials:
-        raise DegenerateConfigurationError(
+        exc = DegenerateConfigurationError(
             f"{degenerate} of {trials} trials discarded ({degenerate - failed} "
             f"degenerate, {failed} lost paths after every retry)")
+        exc.path_log = next((log for _, log in parts if log), [])
+        raise exc
     mean = float(ok.mean())
     stderr = float(ok.std(ddof=1) / np.sqrt(ok.size)) if ok.size > 1 else 0.0
     return MCEstimate(mean, stderr, int(ok.size), seed, degenerate=degenerate,

@@ -54,7 +54,7 @@ def test_ellipsoid_membership_and_convexity():
 def test_rotate_body_membership_convention():
     gen = tf.RngStream(3).generator()
     body = tf.ellipsoid(3, [1.2, 0.8, 1.0])
-    g = tf.haar_rotation(3, tf.RngStream(4)).g
+    g = tf.haar_matrices(4, 1, tf.RngStream(4).generator())[0]
     moved = tf.rotate_body(body, g)
     # x on moved body iff g^T x on the original
     from tangentflats.curvature import surface_points, surface_grid

@@ -46,6 +46,26 @@ def test_delta_exact_and_unsupported(capsys):
     assert "scope" in err
 
 
+# `delta 1 3 --samples 20000` reports recorded before the transversal count
+# went through the one Pluecker pairing constant; the counts must not move.
+DELTA_REPORTS = {
+    5: {"mean": 1.7251, "stderr": 0.004869567243016233, "samples": 20000,
+        "degenerate": 0},
+    17: {"mean": 1.7249, "stderr": 0.004871055928573695, "samples": 20000,
+         "degenerate": 0},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DELTA_REPORTS))
+def test_delta_reports_match_recorded_values(capsys, seed):
+    code, out, _ = run_cli(capsys, "delta", "1", "3", "--samples", "20000",
+                           "--seed", str(seed), "--workers", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["expected_degree"] == DELTA_REPORTS[seed]
+    assert report["degenerate_counts"] == {"discarded_draws": 0}
+
+
 def test_delta_reports_are_reproducible(capsys):
     args = ("delta", "1", "3", "--samples", "20000", "--seed", "5")
     _, out1, _ = run_cli(capsys, *args)
@@ -179,6 +199,16 @@ def test_nonpositive_counts_are_usage_errors(capsys, tmp_path, argv):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_delta_source_value_must_be_finite_and_nonnegative(capsys, tmp_path,
+                                                           value):
+    bodies = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(4)]
+    with pytest.raises(SystemExit) as exc:
+        main(["tau", *bodies, "--delta-source", f"value:{value}"])
+    assert exc.value.code == 2
+    assert "needs a finite x >= 0" in capsys.readouterr().err
+
+
 def test_tau_empirical_refuses_implicit_body(capsys, tmp_path):
     bodies = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(3)]
     implicit = tmp_path / "quartic.body"
@@ -274,6 +304,8 @@ def test_tau_counts_path_failures_apart_from_degenerate(capsys, tmp_path,
     assert code == 3
     assert "2 of 2 trials discarded (0 degenerate, 2 lost paths after " \
         "every retry)" in err
+    # followed by the log of the first trial that lost paths
+    assert err.splitlines()[1:] == ["trial 0: 1 of 32 paths lost", "path 0"]
 
 
 # Reports of `intrinsic --eps 0.05` recorded before the quadrature shared one

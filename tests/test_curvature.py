@@ -235,7 +235,7 @@ def test_sphere_duality_pairs(grid3):
 
 def test_rotation_invariance_of_ratio(grid3):
     body = tf.ellipsoid(3, [1.5, 0.8, 1.1])
-    g = tf.haar_rotation(3, tf.RngStream(13)).g
+    g = tf.haar_matrices(4, 1, tf.RngStream(13).generator())[0]
     moved = tf.rotate_body(body, g)
     p1 = tf.tangent_volume_ratio_profile(body, grid3)
     p2 = tf.tangent_volume_ratio_profile(moved, grid3)

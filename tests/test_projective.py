@@ -7,19 +7,22 @@ import tangentflats as tf
 from tangentflats.projective import haar_matrices, lines_to_plucker, uniform_flat_frames
 
 
+def projector(frame):
+    return frame.T @ frame
+
+
 def test_coordinate_flat_plucker():
-    f = tf.FlatFrame(3, 1, np.eye(2, 4))
-    p = tf.plucker_embed(f)
+    p = tf.plucker_embed(np.eye(2, 4))
     expect = np.zeros(6)
     expect[0] = 1.0
-    assert np.allclose(p.coords, expect, atol=1e-14)
+    assert np.allclose(p, expect, atol=1e-14)
 
 
 def test_plucker_relation_random_frames():
     gen = tf.RngStream(1).generator()
     frames = uniform_flat_frames(1, 3, 100, gen)
     for fr in frames:
-        p = tf.plucker_embed(tf.FlatFrame(3, 1, fr)).coords
+        p = tf.plucker_embed(fr)
         rel = p[0] * p[5] - p[1] * p[4] + p[2] * p[3]
         assert abs(rel) < 1e-10
         assert abs(np.linalg.norm(p) - 1.0) < 1e-12
@@ -31,24 +34,9 @@ def test_plucker_invariant_under_in_plane_rotation():
         fr = uniform_flat_frames(1, 3, 1, gen)[0]
         ang = gen.uniform(0, 2 * np.pi)
         rot = np.array([[np.cos(ang), np.sin(ang)], [-np.sin(ang), np.cos(ang)]])
-        f1 = tf.FlatFrame(3, 1, fr)
-        f2 = tf.FlatFrame(3, 1, rot @ fr)
-        assert f1 == f2
-        assert np.allclose(tf.plucker_embed(f1).coords,
-                           tf.plucker_embed(f2).coords, atol=1e-10)
-
-
-def test_span_equality_is_equivalence():
-    gen = tf.RngStream(3).generator()
-    fr = uniform_flat_frames(2, 4, 1, gen)[0]
-    f1 = tf.FlatFrame(4, 2, fr)
-    # a different orthonormal frame of the same span
-    mix, _ = np.linalg.qr(gen.standard_normal((3, 3)))
-    f2 = tf.FlatFrame(4, 2, mix @ fr)
-    f3 = tf.FlatFrame(4, 2, uniform_flat_frames(2, 4, 1, gen)[0])
-    assert f1 == f1
-    assert f1 == f2 and f2 == f1
-    assert f1 != f3
+        assert np.abs(projector(fr) - projector(rot @ fr)).max() < 1e-9
+        assert np.allclose(tf.plucker_embed(fr), tf.plucker_embed(rot @ fr),
+                           atol=1e-10)
 
 
 def test_projective_point_sign_equivalence():
@@ -59,11 +47,11 @@ def test_projective_point_sign_equivalence():
 
 
 def test_haar_rotation_deterministic():
-    g1 = tf.haar_rotation(3, tf.RngStream(7, 5))
-    g2 = tf.haar_rotation(3, tf.RngStream(7, 5))
-    g3 = tf.haar_rotation(3, tf.RngStream(7, 6))
-    assert np.array_equal(g1.g, g2.g)
-    assert not np.array_equal(g1.g, g3.g)
+    g1 = haar_matrices(4, 1, tf.RngStream(7, 5).generator())[0]
+    g2 = haar_matrices(4, 1, tf.RngStream(7, 5).generator())[0]
+    g3 = haar_matrices(4, 1, tf.RngStream(7, 6).generator())[0]
+    assert np.array_equal(g1, g2)
+    assert not np.array_equal(g1, g3)
 
 
 def test_haar_rotation_orthogonality_bulk():
@@ -86,11 +74,11 @@ def test_haar_first_coordinate_moments():
 
 
 def test_sample_flat_full_space_and_determinism():
-    f = tf.sample_flat(3, 3, tf.RngStream(4))
-    assert np.allclose(f.projector(), np.eye(4), atol=1e-12)
-    f1 = tf.sample_flat(1, 3, tf.RngStream(11, 2))
-    f2 = tf.sample_flat(1, 3, tf.RngStream(11, 2))
-    assert np.array_equal(f1.frame, f2.frame)
+    f = uniform_flat_frames(3, 3, 1, tf.RngStream(4).generator())[0]
+    assert np.allclose(projector(f), np.eye(4), atol=1e-12)
+    f1 = uniform_flat_frames(1, 3, 1, tf.RngStream(11, 2).generator())
+    f2 = uniform_flat_frames(1, 3, 1, tf.RngStream(11, 2).generator())
+    assert np.array_equal(f1, f2)
 
 
 def test_sample_flat_principal_angle_moment():
@@ -124,16 +112,6 @@ def test_sample_flat_rotation_invariant_distribution():
     assert abs(m1 - m2) < 4 * np.hypot(s1, s2)
 
 
-def test_apply_rotation_identity_and_inverse():
-    f = tf.sample_flat(1, 3, tf.RngStream(21))
-    gid = tf.Rotation(np.eye(4))
-    assert tf.apply_rotation(gid, f) == f
-    g = tf.haar_rotation(3, tf.RngStream(22))
-    assert tf.apply_rotation(g.inverse(), tf.apply_rotation(g, f)) == f
-    with pytest.raises(ValueError):
-        tf.apply_rotation(g, tf.sample_flat(1, 4, tf.RngStream(23)))
-
-
 def _compound_matrix(g: np.ndarray, k_plus_1: int) -> np.ndarray:
     """Induced action of g on wedge powers, computed brute force from minors."""
     n = g.shape[0]
@@ -146,13 +124,14 @@ def _compound_matrix(g: np.ndarray, k_plus_1: int) -> np.ndarray:
 
 
 def test_plucker_equivariance_under_rotation():
+    # the rotation g moves a frame F to F g^T, and its wedge by the second
+    # compound of g, with no sign ambiguity
     for trial in range(20):
-        f = tf.sample_flat(1, 3, tf.RngStream(31, trial))
-        g = tf.haar_rotation(3, tf.RngStream(32, trial))
-        lhs = tf.plucker_embed(tf.apply_rotation(g, f)).coords
-        rhs = _compound_matrix(g.g, 2) @ tf.plucker_embed(f).coords
-        rhs = rhs / np.linalg.norm(rhs)
-        assert min(np.abs(lhs - rhs).max(), np.abs(lhs + rhs).max()) < 1e-9
+        f = uniform_flat_frames(1, 3, 1, tf.RngStream(31, trial).generator())[0]
+        g = haar_matrices(4, 1, tf.RngStream(32, trial).generator())[0]
+        lhs = tf.plucker_embed(f @ g.T)
+        rhs = _compound_matrix(g, 2) @ tf.plucker_embed(f)
+        assert np.abs(lhs - rhs).max() < 1e-9
 
 
 def test_lines_to_plucker_matches_embed():
@@ -160,6 +139,18 @@ def test_lines_to_plucker_matches_embed():
     frames = uniform_flat_frames(1, 3, 50, gen)
     batch = lines_to_plucker(frames)
     for fr, row in zip(frames, batch):
-        ref = tf.plucker_embed(tf.FlatFrame(3, 1, fr)).coords
-        row = row / np.linalg.norm(row)
-        assert min(np.abs(row - ref).max(), np.abs(row + ref).max()) < 1e-12
+        assert np.abs(row - tf.plucker_embed(fr)).max() < 1e-12
+    assert np.abs(batch - tf.plucker_embed(frames)).max() < 1e-12
+
+
+def test_pairing_is_the_determinant_of_both_frames():
+    # p P q = det[u; v; u'; v'] for p = u ^ v and q = u' ^ v': a reference
+    # that does not depend on how the pairing is written down
+    gen = tf.RngStream(34).generator()
+    frames = gen.standard_normal((200, 2, 2, 4))
+    p, q = lines_to_plucker(frames[:, 0]), lines_to_plucker(frames[:, 1])
+    pairing = np.einsum('bi,ij,bj->b', p, tf.PLUCKER_PAIRING, q)
+    dets = np.linalg.det(frames.reshape(200, 4, 4))
+    assert np.abs(pairing - dets).max() < 1e-12 * np.abs(dets).max() + 1e-13
+    assert tf.line_meet_form(p[0], q[0]) == pytest.approx(dets[0], abs=1e-12)
+    assert np.array_equal(tf.PLUCKER_PAIRING, tf.PLUCKER_PAIRING.T)
