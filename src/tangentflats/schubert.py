@@ -20,6 +20,7 @@ import numpy as np
 
 from .projective import PLUCKER_PAIRING, lines_to_plucker, uniform_flat_frames
 from .rng import MCEstimate, RngStream
+from .tangency import DegenerateConfigurationError
 
 #: Reference numerical value of the expected degree for lines in RP^3,
 #: reliable to the five digits shown.
@@ -143,6 +144,8 @@ def estimate_expected_degree(k: int, n: int, samples: int, seed: int,
     total_sq = sum(p[1] for p in parts)
     kept = sum(p[2] for p in parts)
     degenerate = sum(p[3] for p in parts)
+    if kept == 0:
+        raise DegenerateConfigurationError(f"all {degenerate} draws were degenerate")
     mean = total / kept
     var = (total_sq / kept - mean ** 2) * kept / max(kept - 1, 1)
     stderr = float(np.sqrt(var / kept))

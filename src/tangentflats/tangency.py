@@ -2,42 +2,57 @@
 
 Tangency of a line to a quadric {x^T A x = 0} is a quadratic condition on
 Pluecker coordinates, given by the second compound matrix of A; together
-with the Pluecker quadric this yields five quadrics in P^5 with total
-degree 2^5 = 32.  All 32 paths of a total-degree homotopy are tracked from
-a start system of squared generic linear forms, with a random complex
-factor on the start system so that paths avoid the real discriminant, a
-predictor-corrector loop with adaptive steps, and renormalization to the
-unit sphere of C^6 after every step (the patch row of the bordered Jacobian
-is the conjugate of the current point).  The paths of several trials are
-tracked together as rows of one array, each with its own t and step.
+with the Pluecker quadric this yields five quadrics in P^5.  Two homotopies
+share one tracker:
 
-Endpoints are polished with Newton on the target system, deduplicated, and
+- General quadrics: all 32 paths of a total-degree homotopy from a start
+  system of squared generic linear forms, with a random complex factor so
+  that paths avoid the real discriminant.
+- Four metric spheres, A = I - w w^T with w = sec(r) g e_0: a parameter
+  homotopy (Morgan and Sommese, 1989) along w(t) = W0 + tau (W1 - W0),
+  tau = t / (t + gamma (1 - t)), from the 12 isolated solutions of a generic
+  complex member W0.  For p = u ^ v the form is p.p - q.q with
+  q = (w.u) v - (w.v) u = L(w) p, linear in w.  The other 20 total-degree
+  paths end on the lines in the absolute quadric x.x = 0, tangent to every
+  such sphere, and are not tracked.
+
+The tracker has an RK4 predictor, a contracting Newton corrector and
+adaptive steps, and renormalizes to the unit sphere of C^6 after every step
+(the patch row of the bordered Jacobian is the conjugate of the current
+point).  The paths of several trials are tracked together as rows of one
+array, each with its own t and step.
+
+Endpoints are checked on the normalized target system, deduplicated, and
 classified real when, after phase alignment and a real Newton polish, the
-imaginary part is negligible.  Paths that stall just short of t = 1 but
+imaginary part is negligible.  On the 32-path route they are first polished
+with guarded Newton steps, and paths that stall just short of t = 1 but
 polish onto the solution set are flagged singular rather than lost: they
-occur systematically for families whose tangency quadrics share a
-positive-dimensional complex solution component (affine spheres all touch
-the imaginary conic of their chart at infinity), and such components carry
-no real lines.
+occur for families whose tangency quadrics share a positive-dimensional
+complex solution component, such as spheres, and carry no real lines.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
 
+from .bodies import BodyError
 from .projective import PLUCKER_PAIRING, haar_matrices, plucker_index_pairs
 from .rng import MCEstimate, RngStream
 
 _TOTAL_PATHS = 32
+_SPHERE_PATHS = 12              # isolated solutions of the sphere family
 _SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=5)))
 _MAX_STEPS = 4000
+_MAX_DT = 0.25
 _RETRIES = 2
-#: Trials tracked together.  Larger chunks save a little more CPU time, but
-#: peak memory grows by about 0.45 MB per trial of a chunk.
-_CHUNK_TRIALS = 8
+#: Path rows tracked together: 8 general trials or 21 sphere trials.  More
+#: rows save a little more CPU time, but peak memory grows with them.
+_CHUNK_ROWS = 256
+_SPHERE_START_SEED = 1989       # the generic member W0 and its solve
 _STALL_T = 1e-4                 # paths stalling past 1 - _STALL_T may still polish
 _RESIDUAL_TOL = 1e-10
 _DEDUP_TOL = 1e-8
@@ -88,7 +103,7 @@ class PluckerQuadric:
 def second_compound(A: np.ndarray) -> np.ndarray:
     """Second compound matrix: entries are the 2x2 minors det(A[{i,j},{k,l}])
     over lexicographic index pairs."""
-    M, pairs = np.empty((6, 6)), plucker_index_pairs(4, 2)
+    M, pairs = np.empty((6, 6), np.result_type(A, float)), plucker_index_pairs(4, 2)
     for a, (i, j) in enumerate(pairs):
         for b, (k, l) in enumerate(pairs):
             M[a, b] = A[i, k] * A[j, l] - A[i, l] * A[j, k]
@@ -100,9 +115,11 @@ def tangency_quadric_of(A: np.ndarray) -> PluckerQuadric:
     A = np.asarray(A, dtype=float)
     if A.shape != (4, 4):
         raise ValueError("tangency quadrics are built from 4x4 matrices")
-    if abs(np.linalg.det(A)) < 1e-12 * np.linalg.norm(A) ** 4:
-        raise ValueError("quadric matrix must be nonsingular")
-    return PluckerQuadric(second_compound(0.5 * (A + A.T)))
+    A = 0.5 * (A + A.T)
+    lam = np.abs(np.linalg.eigvalsh(A))
+    if lam.min() <= 1e-12 * lam.max():
+        raise BodyError("quadric matrix must be nonsingular")
+    return PluckerQuadric(second_compound(A))
 
 
 @dataclass(frozen=True)
@@ -112,7 +129,8 @@ class SolutionSet:
     solutions holds the polished endpoints with residual below tolerance on
     all five equations, unit-normalized in C^6; multiplicities counts the
     paths that merged into each.  real_solutions is the subset that passed
-    the reality test.  Path accounting: tracked + singular + failed = 32.
+    the reality test.  Path accounting: tracked + singular + failed = 32,
+    or 12 on the sphere route.
     """
 
     solutions: np.ndarray           # (S, 6) complex
@@ -156,7 +174,7 @@ def _normalize_forms(quadrics) -> np.ndarray:
     """The four tangency forms and the Pluecker quadric, each of unit norm."""
     Ms = []
     for Q in quadrics:
-        M = Q.matrix if isinstance(Q, PluckerQuadric) else np.asarray(Q, float)
+        M = Q.matrix if isinstance(Q, PluckerQuadric) else np.asarray(Q)
         Ms.append(M / np.linalg.norm(M))
     Ms.append(PLUCKER_PAIRING / np.linalg.norm(PLUCKER_PAIRING))
     return np.array(Ms)
@@ -181,20 +199,32 @@ def solve_tangency_system(quadrics, rng: RngStream, max_steps: int = _MAX_STEPS,
     """
     if len(quadrics) != 4:
         raise ValueError("need exactly four tangency quadrics")
-    last_error = None
-    for attempt in range(retries + 1):
-        try:
-            return _solve_once(quadrics, rng.substream(attempt), max_steps)
-        except PathFailureError as exc:
-            last_error = exc
-    raise last_error
+    return _solve_one(_normalize_forms(quadrics), rng, None, max_steps, retries)
 
 
-def _solve_once(quadrics, rng: RngStream, max_steps: int) -> SolutionSet:
-    result = _solve_batch(_normalize_forms(quadrics)[None], [rng], max_steps)[0]
+def _solve_one(forms, rng, W=None, max_steps=_MAX_STEPS, retries=_RETRIES):
+    """A batch of one of _solve_trials that raises its PathFailureError."""
+    result = _solve_trials(forms[None], [rng], None if W is None else W[None],
+                           max_steps, retries)[0]
     if isinstance(result, PathFailureError):
         raise result
     return result
+
+
+def _solve_trials(forms, rngs, W=None, max_steps=_MAX_STEPS, retries=_RETRIES):
+    """_solve_batch with retries: trials whose attempt loses paths go into a
+    later batch with the next substream of their stream."""
+    results, pending = [None] * len(rngs), list(range(len(rngs)))
+    for attempt in range(retries + 1):
+        batch = _solve_batch(forms[pending],
+                             [rngs[i].substream(attempt) for i in pending],
+                             max_steps, None if W is None else W[pending])
+        for i, result in zip(pending, batch):
+            results[i] = result
+        pending = [i for i in pending if isinstance(results[i], PathFailureError)]
+        if not pending:
+            break
+    return results
 
 
 def _homotopy(K, gam, p, t):
@@ -211,6 +241,57 @@ def _homotopy(K, gam, p, t):
     JG = 2.0 * (ap[:, :, None] * K[:, 30:35] - bp[:, :, None] * K[:, 35:])
     J = (s * gam[:, None])[:, :, None] * JG + 2.0 * t[:, None, None] * Y
     return s * gG + t[:, None] * F, J, F - gG
+
+
+def _sphere_maps(W):
+    """The linear maps L(w), q = L(w) p = (w.u) v - (w.v) u for p = u ^ v, of
+    the four vectors W (..., 4, 4), stacked as (..., 16, 6)."""
+    L = np.zeros(W.shape + (6,), dtype=W.dtype)
+    for a, (i, j) in enumerate(plucker_index_pairs(4, 2)):
+        L[..., j, a] = W[..., i]
+        L[..., i, a] = -W[..., j]
+    return L.reshape(W.shape[:-2] + (16, 6))
+
+
+def _sphere_homotopy(L0, Ld, gam, p, t):
+    """Values, Jacobians and t-derivatives of H(p, t) = F(p; w(t)), with
+    w(t) = W0 + tau (W1 - W0) and tau = t / (t + gam (1 - t)), at the rows p:
+    F_s(p) = p.p - q_s.q_s with q_s = L(w_s) p, equal to
+    p^T C2(I - w_s w_s^T) p, and the Pluecker quadric.  L0 = L(W0) is shared;
+    row r carries L(W1 - W0) of its trial as Ld[r]."""
+    s = t + gam * (1 - t)
+    M = L0 + (t / s)[:, None, None] * Ld
+    q = np.matmul(M, p[:, :, None]).reshape(-1, 4, 4)
+    qd = np.matmul(Ld, p[:, :, None]).reshape(-1, 4, 4)
+    Pp = np.matmul(PLUCKER_PAIRING, p[:, :, None])[..., 0]
+    F = np.concatenate([(p * p).sum(axis=1)[:, None] - (q * q).sum(axis=2),
+                        (p * Pp).sum(axis=1)[:, None]], axis=1)
+    Mq = np.matmul(M.reshape(-1, 4, 4, 6).transpose(0, 1, 3, 2), q[..., None])
+    J = 2.0 * np.concatenate([p[:, None] - Mq[..., 0], Pp[:, None]], axis=1)
+    dH = np.zeros_like(F)
+    dH[:, :4] = -2.0 * (gam / s ** 2)[:, None] * (q * qd).sum(axis=2)
+    return F, J, dH
+
+
+@functools.cache
+def _sphere_start():
+    """L(W0) for a generic complex member W0 of the sphere family, and its 12
+    isolated solutions: solved once per process, on first use, with the
+    32-path homotopy from a fixed seed, keeping the endpoints of full rank
+    (the other 20 lie on the excess component)."""
+    gen = RngStream(_SPHERE_START_SEED).generator()
+    L0 = _sphere_maps(gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4)))
+    L = L0.reshape(4, 4, 6)
+    C = np.eye(6) - L.transpose(0, 2, 1) @ L
+    p = solve_tangency_system(C, RngStream(_SPHERE_START_SEED, 1)).solutions
+    F, J = _target(np.broadcast_to(_normalize_forms(C), (len(p), 5, 6, 6)), p)
+    sv = np.linalg.svd(_bordered(J, p), compute_uv=False)
+    regular = sv[:, -1] > 1e-7 * sv[:, 0]
+    if regular.sum() != _SPHERE_PATHS or np.abs(F[regular]).max() > 1e-12:
+        raise RuntimeError("the sphere family's start system is not regular")
+    p = p[regular]
+    L0.flags.writeable = p.flags.writeable = False     # shared by every caller
+    return L0, p
 
 
 def _bordered(J, p):
@@ -235,27 +316,39 @@ def _newton_steps(J, p, rhs):
         return out, ok
 
 
-def _track(K, gam, owner, p, max_steps):
+def _track(evaluate, params, owner, p, max_steps):
     """Predictor-corrector continuation of the paths p (rows of the trials
     `owner`) from t = 0 to 1, in place, each with its own t and step dt; a
-    trial stops after max_steps steps.  Every operation acts row by row, so
-    no path depends on the others.  Returns t and the t where paths stalled."""
-    t, stalled_t, dt = np.zeros(len(p)), np.zeros(len(p)), np.full(len(p), 0.1)
+    trial stops after max_steps steps.  evaluate(*rows, p, t) gives H, dH/dp
+    and dH/dt, where rows are the per-trial params taken at each path.  The
+    predictor is classical RK4 on the path's tangent in the chart through
+    the current point.  Every operation acts row by row, so no path depends
+    on the others.  Returns the t each path reached or stalled at."""
+    t, dt = np.zeros(len(p)), np.full(len(p), 0.1)
     active = np.full(len(p), max_steps > 0)
     steps, idx = np.zeros(owner[-1] + 1, dtype=int), owner[:0]
     while active.any():
         if active.sum() != len(idx):        # paths only ever leave the set
             idx = np.flatnonzero(active)
-            Ka, ga, live = K[owner[idx]], gam[owner[idx]], np.unique(owner[idx])
+            rows, live = [x[owner[idx]] for x in params], np.unique(owner[idx])
         steps[live] += 1
         pc, tc = p[idx], t[idx]
         t_new = np.minimum(tc + dt[idx], 1.0)
-        _, J, dH = _homotopy(Ka, ga, pc, tc)
-        dp, ok = _newton_steps(J, pc, -dH * (t_new - tc)[:, None])
-        pn = pc + dp
+        t_mid, h = tc + 0.5 * (t_new - tc), (t_new - tc)[:, None]
+
+        def velocity(x, s):
+            _, J, dH = evaluate(*rows, x, s)
+            return _newton_steps(J, pc, -dH)
+
+        k1, ok = velocity(pc, tc)
+        k2, ok2 = velocity(pc + 0.5 * h * k1, t_mid)
+        k3, ok3 = velocity(pc + 0.5 * h * k2, t_mid)
+        k4, ok4 = velocity(pc + h * k3, t_new)
+        ok &= ok2 & ok3 & ok4
+        pn = pc + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
         prev = None
         for _ in range(3):
-            H, J, _ = _homotopy(Ka, ga, pn, t_new)
+            H, J, _ = evaluate(*rows, pn, t_new)
             dd, okc = _newton_steps(J, pn, -H)
             ok &= okc
             pn = pn + dd
@@ -267,38 +360,29 @@ def _track(K, gam, owner, p, max_steps):
         acc = idx[ok]
         p[acc] = pn[ok] / np.linalg.norm(pn[ok], axis=1, keepdims=True)
         t[acc] = t_new[ok]
-        dt[acc] = np.minimum(dt[acc] * 1.5, 0.1)
+        dt[acc] = np.minimum(dt[acc] * 1.5, _MAX_DT)
         dt[idx[~ok]] *= 0.5
         dead = active & ((dt < 1e-9) | (steps[owner] >= max_steps))
-        stalled_t[dead] = t[dead]
         active &= ~dead & (t < 1.0)
-    return t, stalled_t
+    return t
 
 
-def _solve_batch(forms, rngs, max_steps: int) -> list:
-    """Solve the systems (T, 5, 6, 6) of T trials together, one stream each.
-    Returns, per trial, its SolutionSet or the PathFailureError its attempt
-    ended in, the same bit for bit whichever trials share the batch."""
-    T, gens = len(rngs), [rng.generator() for rng in rngs]
-    gam = np.exp(2j * np.pi * np.array([gen.uniform() for gen in gens]))
-    z = np.array([gen.standard_normal((4, 5, 6)) for gen in gens])
-    a, b = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
-    K = np.concatenate([forms.reshape(T, 30, 6), a, b], axis=1)
-    owner = np.repeat(np.arange(T), _TOTAL_PATHS)
-    p = _start_points(a, b)
-    t, stalled_t = _track(K, gam, owner, p, max_steps)
-    reached = (t >= 1.0)
-    near = (~reached) & (stalled_t >= 1.0 - _STALL_T)
+def _target(Ms, p):
+    """Values and Jacobians of the target forms Ms (R, 5, 6, 6) at rows p."""
+    Y = np.matmul(Ms, p[:, None, :, None])[..., 0]
+    return np.matmul(Y, p[:, :, None])[..., 0], 2.0 * Y
 
-    # polish at t = 1 with guarded minimum-norm Newton steps: the pseudo-
-    # inverse handles endpoints on positive-dimensional components, where the
-    # bordered Jacobian is rank deficient and a plain solve blows up.  A trial
-    # stops once its residuals are all below 1e-15 or a round improves none.
-    K, gam, ones = K[owner], gam[owner], np.ones(len(p))
+
+def _polish(Ms, owner, p):
+    """Guarded minimum-norm Newton steps at t = 1, in place: the pseudo-
+    inverse handles endpoints on positive-dimensional components, where the
+    bordered Jacobian is rank deficient and a plain solve blows up.  A trial
+    stops once its residuals are all below 1e-15 or a round improves none."""
+    T = owner[-1] + 1
     polishing = np.ones(T, dtype=bool)
     for _ in range(12):
         rows = np.flatnonzero(polishing[owner])
-        F, J, _ = _homotopy(K[rows], gam[rows], p[rows], ones[rows])
+        F, J = _target(Ms[rows], p[rows])
         res_now = np.abs(F).max(axis=1)
         polishing &= np.bincount(owner[rows], res_now >= 1e-15, minlength=T) > 0
         keep = polishing[owner[rows]]
@@ -308,11 +392,39 @@ def _solve_batch(forms, rngs, max_steps: int) -> list:
         pinv = np.linalg.pinv(_bordered(J[keep], p[rows]), rcond=1e-12)
         p_try = p[rows] - np.matmul(pinv[:, :, :5], F[keep][:, :, None])[..., 0]
         p_try = p_try / np.linalg.norm(p_try, axis=1, keepdims=True)
-        F_try = _homotopy(K[rows], gam[rows], p_try, ones[rows])[0]
-        improved = np.abs(F_try).max(axis=1) < res_now
+        improved = np.abs(_target(Ms[rows], p_try)[0]).max(axis=1) < res_now
         p[rows[improved]] = p_try[improved]
         polishing &= np.bincount(owner[rows], improved, minlength=T) > 0
-    F, J, _ = _homotopy(K, gam, p, ones)
+
+
+def _solve_batch(forms, rngs, max_steps: int, W=None) -> list:
+    """Solve the systems (T, 5, 6, 6) of T trials together, one stream each:
+    by the 12-path sphere homotopy when W (T, 4, 4) holds each trial's
+    sphere vectors, else by the 32-path total-degree homotopy.  Returns, per
+    trial, its SolutionSet or the PathFailureError its attempt ended in, the
+    same bit for bit whichever trials share the batch."""
+    T, gens = len(rngs), [rng.generator() for rng in rngs]
+    gam = np.exp(2j * np.pi * np.array([gen.uniform() for gen in gens]))
+    if W is None:
+        z = np.array([gen.standard_normal((4, 5, 6)) for gen in gens])
+        a, b = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
+        K = np.concatenate([forms.reshape(T, 30, 6), a, b], axis=1)
+        evaluate, params, p = _homotopy, (K, gam), _start_points(a, b)
+    else:
+        L0, starts = _sphere_start()
+        evaluate = functools.partial(_sphere_homotopy, L0)
+        params, p = (_sphere_maps(W) - L0, gam), np.tile(starts, (T, 1))
+    paths = len(p) // T
+    owner = np.repeat(np.arange(T), paths)
+    t = _track(evaluate, params, owner, p, max_steps)
+    reached = (t >= 1.0)
+    Ms = forms[owner]
+    if W is None:
+        near = (~reached) & (t >= 1.0 - _STALL_T)
+        _polish(Ms, owner, p)
+    else:
+        near = np.zeros_like(reached)
+    F, J = _target(Ms, p)
     residuals = np.abs(F).max(axis=1)
     small = residuals < _RESIDUAL_TOL
     good = (reached | near) & small
@@ -327,7 +439,7 @@ def _solve_batch(forms, rngs, max_steps: int) -> list:
 
     # squared phase-aligned distances |x|^2 + |y|^2 - 2 |<x, y>|, good to about
     # 1e-15: pairs above 1e-12 are certainly further apart than _DEDUP_TOL
-    P = p.reshape(T, _TOTAL_PATHS, 6)
+    P = p.reshape(T, paths, 6)
     sq = (P.real ** 2 + P.imag ** 2).sum(axis=2)
     gram = np.abs(np.matmul(P.conj(), P.transpose(0, 2, 1)))
     close = sq[:, :, None] + sq[:, None, :] - 2.0 * gram < 1e-12
@@ -336,13 +448,15 @@ def _solve_batch(forms, rngs, max_steps: int) -> list:
         x.reshape(T, -1).sum(axis=1) for x in (tracked_clean, near_ok, nonisolated))
     results = []
     for k in range(T):
-        rows = slice(k * _TOTAL_PATHS, (k + 1) * _TOTAL_PATHS)
-        g = good[rows]
+        rows = slice(k * paths, (k + 1) * paths)
+        g = good[rows].copy()
+        if W is not None:       # a path that ends on another's endpoint jumped
+            g &= ~np.triu(close[k] & g & g[:, None], 1).any(axis=0)
         lost = int((~g).sum())
-        if lost > 0.01 * _TOTAL_PATHS:
+        if lost > 0.01 * paths:
             results.append(PathFailureError(
-                f"{lost} of {_TOTAL_PATHS} paths lost before t = 1",
-                [f"path {i}: stalled at t = {stalled_t[rows][i]:.12f}, residual "
+                f"{lost} of {paths} paths lost before t = 1",
+                [f"path {i}: stalled at t = {t[rows][i]:.12f}, residual "
                  f"{residuals[rows][i]:.3e}" for i in np.flatnonzero(~g)]))
             continue
         sols, res = p[rows][g], residuals[rows][g]
@@ -415,10 +529,21 @@ def _moved_quadrics(bodies, rotations) -> list:
             for body, g in zip(bodies, np.asarray(rotations, dtype=float))]
 
 
+def _sphere_vectors(bodies, rotations):
+    """The vectors w = sec(r) g e_0 of the moved bodies, for which
+    g A g^T = I - w w^T, as (..., 4, 4) for rotations (..., 4, 4, 4); None
+    unless all four bodies are metric spheres."""
+    if any(body.kind != "metric_sphere" for body in bodies):
+        return None
+    return np.asarray(rotations, dtype=float)[..., 0] / np.cos(
+        [body.radius for body in bodies])[:, None]
+
+
 def count_real_tangent_lines(bodies, rotations, rng: RngStream) -> int:
     """Number of real lines tangent to four rotated quadric bodies in RP^3;
     raises DegenerateConfigurationError for non-isolated or borderline draws."""
-    sols = solve_tangency_system(_moved_quadrics(bodies, rotations), rng)
+    forms = _normalize_forms(_moved_quadrics(bodies, rotations))
+    sols = _solve_one(forms, rng, _sphere_vectors(bodies, rotations))
     if sols.degenerate:
         raise DegenerateConfigurationError(
             f"merged endpoints: {sols.merged}, borderline reality: "
@@ -430,31 +555,26 @@ def count_real_tangent_lines(bodies, rotations, rng: RngStream) -> int:
 def _tau_chunk(args) -> tuple[list[int], list[str]]:
     """Real tangent counts of a run of trials solved as one batch, and the
     path log of the first trial that lost paths after every retry (empty if
-    none did); a discarded trial reads _DEGENERATE, or _PATHS_LOST.  Trials
-    whose attempt loses paths go into a later batch with the next substream,
-    as in solve_tangency_system."""
+    none did); a discarded trial reads _DEGENERATE, or _PATHS_LOST."""
     bodies, seed, trials = args
     streams = [RngStream(seed, trial) for trial in trials]
-    forms = np.array([_normalize_forms(_moved_quadrics(
-        bodies, haar_matrices(4, 4, s.generator()))) for s in streams])
-    rngs = [s.substream(1 << 32) for s in streams]
-    results, pending = [None] * len(rngs), list(range(len(rngs)))
-    for attempt in range(_RETRIES + 1):
-        batch = _solve_batch(forms[pending], [rngs[i].substream(attempt)
-                                              for i in pending], _MAX_STEPS)
-        for i, result in zip(pending, batch):
-            results[i] = result
-        pending = [i for i in pending if isinstance(results[i], PathFailureError)]
-        if not pending:
-            break
+    gs = np.array([haar_matrices(4, 4, s.generator()) for s in streams])
+    forms = np.array([_normalize_forms(_moved_quadrics(bodies, g)) for g in gs])
+    results = _solve_trials(forms, [s.substream(1 << 32) for s in streams],
+                            _sphere_vectors(bodies, gs))
     log = next(([f"trial {t}: {r}", *r.path_log] for t, r in zip(trials, results)
                 if isinstance(r, PathFailureError)), [])
     return [_PATHS_LOST if isinstance(r, PathFailureError) else
             _DEGENERATE if r.degenerate else r.real_count for r in results], log
 
 
+# One trial and one attempt as batches of one; perfbench/tracer.py hooks both.
 def _tau_trial(args) -> int:
     return _tau_chunk((*args[:2], [args[2]]))[0][0]
+
+
+def _solve_once(quadrics, rng: RngStream, max_steps: int) -> SolutionSet:
+    return _solve_one(_normalize_forms(quadrics), rng, None, max_steps, 0)
 
 
 def average_tangent_count_empirical(bodies, trials: int, seed: int,
@@ -462,15 +582,19 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
     """Empirical average of real tangent-line counts over independent Haar
     rotation 4-tuples of the given bodies.
 
-    Trials are solved in chunks of _CHUNK_TRIALS, and workers > 1 spreads
-    whole chunks over a process pool; no count depends on the chunking.
-    Degenerate draws are discarded and reported; more than five percent of
-    them raises a diagnostic error.
+    Trials are solved in chunks of at most _CHUNK_ROWS path rows, and
+    workers > 1 spreads whole chunks over a process pool; no count depends
+    on the chunking.  Degenerate draws are discarded and reported; more than
+    five percent of them raises a diagnostic error.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    chunks = [(tuple(bodies), seed, range(i, min(i + _CHUNK_TRIALS, trials)))
-              for i in range(0, trials, _CHUNK_TRIALS)]
+    spheres = all(body.kind == "metric_sphere" for body in bodies)
+    if spheres:
+        _sphere_start()                 # once, before a pool forks
+    size = _CHUNK_ROWS // (_SPHERE_PATHS if spheres else _TOTAL_PATHS)
+    chunks = [(tuple(bodies), seed, range(i, min(i + size, trials)))
+              for i in range(0, trials, size)]
     if workers > 1 and len(chunks) > 1:
         with Pool(min(workers, len(chunks))) as pool:
             parts = pool.map(_tau_chunk, chunks)

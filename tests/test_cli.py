@@ -77,6 +77,15 @@ def test_delta_reports_are_reproducible(capsys):
     assert json.loads(json.dumps(r1)) == r1
 
 
+def test_delta_refuses_when_every_draw_is_degenerate(capsys, monkeypatch):
+    from tangentflats import schubert
+    monkeypatch.setattr(schubert, "_delta13_batch",
+                        lambda seed, batch, size: (0, 0, 0, size))
+    code, _, err = run_cli(capsys, "delta", "1", "3", "--samples", "100")
+    assert code == 3
+    assert "all 100 draws were degenerate" in err
+
+
 def test_omega_sphere(capsys, tmp_path):
     body = sphere_file(tmp_path)
     code, out, _ = run_cli(capsys, "omega", body, "--k", "1")
@@ -240,6 +249,16 @@ def test_tau_path_failure_prints_path_log(capsys, tmp_path, monkeypatch):
     assert lines[2].startswith("path 17: stalled at t = 0.25")
 
 
+def test_tau_accepts_a_thin_ellipsoid(capsys, tmp_path):
+    # eigenvalues -1, 1, 1 and 1e10: nonsingular at any scale
+    thin = tmp_path / "thin.body"
+    thin.write_text("kind = ellipsoid\nn = 3\nsemiaxes = 1e-5 1 1\n")
+    spheres = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(3)]
+    code, _, err = run_cli(capsys, "tau", str(thin), *spheres, "--mode",
+                           "empirical", "--trials", "1")
+    assert code in (0, 3), err
+
+
 def test_omega_flat_dimension_out_of_range(capsys, tmp_path):
     code, _, err = run_cli(capsys, "omega", sphere_file(tmp_path), "--k", "7")
     assert code == 2
@@ -279,10 +298,10 @@ def _lose_paths(monkeypatch, offsets):
     from tangentflats import tangency
     solve = tangency._solve_batch
 
-    def losing(forms, rngs, max_steps):
+    def losing(forms, rngs, *args):
         return [tangency.PathFailureError("1 of 32 paths lost", ["path 0"])
                 if r.stream_id - (1 << 32) in offsets else result
-                for result, r in zip(solve(forms, rngs, max_steps), rngs)]
+                for result, r in zip(solve(forms, rngs, *args), rngs)]
 
     monkeypatch.setattr(tangency, "_solve_batch", losing)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tangentflats as tf
 from conftest import random_ellipsoid
@@ -19,13 +20,17 @@ def moved_quadrics(bodies, stream):
             for b, g in zip(bodies, gs)]
 
 
+def sphere_vectors(bodies, stream):
+    return tangency._sphere_vectors(bodies, haar_matrices(4, 4, stream.generator()))
+
+
 def random_symmetric(gen, scale=1.0):
     A = gen.standard_normal((4, 4)) * scale
     return 0.5 * (A + A.T)
 
 
 def wedge(u, v):
-    out = np.empty(6)
+    out = np.empty(6, dtype=np.result_type(u, v))
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     for idx, (i, j) in enumerate(pairs):
         out[idx] = u[i] * v[j] - u[j] * v[i]
@@ -59,8 +64,36 @@ def test_tangency_quadric_sphere_examples():
     # a line through the chart origin is secant: negative sign
     p = wedge(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]))
     assert Q.value(p) < 0
-    with pytest.raises(ValueError):
+    with pytest.raises(tf.BodyError):
         tf.tangency_quadric_of(np.diag([0.0, 1.0, 1.0, 1.0]))
+
+
+def test_tangency_quadric_test_is_scale_free():
+    # eigenvalues -1, 1, 1 and 1e10, an ellipsoid with semiaxes 1e-5 1 1
+    A = np.diag([-1.0, 1e10, 1.0, 1.0])
+    for scale in (1e-8, 1.0, 1e8):
+        assert np.isfinite(tf.tangency_quadric_of(scale * A).matrix).all()
+    with pytest.raises(tf.BodyError):
+        tf.tangency_quadric_of(np.diag([-1.0, 1e13, 1.0, 1.0]))
+
+
+complex_vectors = st.lists(st.complex_numbers(max_magnitude=3.0), min_size=4,
+                           max_size=4).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_vectors, complex_vectors, complex_vectors)
+def test_sphere_form_matches_second_compound(w, u, v):
+    # p.p - q.q with q = L(w) p is p^T C2(I - w w^T) p on lines p = u ^ v
+    p = wedge(u, v)
+    C = tf.second_compound(np.eye(4) - np.outer(w, w))
+    L = tangency._sphere_maps(np.tile(w, (4, 1)))
+    F = tangency._sphere_homotopy(L, np.zeros_like(L), 1.0, p[None], np.zeros(1))[0]
+    expect = p @ C @ p
+    # relative to sums of absolute terms, which bound the rounding errors
+    scale = np.abs(p) @ np.abs(C) @ np.abs(p) + (np.abs(L[:4] @ p) ** 2).sum()
+    assert np.all(np.abs(F[0, :4] - expect) <= 1e-12 * scale)
+    assert abs(F[0, 4] - p @ tf.PLUCKER_PAIRING @ p) <= 1e-12 * (np.abs(p) ** 2).sum()
 
 
 def test_solver_generic_quadrics():
@@ -135,12 +168,12 @@ def test_affine_sphere_real_bound_small():
 
 
 def test_tau_empirical_deterministic_and_parallel():
-    # 16 trials are two chunks, so two workers split them
+    # 24 sphere trials are two chunks of at most 21, so two workers split them
     bodies = [tf.metric_sphere(3, np.pi / 4)] * 4
-    e1 = tf.average_tangent_count_empirical(bodies, trials=16, seed=3)
-    e2 = tf.average_tangent_count_empirical(bodies, trials=16, seed=3)
+    e1 = tf.average_tangent_count_empirical(bodies, trials=24, seed=3)
+    e2 = tf.average_tangent_count_empirical(bodies, trials=24, seed=3)
     assert e1 == e2
-    e3 = tf.average_tangent_count_empirical(bodies, trials=16, seed=3, workers=2)
+    e3 = tf.average_tangent_count_empirical(bodies, trials=24, seed=3, workers=2)
     assert e1 == e3
 
 
@@ -149,16 +182,34 @@ def test_trial_result_independent_of_chunk_companions():
     forms = np.array([tangency._normalize_forms(
         moved_quadrics(bodies, tf.RngStream(31, k))) for k in range(8)])
     rngs = [tf.RngStream(32, k) for k in range(8)]
-    together = tangency._solve_batch(forms, rngs, tangency._MAX_STEPS)
-    for k in range(8):
-        alone = tangency._solve_batch(forms[k:k + 1], rngs[k:k + 1],
-                                      tangency._MAX_STEPS)[0]
-        chunked = together[k]
-        assert (chunked.tracked, chunked.singular, chunked.failed,
-                chunked.real_count) == (alone.tracked, alone.singular,
-                                        alone.failed, alone.real_count)
-        assert np.array_equal(chunked.residuals, alone.residuals)
-        assert np.array_equal(chunked.solutions, alone.solutions)
+    # the total-degree route, then the sphere route on the same draws
+    for W in (None, np.array([sphere_vectors(bodies, tf.RngStream(31, k))
+                              for k in range(8)])):
+        def solve(rows):
+            return tangency._solve_batch(forms[rows], [rngs[k] for k in rows],
+                                         tangency._MAX_STEPS,
+                                         None if W is None else W[rows])
+
+        together = solve(list(range(8)))
+        for k in range(8):
+            alone, chunked = solve([k])[0], together[k]
+            assert (chunked.tracked, chunked.singular, chunked.failed,
+                    chunked.real_count) == (alone.tracked, alone.singular,
+                                            alone.failed, alone.real_count)
+            assert np.array_equal(chunked.residuals, alone.residuals)
+            assert np.array_equal(chunked.solutions, alone.solutions)
+
+
+def test_sphere_start_data():
+    L0, starts = tangency._sphere_start()
+    assert starts.shape == (12, 6)
+    F, J, _ = tangency._sphere_homotopy(L0, np.zeros_like(L0), 1.0, starts,
+                                        np.zeros(12))
+    assert np.abs(F).max() < 1e-12
+    sv = np.linalg.svd(tangency._bordered(J, starts), compute_uv=False)
+    assert (sv[:, -1] > 1e-7 * sv[:, 0]).all()
+    again = tangency._sphere_start.__wrapped__()
+    assert np.array_equal(again[0], L0) and np.array_equal(again[1], starts)
 
 
 def test_main_theorem_spheres_have_twelve_isolated_solutions():
@@ -171,6 +222,23 @@ def test_main_theorem_spheres_have_twelve_isolated_solutions():
                                         stream.substream(1 << 32))
         assert (sols.tracked, sols.singular, sols.failed) == (12, 20, 0)
         assert sols.real_count <= 12
+        # the sphere route tracks the 12 isolated solutions alone
+        spheres = tangency._solve_one(tangency._normalize_forms(
+            moved_quadrics(bodies, stream)), stream.substream(1 << 32),
+            sphere_vectors(bodies, stream))
+        assert (spheres.tracked, spheres.singular, spheres.failed) == (12, 0, 0)
+        assert spheres.real_count == sols.real_count
+
+
+def test_criterion_3_trial_260_has_four_real_lines():
+    # the 32-path tracker with an Euler predictor lost paths on this draw of
+    # the equal-radii run on every retry; both routes now count 4
+    bodies = [tf.metric_sphere(3, np.pi / 4)] * 4
+    assert tangency._tau_chunk((bodies, 20240801, [260])) == ([4], [])
+    stream = tf.RngStream(20240801, 260)
+    sols = tf.solve_tangency_system(moved_quadrics(bodies, stream),
+                                    stream.substream(1 << 32))
+    assert sols.real_count == 4
 
 
 def test_empirical_estimates_match_recorded_values():
