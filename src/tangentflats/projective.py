@@ -93,6 +93,14 @@ def uniform_flat_frames(k: int, n: int, count: int,
     return q.transpose(0, 2, 1)
 
 
+def uniform_lines(count: int, generator: np.random.Generator) -> np.ndarray:
+    """Batch of uniform lines in RP^3 as unit Pluecker vectors, (count, 6): the
+    wedges of the Gaussian draw of uniform_flat_frames(1, 3, ...), no QR."""
+    z = generator.standard_normal((count, 4, 2))
+    p = lines_to_plucker(z.transpose(0, 2, 1))
+    return p / np.sqrt(np.einsum('bi,bi->b', p, p))[:, None]
+
+
 def lines_to_plucker(frames: np.ndarray) -> np.ndarray:
     """Pluecker coordinates for a batch of line frames in RP^3.
 

@@ -1,4 +1,4 @@
-"""Seeded random streams and Monte Carlo estimate records.
+"""Seeded random streams, Monte Carlo estimate records and a process pool.
 
 Every Monte Carlo routine in this package takes an explicit stream (or a
 seed from which per-trial streams are derived), so results are bit-for-bit
@@ -7,6 +7,7 @@ reproducible and independent of worker scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from multiprocessing import Pool
 
 import numpy as np
 
@@ -46,3 +47,12 @@ class MCEstimate:
     def within(self, target: float, nsigma: float) -> bool:
         """True if `target` lies within nsigma standard errors of the mean."""
         return abs(self.mean - target) <= nsigma * self.stderr
+
+
+def parallel_map(fn, tasks, workers: int = 1) -> list:
+    """[fn(*task) for task in tasks], in order, spread over a pool of at
+    most `workers` processes when there are several workers and tasks."""
+    if workers > 1 and len(tasks) > 1:
+        with Pool(min(workers, len(tasks))) as pool:
+            return pool.starmap(fn, tasks)
+    return [fn(*task) for task in tasks]

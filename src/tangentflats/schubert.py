@@ -1,11 +1,12 @@
 """Expected degree of the Grassmannian of lines in RP^3 by direct counting
 of real transversals to four random lines.
 
-A line meets another iff the symmetric incidence pairing of their Pluecker
-vectors vanishes; the transversals of four lines are the intersection of
-the kernel of the four incidence conditions (generically a projective line
-in P^5) with the Pluecker quadric, so each draw contributes 0, 1 or 2, and
-the expected value over Haar-random lines is the expected degree.
+A line x meets a line l iff l @ PLUCKER_PAIRING @ x = 0.  For independent
+lines the kernel of the 4 x 6 incidence matrix M is a plane whose Pluecker
+coordinates kappa are the Hodge-signed maximal minors of M (a Laplace
+expansion of 2 x 2 minors, no factorization), and the Pluecker quadric on it
+has discriminant disc = -(L^2 P)(kappa, kappa) / |kappa|^2: a draw has 2, 1
+or 0 transversals as disc is positive, within _TIE_TOL of 0, or negative.
 
 For k = 0 and k = n-1 the expected degree is exactly one (a point incident
 to n random hyperplanes, or dually); other index pairs would need general
@@ -13,21 +14,34 @@ Schubert-problem solvers and are out of scope here, so they raise.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
-from .projective import PLUCKER_PAIRING, lines_to_plucker, uniform_flat_frames
-from .rng import MCEstimate, RngStream
-from .tangency import DegenerateConfigurationError
+from .projective import PLUCKER_PAIRING, plucker_index_pairs, uniform_lines
+from .rng import MCEstimate, RngStream, parallel_map
+from .tangency import DegenerateConfigurationError, second_compound
 
 #: Reference numerical value of the expected degree for lines in RP^3,
 #: reliable to the five digits shown.
 EXPECTED_DEGREE_LINES_RP3 = 1.7262
 
 _BATCH = 4096          # fixed internal batch size; part of the determinism contract
-_DEGENERACY_TOL = 1e-10
+_TIE_TOL = 1e-10       # |disc| <= 1 for unit lines, so an absolute band
+_RANK_TOL = 1e-8       # |kappa| below it: the four lines are dependent
+
+_PAIRS = plucker_index_pairs(6, 2)
+_I, _J = np.array(_PAIRS).T
+# kappa_D sums sign * top[A] * bottom[B] over the permutations (D, A, B) of
+# range(6) into increasing pairs (a Laplace expansion; sign = Hodge sign of D
+# times Laplace sign of (A, B)).  Rows A, B and sign, each of shape (6, 15).
+_LAPLACE = np.array([(_PAIRS.index(p[2:4]), _PAIRS.index(p[4:]),
+                      (-1) ** sum(x > y for x, y in itertools.combinations(p, 2)))
+                     for p in itertools.permutations(range(6))
+                     if p[0] < p[1] and p[2] < p[3] and p[4] < p[5]]).reshape(15, 6, 3).T
+#: The pairing PLUCKER_PAIRING induces on 2-vectors of R^6.
+_PAIRING2 = second_compound(PLUCKER_PAIRING)
 
 
 class UnsupportedIndicesError(ValueError):
@@ -38,9 +52,11 @@ class UnsupportedIndicesError(ValueError):
 class TransversalCount:
     """Number of real lines meeting four given lines in RP^3.
 
-    count is None when the incidence conditions are rank deficient (the
-    transversals form a positive-dimensional family).  A count of one only
-    occurs within the tangency tolerance of the discriminant.
+    count is None when the transversals form a positive-dimensional family
+    (rank-deficient incidence conditions, or a kernel on the Pluecker
+    quadric).  A count of one only occurs within the tangency tolerance of
+    the discriminant.  condition is |kappa|, the volume the four unit
+    Pluecker vectors span (1 when orthonormal, degenerate below 1e-8).
     """
 
     count: int | None
@@ -58,56 +74,50 @@ def line_meet_form(l, m) -> float:
                  @ np.asarray(m, dtype=float))
 
 
-def _count_batch(plucker: np.ndarray, tol: float = _DEGENERACY_TOL):
+def _count_batch(plucker: np.ndarray):
     """Vectorized transversal counting.
 
     plucker: (B, 4, 6) unit Pluecker vectors of four lines per draw.
     Returns (counts, degenerate, disc, cond) arrays; counts is -1 on
-    degenerate draws.
+    degenerate draws and cond is |kappa|.
     """
-    M = plucker @ PLUCKER_PAIRING                   # (B, 4, 6) rows of the system
-    q, r = np.linalg.qr(M.transpose(0, 2, 1), mode="complete")
-    diag = np.abs(np.einsum('bii->bi', r[:, :4, :]))
-    cond = diag.min(axis=1) / np.maximum(diag.max(axis=1), 1e-300)
-    degenerate = diag.min(axis=1) < 1e-8 * diag.max(axis=1)
-    u = q[:, :, 4]
-    v = q[:, :, 5]
-    uP = u @ PLUCKER_PAIRING
-    quu = 0.5 * np.einsum('bi,bi->b', uP, u)
-    qvv = 0.5 * np.einsum('bi,bi->b', v @ PLUCKER_PAIRING, v)
-    quv = np.einsum('bi,bi->b', uP, v)              # already the cross term
-    disc = quv ** 2 - 4.0 * quu * qvv
-    scale = quv ** 2 + 4.0 * np.abs(quu * qvv) + 1e-300
-    # a vanishing quadratic means the whole kernel line lies on the quadric
-    degenerate |= np.maximum(np.abs(quv), np.maximum(np.abs(quu), np.abs(qvv))) < 1e-12
-    counts = np.where(disc > tol * scale, 2, 0)
-    counts = np.where(np.abs(disc) <= tol * scale, 1, counts)
-    counts = np.where(degenerate, -1, counts)
+    # the incidence rows as (4, 6, B), so that every gather below takes rows
+    M = np.ascontiguousarray((plucker @ PLUCKER_PAIRING).transpose(1, 2, 0))
+    top = M[0, _I] * M[1, _J] - M[0, _J] * M[1, _I]        # (15, B)
+    bottom = M[2, _I] * M[3, _J] - M[2, _J] * M[3, _I]
+    kappa = sum(s[:, None] * top[a] * bottom[b] for a, b, s in zip(*_LAPLACE))
+    norm2 = np.einsum('kb,kb->b', kappa, kappa)
+    cond = np.sqrt(norm2)
+    disc = -np.einsum('kb,kb->b', kappa, _PAIRING2 @ kappa) / np.maximum(norm2, 1e-300)
+    degenerate = cond < _RANK_TOL
+    tie = ~degenerate & (np.abs(disc) <= _TIE_TOL)
+    if tie.any():       # only a tie can have the form vanish on the whole plane
+        K = np.zeros((tie.sum(), 6, 6))
+        K[:, _I, _J], K[:, _J, _I] = kappa[:, tie].T, -kappa[:, tie].T
+        proj = K @ K.transpose(0, 2, 1) / norm2[tie, None, None]    # onto the plane
+        degenerate[tie] = np.abs(proj @ PLUCKER_PAIRING @ proj).max(axis=(1, 2)) < 1e-12
+    counts = np.where(disc > _TIE_TOL, 2, np.where(tie, 1, 0))
+    counts[degenerate] = -1
     return counts, degenerate, disc, cond
 
 
 def count_line_transversals(l1, l2, l3, l4) -> TransversalCount:
-    """Count the real lines meeting four given lines in RP^3."""
-    plucker = np.array([l1, l2, l3, l4], dtype=float)[None, :, :]
-    counts, degenerate, disc, cond = _count_batch(plucker)
-    if degenerate[0]:
-        return TransversalCount(None, float(disc[0]), float(cond[0]))
-    return TransversalCount(int(counts[0]), float(disc[0]), float(cond[0]))
+    """Count the real lines meeting four given lines in RP^3, each given by
+    a Pluecker vector of any nonzero length."""
+    plucker = np.array([l1, l2, l3, l4], dtype=float)
+    plucker /= np.maximum(np.sqrt((plucker ** 2).sum(axis=1)), 1e-300)[:, None]
+    counts, degenerate, disc, cond = _count_batch(plucker[None])
+    return TransversalCount(None if degenerate[0] else int(counts[0]),
+                            float(disc[0]), float(cond[0]))
 
 
 def _delta13_batch(seed: int, batch_index: int, size: int):
     """One deterministic batch of transversal counts for (k, n) = (1, 3)."""
     gen = RngStream(seed, batch_index).generator()
-    frames = uniform_flat_frames(1, 3, 4 * size, gen).reshape(size, 4, 2, 4)
-    plucker = lines_to_plucker(frames)
-    plucker /= np.linalg.norm(plucker, axis=-1, keepdims=True)
+    plucker = uniform_lines(4 * size, gen).reshape(size, 4, 6)
     counts, degenerate, _, _ = _count_batch(plucker)
     ok = counts[~degenerate]
     return int(ok.sum()), int((ok ** 2).sum()), int(ok.shape[0]), int(degenerate.sum())
-
-
-def _delta13_batch_star(args):
-    return _delta13_batch(*args)
 
 
 def estimate_expected_degree(k: int, n: int, samples: int, seed: int,
@@ -128,22 +138,10 @@ def estimate_expected_degree(k: int, n: int, samples: int, seed: int,
             "values exist only for k in {0, n-1}, and direct counting is "
             "implemented for lines in RP^3; supply the expected degree "
             "externally for other index pairs")
-    nbatches = (samples + _BATCH - 1) // _BATCH
-    tasks = []
-    done = 0
-    for b in range(nbatches):
-        size = min(_BATCH, samples - done)
-        tasks.append((seed, b, size))
-        done += size
-    if workers > 1:
-        with Pool(workers) as pool:
-            parts = pool.map(_delta13_batch_star, tasks)
-    else:
-        parts = [_delta13_batch(*t) for t in tasks]
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    kept = sum(p[2] for p in parts)
-    degenerate = sum(p[3] for p in parts)
+    tasks = [(seed, b, min(_BATCH, samples - b * _BATCH))
+             for b in range(-(-samples // _BATCH))]
+    total, total_sq, kept, degenerate = map(
+        sum, zip(*parallel_map(_delta13_batch, tasks, workers)))
     if kept == 0:
         raise DegenerateConfigurationError(f"all {degenerate} draws were degenerate")
     mean = total / kept

@@ -35,13 +35,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
 from .bodies import BodyError
 from .projective import PLUCKER_PAIRING, haar_matrices, plucker_index_pairs
-from .rng import MCEstimate, RngStream
+from .rng import MCEstimate, RngStream, parallel_map
 
 _TOTAL_PATHS = 32
 _SPHERE_PATHS = 12              # isolated solutions of the sphere family
@@ -103,11 +102,9 @@ class PluckerQuadric:
 def second_compound(A: np.ndarray) -> np.ndarray:
     """Second compound matrix: entries are the 2x2 minors det(A[{i,j},{k,l}])
     over lexicographic index pairs."""
-    M, pairs = np.empty((6, 6), np.result_type(A, float)), plucker_index_pairs(4, 2)
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            M[a, b] = A[i, k] * A[j, l] - A[i, l] * A[j, k]
-    return M
+    A = np.asarray(A, dtype=np.result_type(A, float))
+    i, j = np.array(plucker_index_pairs(A.shape[0], 2)).T
+    return A[np.ix_(i, i)] * A[np.ix_(j, j)] - A[np.ix_(i, j)] * A[np.ix_(j, i)]
 
 
 def tangency_quadric_of(A: np.ndarray) -> PluckerQuadric:
@@ -593,13 +590,9 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
     if spheres:
         _sphere_start()                 # once, before a pool forks
     size = _CHUNK_ROWS // (_SPHERE_PATHS if spheres else _TOTAL_PATHS)
-    chunks = [(tuple(bodies), seed, range(i, min(i + size, trials)))
+    chunks = [((tuple(bodies), seed, range(i, min(i + size, trials))),)
               for i in range(0, trials, size)]
-    if workers > 1 and len(chunks) > 1:
-        with Pool(min(workers, len(chunks))) as pool:
-            parts = pool.map(_tau_chunk, chunks)
-    else:
-        parts = [_tau_chunk(c) for c in chunks]
+    parts = parallel_map(_tau_chunk, chunks, workers)
     counts = np.concatenate([c for c, _ in parts])
     ok = counts[counts >= 0]
     degenerate = int((counts < 0).sum())

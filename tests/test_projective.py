@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import tangentflats as tf
-from tangentflats.projective import haar_matrices, lines_to_plucker, uniform_flat_frames
+from tangentflats.projective import (haar_matrices, lines_to_plucker, uniform_flat_frames,
+                                     uniform_lines)
 
 
 def projector(frame):
@@ -141,6 +142,15 @@ def test_lines_to_plucker_matches_embed():
     for fr, row in zip(frames, batch):
         assert np.abs(row - tf.plucker_embed(fr)).max() < 1e-12
     assert np.abs(batch - tf.plucker_embed(frames)).max() < 1e-12
+
+
+def test_uniform_lines_are_the_lines_of_uniform_frames():
+    # the same Gaussian draw, wedged directly instead of orthonormalized
+    lines = uniform_lines(1000, tf.RngStream(34, 5).generator())
+    frames = uniform_flat_frames(1, 3, 1000, tf.RngStream(34, 5).generator())
+    ref = lines_to_plucker(frames)
+    assert np.abs(np.linalg.norm(lines, axis=1) - 1.0).max() < 1e-14
+    assert np.abs(np.abs(np.einsum('bi,bi->b', lines, ref)) - 1.0).max() < 1e-12
 
 
 def test_pairing_is_the_determinant_of_both_frames():

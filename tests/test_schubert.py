@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import tangentflats as tf
-from tangentflats.projective import haar_matrices, lines_to_plucker, uniform_flat_frames
+from tangentflats.projective import (PLUCKER_PAIRING, haar_matrices, lines_to_plucker,
+                                     uniform_flat_frames, uniform_lines)
 from tangentflats.schubert import _count_batch
 
 
@@ -10,6 +12,50 @@ def line_through(p, q):
     """Pluecker vector of the line through two points of RP^3."""
     frame, _ = np.linalg.qr(np.column_stack([p, q]))
     return lines_to_plucker(frame.T[None, :, :])[0]
+
+
+def qr_count_batch(plucker, tol=1e-10):
+    """Reference counter: an orthonormal basis u, v of the kernel of the
+    incidence system from a complete QR, and the discriminant of the
+    Pluecker quadric restricted to span(u, v) in that basis."""
+    M = plucker @ PLUCKER_PAIRING
+    q, r = np.linalg.qr(M.transpose(0, 2, 1), mode="complete")
+    diag = np.abs(np.einsum('bii->bi', r[:, :4, :]))
+    degenerate = diag.min(axis=1) < 1e-8 * diag.max(axis=1)
+    u = q[:, :, 4]
+    v = q[:, :, 5]
+    uP = u @ PLUCKER_PAIRING
+    quu = 0.5 * np.einsum('bi,bi->b', uP, u)
+    qvv = 0.5 * np.einsum('bi,bi->b', v @ PLUCKER_PAIRING, v)
+    quv = np.einsum('bi,bi->b', uP, v)
+    disc = quv ** 2 - 4.0 * quu * qvv
+    scale = quv ** 2 + 4.0 * np.abs(quu * qvv) + 1e-300
+    degenerate |= np.maximum(np.abs(quv), np.maximum(np.abs(quu), np.abs(qvv))) < 1e-12
+    counts = np.where(disc > tol * scale, 2, 0)
+    counts = np.where(np.abs(disc) <= tol * scale, 1, counts)
+    counts = np.where(degenerate, -1, counts)
+    return counts, degenerate, disc
+
+
+def ruling_line(a, b):
+    """Line of one ruling of the quadric x0 x3 = x1 x2: b x0 = a x1 and
+    b x2 = a x3."""
+    return line_through(np.array([a, b, 0.0, 0.0]), np.array([0.0, 0.0, a, b]))
+
+
+def test_closed_form_matches_qr_reference():
+    # the 200,704 draws of `delta 1 3 --samples 200704 --seed 0`
+    worst = 0.0
+    for batch in range(49):
+        plucker = uniform_lines(4 * 4096, tf.RngStream(0, batch).generator())
+        plucker = plucker.reshape(4096, 4, 6)
+        counts, degenerate, disc, cond = _count_batch(plucker)
+        ref_counts, ref_degenerate, ref_disc = qr_count_batch(plucker)
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(degenerate, ref_degenerate)
+        assert ((0.0 <= cond) & (cond <= 1.0 + 1e-12)).all()
+        worst = max(worst, np.abs(disc - ref_disc).max())
+    assert worst < 1e-12
 
 
 def test_meet_form_examples():
@@ -60,16 +106,60 @@ def test_constructed_transversal_is_found():
 def test_regulus_is_degenerate():
     # four lines from one ruling of the quadric x0 x3 = x1 x2 share a whole
     # regulus of transversals, so the incidence system loses rank
-    def ruling_line(a, b):
-        # x: b x0 = a x1 and b x2 = a x3
-        p1 = np.array([a, b, 0.0, 0.0])
-        p2 = np.array([0.0, 0.0, a, b])
-        return line_through(p1, p2)
-
     lines = [ruling_line(1.0, 0.3), ruling_line(1.0, -0.7),
              ruling_line(0.4, 1.0), ruling_line(1.0, 2.0)]
     out = tf.count_line_transversals(*lines)
     assert out.degenerate
+    assert out.condition < 1e-8
+
+
+def test_tangent_line_gives_one_transversal():
+    # the transversals of three lines of one ruling are the other ruling; a
+    # fourth line in the tangent plane at p = (1, 1, 1, 1), through p and off
+    # the quadric, meets the quadric only at p, so it meets exactly one of
+    # them, the line of the other ruling through p, as a double root
+    lines = [ruling_line(1.0, 0.3), ruling_line(1.0, -0.7), ruling_line(0.4, 1.0)]
+    p, r = np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.0, 0.0, 0.0, -1.0])
+    assert r @ np.array([1.0, -1.0, -1.0, 1.0]) == 0.0    # r is in the tangent plane
+    assert r[0] * r[3] != r[1] * r[2]                     # and off the quadric
+    out = tf.count_line_transversals(*lines, line_through(p, r))
+    assert out.count == 1
+    assert abs(out.discriminant) < 1e-14
+    assert out.condition > 1e-2
+    ref_counts, ref_degenerate, _ = qr_count_batch(
+        np.array([*lines, line_through(p, r)])[None])
+    assert (ref_counts[0], ref_degenerate[0]) == (1, False)
+
+
+def test_pencil_is_degenerate():
+    # two lines through p = e0, spanning the plane x2 = 0, and two lines in
+    # the plane x3 = 0 that meet at e1 + e2, off the first plane: the
+    # transversals are the pencil of lines through p in x3 = 0, a line of P^5
+    # on the Pluecker quadric, so the incidence system keeps full rank but
+    # the restricted form vanishes
+    e = np.eye(4)
+    lines = [line_through(e[0], e[3]), line_through(e[0], e[1] + e[3]),
+             line_through(e[1], e[2]), line_through(e[1] + e[0], e[2] - e[0])]
+    out = tf.count_line_transversals(*lines)
+    assert out.degenerate
+    assert out.condition > 1e-2
+    assert qr_count_batch(np.array(lines)[None])[1][0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from((-1.0, 1.0)), min_size=4, max_size=4),
+       st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4))
+def test_count_is_invariant_under_signs_scales_and_rotations(seed, signs, scales):
+    gen = tf.RngStream(seed).generator()
+    lines = uniform_lines(4, gen)
+    g = haar_matrices(4, 1, gen)[0]
+    base = tf.count_line_transversals(*lines)
+    assume(not base.degenerate and abs(base.discriminant) > 1e-6)
+    moved = np.array(signs)[:, None] * np.array(scales)[:, None] * lines
+    assert tf.count_line_transversals(*moved).count == base.count
+    rotated = lines @ tf.second_compound(g).T            # the lines g l
+    assert tf.count_line_transversals(*rotated).count == base.count
 
 
 def test_counts_are_even_and_rotation_invariant():
