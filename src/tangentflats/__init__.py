@@ -43,7 +43,6 @@ from .schubert import (EXPECTED_DEGREE_LINES_RP3, TransversalCount,
                        UnsupportedIndicesError, count_line_transversals,
                        estimate_expected_degree, line_meet_form)
 from .tangency import (DegenerateConfigurationError, PathFailureError,
-                       PluckerQuadric, SolutionSet,
-                       average_tangent_count_empirical,
+                       SolutionSet, average_tangent_count_empirical,
                        count_real_tangent_lines, second_compound,
                        solve_tangency_system, tangency_quadric_of)

@@ -117,14 +117,21 @@ def cmd_volumes(args) -> int:
     k, n = args.k, args.n
     if not 0 <= k <= n - 1:
         return fail(EXIT_USAGE, f"need 0 <= k <= n-1, got (k, n) = ({k}, {n})")
-    results = {
-        "sphere_volume": sphere_volume(n),
-        "orthogonal_volume": orthogonal_volume(n + 1),
-        "grassmannian_volume": projective_grassmannian_volume(k, n),
-        "schubert_ratio": schubert_ratio(k, n).value,
-        "schubert_volume": schubert_volume(k, n),
-        "dimension": grassmannian_dimension(k, n),
-    }
+    try:
+        results = {
+            "sphere_volume": sphere_volume(n),
+            "orthogonal_volume": orthogonal_volume(n + 1),
+            "grassmannian_volume": projective_grassmannian_volume(k, n),
+            "schubert_ratio": schubert_ratio(k, n).value,
+            "schubert_volume": schubert_volume(k, n),
+            "dimension": grassmannian_dimension(k, n),
+        }
+        representable = all(0 < v < math.inf for v in results.values())
+    except (OverflowError, ZeroDivisionError):
+        representable = False
+    if not representable:       # the exact volumes are all positive and finite
+        return fail(EXIT_USAGE, f"(k, n) = ({k}, {n}): the volumes overflow or "
+                                "underflow double precision")
     emit(make_report("volumes", {"k": k, "n": n}, None, results, t0=t0), args)
     return EXIT_OK
 
@@ -152,8 +159,13 @@ def cmd_omega(args) -> int:
         method = "convex" if body.convex else "semialgebraic"
     grid = surface_grid(body.n, args.level)
     results: dict = {}
-    if args.sweep_radius and body.kind == "metric_sphere":
+    if args.sweep_radius:
         lo, hi, count = args.sweep_radius
+        if body.kind != "metric_sphere":
+            return fail(EXIT_USAGE, "--sweep-radius needs a metric sphere body")
+        if not (count >= 1 and count.is_integer()):
+            return fail(EXIT_USAGE, "--sweep-radius COUNT must be a positive "
+                                    f"integer, got {count}")
         for r in np.linspace(lo, hi, int(count)):
             ratio = tangent_volume_ratio_convex(metric_sphere(body.n, r),
                                                 args.k, grid)
@@ -215,6 +227,8 @@ def _resolve_delta(source: str, k: int, n: int, seed: int, workers: int):
 def cmd_tau(args) -> int:
     t0 = time.perf_counter()
     k, n = args.k, args.n
+    if not 0 <= k <= n - 1:
+        return fail(EXIT_USAGE, f"need 0 <= k <= n-1, got (k, n) = ({k}, {n})")
     d = grassmannian_dimension(k, n)
     if len(args.bodies) != d:
         return fail(EXIT_USAGE,

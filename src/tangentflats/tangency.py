@@ -2,8 +2,8 @@
 
 Tangency of a line to a quadric {x^T A x = 0} is a quadratic condition on
 Pluecker coordinates, given by the second compound matrix of A; together
-with the Pluecker quadric this yields five quadrics in P^5.  Two homotopies
-share one tracker:
+with the Pluecker quadric this yields five quadrics in P^5, kept as arrays
+of shape (..., 6, 6).  Two homotopies share one tracker:
 
 - General quadrics: all 32 paths of a total-degree homotopy from a start
   system of squared generic linear forms, with a random complex factor so
@@ -24,11 +24,12 @@ array, each with its own t and step.
 
 Endpoints are checked on the normalized target system, deduplicated, and
 classified real when, after phase alignment and a real Newton polish, the
-imaginary part is negligible.  On the 32-path route they are first polished
-with guarded Newton steps, and paths that stall just short of t = 1 but
-polish onto the solution set are flagged singular rather than lost: they
-occur for families whose tangency quadrics share a positive-dimensional
-complex solution component, such as spheres, and carry no real lines.
+imaginary part is negligible, each stage in one array pass over the batch.
+On the 32-path route they are first polished with guarded Newton steps, and
+paths that stall just short of t = 1 but polish onto the solution set are
+flagged singular rather than lost: they occur for families whose tangency
+quadrics share a positive-dimensional complex solution component, such as
+spheres, and carry no real lines.
 """
 from __future__ import annotations
 
@@ -77,46 +78,29 @@ class DegenerateConfigurationError(RuntimeError):
     path_log = ()
 
 
-@dataclass(frozen=True)
-class PluckerQuadric:
-    """Symmetric quadratic form on Pluecker space cutting out the tangent
-    lines of one quadric surface.
+def second_compound(A: np.ndarray) -> np.ndarray:
+    """Second compound matrices of the square matrices A (..., m, m): entries
+    are the 2x2 minors det(A[{i,j},{k,l}]) over lexicographic index pairs."""
+    A = np.asarray(A, dtype=np.result_type(A, float))
+    i, j = np.array(plucker_index_pairs(A.shape[-1], 2)).T[:, :, None]
+    return A[..., i, i.T] * A[..., j, j.T] - A[..., i, j.T] * A[..., j, i.T]
+
+
+def tangency_quadric_of(A: np.ndarray) -> np.ndarray:
+    """Tangency forms (..., 6, 6) of the quadrics {x^T A x = 0}, A (..., 4, 4).
 
     For p the wedge of points u, v the value p^T M p equals
     (u^T A u)(v^T A v) - (u^T A v)^2: negative for secant lines, zero for
     tangents, positive for lines missing the real quadric.
     """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        if M.shape != (6, 6) or np.abs(M - M.T).max() > 1e-10:
-            raise ValueError("need a symmetric 6x6 matrix")
-        object.__setattr__(self, "matrix", M)
-
-    def value(self, p: np.ndarray) -> float:
-        return float(p @ self.matrix @ p)
-
-
-def second_compound(A: np.ndarray) -> np.ndarray:
-    """Second compound matrix: entries are the 2x2 minors det(A[{i,j},{k,l}])
-    over lexicographic index pairs."""
-    A = np.asarray(A, dtype=np.result_type(A, float))
-    i, j = np.array(plucker_index_pairs(A.shape[0], 2)).T
-    return A[np.ix_(i, i)] * A[np.ix_(j, j)] - A[np.ix_(i, j)] * A[np.ix_(j, i)]
-
-
-def tangency_quadric_of(A: np.ndarray) -> PluckerQuadric:
-    """Tangency condition of the quadric {x^T A x = 0} on Pluecker space."""
     A = np.asarray(A, dtype=float)
-    if A.shape != (4, 4):
+    if A.shape[-2:] != (4, 4):
         raise ValueError("tangency quadrics are built from 4x4 matrices")
-    A = 0.5 * (A + A.T)
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
     lam = np.abs(np.linalg.eigvalsh(A))
-    if lam.min() <= 1e-12 * lam.max():
+    if (lam.min(axis=-1) <= 1e-12 * lam.max(axis=-1)).any():
         raise BodyError("quadric matrix must be nonsingular")
-    return PluckerQuadric(second_compound(A))
+    return second_compound(A)
 
 
 @dataclass(frozen=True)
@@ -154,27 +138,25 @@ class SolutionSet:
     def degenerate(self) -> bool:
         """Non-isolated behavior that makes the real count unreliable:
         merged endpoints, borderline reality, a real solution with
-        rank-deficient Jacobian, or cleanly tracked paths landing on a
-        rank-deficient endpoint (a positive-dimensional solution set, as for
-        a repeated quadric).
-
-        Paths that stall just before t = 1 and polish onto a rank-deficient
-        endpoint are NOT flagged: they indicate a complex excess component
-        (as for four spheres) that carries no countable real lines, and are
-        reported in `singular` instead.
-        """
-        return (self.merged > 0 or self.borderline > 0
-                or self.real_singular > 0 or self.nonisolated > 0)
+        rank-deficient Jacobian, or clean tracks onto a rank-deficient
+        endpoint (a positive-dimensional solution set, as for a repeated
+        quadric).  Paths that stall just before t = 1 and polish onto such an
+        endpoint are NOT flagged: they mark a complex excess component (as
+        for four spheres) with no countable real lines, and count in
+        `singular` instead."""
+        return any((self.merged, self.borderline, self.real_singular, self.nonisolated))
 
 
-def _normalize_forms(quadrics) -> np.ndarray:
-    """The four tangency forms and the Pluecker quadric, each of unit norm."""
-    Ms = []
-    for Q in quadrics:
-        M = Q.matrix if isinstance(Q, PluckerQuadric) else np.asarray(Q)
-        Ms.append(M / np.linalg.norm(M))
-    Ms.append(PLUCKER_PAIRING / np.linalg.norm(PLUCKER_PAIRING))
-    return np.array(Ms)
+def _normalize_forms(forms) -> np.ndarray:
+    """The tangency forms (..., 4, 6, 6) and the Pluecker quadric, each of
+    unit norm: (..., 5, 6, 6).  Squared norms are BLAS dot products, as in
+    np.linalg.norm of one matrix, so no bit depends on the stack."""
+    forms = np.ascontiguousarray(forms)
+    flat = forms.reshape(forms.shape[:-2] + (36,))
+    sq = sum(np.matmul(x[..., None, :], x[..., None]) for x in (flat.real, flat.imag))
+    pairing = np.broadcast_to(PLUCKER_PAIRING / np.linalg.norm(PLUCKER_PAIRING),
+                              forms.shape[:-3] + (1, 6, 6))
+    return np.concatenate([forms / np.sqrt(sq), pairing], axis=-3)
 
 
 def _start_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -185,10 +167,9 @@ def _start_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return starts / np.linalg.norm(starts, axis=1, keepdims=True)
 
 
-def solve_tangency_system(quadrics, rng: RngStream, max_steps: int = _MAX_STEPS,
-                          retries: int = _RETRIES) -> SolutionSet:
-    """Track all 32 total-degree paths for four tangency quadrics plus the
-    Pluecker quadric and classify the endpoints.
+def solve_tangency_system(quadrics, rng: RngStream) -> SolutionSet:
+    """Track all 32 total-degree paths for four tangency forms (4, 6, 6) plus
+    the Pluecker quadric and classify the endpoints.
 
     A solve that loses paths is retried with a fresh random path-rotation
     constant (derived deterministically from the stream); once the retry
@@ -196,26 +177,25 @@ def solve_tangency_system(quadrics, rng: RngStream, max_steps: int = _MAX_STEPS,
     """
     if len(quadrics) != 4:
         raise ValueError("need exactly four tangency quadrics")
-    return _solve_one(_normalize_forms(quadrics), rng, None, max_steps, retries)
+    return _solve_one(_normalize_forms(quadrics), rng)
 
 
-def _solve_one(forms, rng, W=None, max_steps=_MAX_STEPS, retries=_RETRIES):
+def _solve_one(forms, rng, W=None):
     """A batch of one of _solve_trials that raises its PathFailureError."""
-    result = _solve_trials(forms[None], [rng], None if W is None else W[None],
-                           max_steps, retries)[0]
+    result = _solve_trials(forms[None], [rng], None if W is None else W[None])[0]
     if isinstance(result, PathFailureError):
         raise result
     return result
 
 
-def _solve_trials(forms, rngs, W=None, max_steps=_MAX_STEPS, retries=_RETRIES):
+def _solve_trials(forms, rngs, W=None):
     """_solve_batch with retries: trials whose attempt loses paths go into a
     later batch with the next substream of their stream."""
     results, pending = [None] * len(rngs), list(range(len(rngs)))
-    for attempt in range(retries + 1):
+    for attempt in range(_RETRIES + 1):
         batch = _solve_batch(forms[pending],
                              [rngs[i].substream(attempt) for i in pending],
-                             max_steps, None if W is None else W[pending])
+                             None if W is None else W[pending])
         for i, result in zip(pending, batch):
             results[i] = result
         pending = [i for i in pending if isinstance(results[i], PathFailureError)]
@@ -313,16 +293,15 @@ def _newton_steps(J, p, rhs):
         return out, ok
 
 
-def _track(evaluate, params, owner, p, max_steps):
+def _track(evaluate, params, owner, p):
     """Predictor-corrector continuation of the paths p (rows of the trials
     `owner`) from t = 0 to 1, in place, each with its own t and step dt; a
-    trial stops after max_steps steps.  evaluate(*rows, p, t) gives H, dH/dp
+    trial stops after _MAX_STEPS steps.  evaluate(*rows, p, t) gives H, dH/dp
     and dH/dt, where rows are the per-trial params taken at each path.  The
     predictor is classical RK4 on the path's tangent in the chart through
     the current point.  Every operation acts row by row, so no path depends
     on the others.  Returns the t each path reached or stalled at."""
-    t, dt = np.zeros(len(p)), np.full(len(p), 0.1)
-    active = np.full(len(p), max_steps > 0)
+    t, dt, active = np.zeros(len(p)), np.full(len(p), 0.1), np.ones(len(p), dtype=bool)
     steps, idx = np.zeros(owner[-1] + 1, dtype=int), owner[:0]
     while active.any():
         if active.sum() != len(idx):        # paths only ever leave the set
@@ -359,7 +338,7 @@ def _track(evaluate, params, owner, p, max_steps):
         t[acc] = t_new[ok]
         dt[acc] = np.minimum(dt[acc] * 1.5, _MAX_DT)
         dt[idx[~ok]] *= 0.5
-        dead = active & ((dt < 1e-9) | (steps[owner] >= max_steps))
+        dead = active & ((dt < 1e-9) | (steps[owner] >= _MAX_STEPS))
         active &= ~dead & (t < 1.0)
     return t
 
@@ -368,6 +347,13 @@ def _target(Ms, p):
     """Values and Jacobians of the target forms Ms (R, 5, 6, 6) at rows p."""
     Y = np.matmul(Ms, p[:, None, :, None])[..., 0]
     return np.matmul(Y, p[:, :, None])[..., 0], 2.0 * Y
+
+
+def _pinv_step(F, J, p):
+    """Renormalized minimum-norm Newton steps for target values F, Jacobians J."""
+    pinv = np.linalg.pinv(_bordered(J, p), rcond=1e-12)
+    x = p - np.matmul(pinv[:, :, :5], F[:, :, None])[..., 0]
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def _polish(Ms, owner, p):
@@ -386,15 +372,13 @@ def _polish(Ms, owner, p):
         if not keep.any():
             break
         rows, res_now = rows[keep], res_now[keep]
-        pinv = np.linalg.pinv(_bordered(J[keep], p[rows]), rcond=1e-12)
-        p_try = p[rows] - np.matmul(pinv[:, :, :5], F[keep][:, :, None])[..., 0]
-        p_try = p_try / np.linalg.norm(p_try, axis=1, keepdims=True)
+        p_try = _pinv_step(F[keep], J[keep], p[rows])
         improved = np.abs(_target(Ms[rows], p_try)[0]).max(axis=1) < res_now
         p[rows[improved]] = p_try[improved]
         polishing &= np.bincount(owner[rows], improved, minlength=T) > 0
 
 
-def _solve_batch(forms, rngs, max_steps: int, W=None) -> list:
+def _solve_batch(forms, rngs, W=None) -> list:
     """Solve the systems (T, 5, 6, 6) of T trials together, one stream each:
     by the 12-path sphere homotopy when W (T, 4, 4) holds each trial's
     sphere vectors, else by the 32-path total-degree homotopy.  Returns, per
@@ -413,23 +397,19 @@ def _solve_batch(forms, rngs, max_steps: int, W=None) -> list:
         params, p = (_sphere_maps(W) - L0, gam), np.tile(starts, (T, 1))
     paths = len(p) // T
     owner = np.repeat(np.arange(T), paths)
-    t = _track(evaluate, params, owner, p, max_steps)
-    reached = (t >= 1.0)
+    t = _track(evaluate, params, owner, p)
+    reached, near = t >= 1.0, (t < 1.0) & (t >= 1.0 - _STALL_T) & (W is None)
     Ms = forms[owner]
     if W is None:
-        near = (~reached) & (t >= 1.0 - _STALL_T)
         _polish(Ms, owner, p)
-    else:
-        near = np.zeros_like(reached)
     F, J = _target(Ms, p)
     residuals = np.abs(F).max(axis=1)
     small = residuals < _RESIDUAL_TOL
     good = (reached | near) & small
     tracked_clean, near_ok = reached & small, near & small
 
-    # rank of the bordered Jacobian at every good endpoint: a clean track
-    # onto a rank-deficient endpoint means the target solution set itself is
-    # positive dimensional there (non-transverse configuration)
+    # a clean track onto an endpoint of rank-deficient bordered Jacobian means
+    # the solution set is positive dimensional there (non-transverse)
     sv = np.linalg.svd(_bordered(J[good], p[good]), compute_uv=False)
     nonisolated = tracked_clean.copy()
     nonisolated[good] &= sv[:, -1] < 1e-7 * sv[:, 0]
@@ -441,30 +421,33 @@ def _solve_batch(forms, rngs, max_steps: int, W=None) -> list:
     gram = np.abs(np.matmul(P.conj(), P.transpose(0, 2, 1)))
     close = sq[:, :, None] + sq[:, None, :] - 2.0 * gram < 1e-12
 
-    tracked, singular, nonisolated = (
-        x.reshape(T, -1).sum(axis=1) for x in (tracked_clean, near_ok, nonisolated))
+    tracked, singular, nonisolated = (x.reshape(T, -1).sum(axis=1).tolist()
+                                      for x in (tracked_clean, near_ok, nonisolated))
+    G = good.reshape(T, paths)
+    if W is not None:           # a path that ends on another's endpoint jumped
+        G = G & ~np.triu(close & G[:, :, None] & G[:, None, :], 1).any(axis=1)
+    paired = (close & G[:, :, None] & G[:, None, :]
+              & ~np.eye(paths, dtype=bool)).any(axis=(1, 2))
+    lost = (paths - G.sum(axis=1)).tolist()
+    points, real, borderline, real_singular = _classify(Ms, p, G.ravel())
     results = []
     for k in range(T):
-        rows = slice(k * paths, (k + 1) * paths)
-        g = good[rows].copy()
-        if W is not None:       # a path that ends on another's endpoint jumped
-            g &= ~np.triu(close[k] & g & g[:, None], 1).any(axis=0)
-        lost = int((~g).sum())
-        if lost > 0.01 * paths:
+        if lost[k] > 0.01 * paths:
             results.append(PathFailureError(
-                f"{lost} of {paths} paths lost before t = 1",
-                [f"path {i}: stalled at t = {t[rows][i]:.12f}, residual "
-                 f"{residuals[rows][i]:.3e}" for i in np.flatnonzero(~g)]))
+                f"{lost[k]} of {paths} paths lost before t = 1",
+                [f"path {i}: stalled at t = {t[k * paths + i]:.12f}, residual "
+                 f"{residuals[k * paths + i]:.3e}" for i in np.flatnonzero(~G[k])]))
             continue
-        sols, res = p[rows][g], residuals[rows][g]
-        order = np.argsort(res)
-        pairs = close[k][np.ix_(g, g)]
-        np.fill_diagonal(pairs, False)
-        kept, mult = _merge(sols, order) if pairs.any() else \
+        g = k * paths + np.flatnonzero(G[k])
+        order = np.argsort(residuals[g])
+        kept, mult = _merge(p[g], order) if paired[k] else \
             (order, np.ones(len(order), dtype=int))
-        results.append(_classify(
-            forms[k], sols[kept], res[kept], mult, tracked=int(tracked[k]),
-            singular=int(singular[k]), failed=lost, nonisolated=int(nonisolated[k])))
+        i = g[kept]
+        results.append(SolutionSet(
+            p[i], residuals[i], mult, points[i][real[i]], tracked=tracked[k],
+            singular=singular[k], failed=lost[k], nonisolated=nonisolated[k],
+            merged=int((mult > 1).sum()), borderline=int(borderline[i].sum()),
+            real_singular=int(real_singular[i].sum())))
     return results
 
 
@@ -485,45 +468,39 @@ def _merge(sols, order):
     return np.array(kept, dtype=int), np.array(mult, dtype=int)
 
 
-def _classify(Ms, solutions, residuals, multiplicities, **paths) -> SolutionSet:
-    """Reality classification with a real Newton polish; a real solution with
-    rank-deficient Jacobian signals a non-isolated real family."""
-    real_pts, borderline, real_singular = [], 0, 0
-    for sol in solutions:
-        m = np.argmax(np.abs(sol))
-        aligned = sol * (sol[m].conj() / abs(sol[m]))
-        ratio = np.linalg.norm(aligned.imag) / np.linalg.norm(aligned.real)
-        if ratio >= _BORDERLINE_RATIO:
-            continue
-        x = aligned.real / np.linalg.norm(aligned.real)
-        for _ in range(8):
-            J = 2.0 * np.einsum('sij,j->si', Ms, x)
-            r = np.concatenate([-np.einsum('i,sij,j->s', x, Ms, x), [0.0]])
-            x = x + np.linalg.lstsq(np.vstack([J, x[None, :]]), r, rcond=1e-12)[0]
-            x = x / np.linalg.norm(x)
-        real_res = np.abs(np.einsum('i,sij,j->s', x, Ms, x)).max()
-        if ratio < _REAL_RATIO and real_res < _RESIDUAL_TOL:
-            J = 2.0 * np.einsum('sij,j->si', Ms, x)
-            sv = np.linalg.svd(np.vstack([J, x[None, :]]), compute_uv=False)
-            if sv[-1] < 1e-7 * sv[0]:
-                real_singular += 1
-            real_pts.append(x)
-        else:
-            borderline += 1
-    return SolutionSet(
-        solutions, residuals, multiplicities,
-        np.array(real_pts) if real_pts else np.empty((0, 6)),
-        merged=int((multiplicities > 1).sum()), borderline=borderline,
-        real_singular=real_singular, **paths)
+def _classify(Ms, p, good):
+    """Reality of the good endpoints among the rows p: after phase alignment,
+    those with |Im| < _BORDERLINE_RATIO |Re| get 8 real minimum-norm Newton
+    steps, and are real if |Im| < _REAL_RATIO |Re| and the polished point
+    solves Ms, else borderline.  Returns the polished points and the masks
+    real, borderline and real-singular (a non-isolated real family)."""
+    big = p[np.arange(len(p)), np.abs(p).argmax(axis=1)]
+    aligned = p * (big.conj() / np.abs(big))[:, None]
+    ratio = np.linalg.norm(aligned.imag, axis=1) / np.linalg.norm(aligned.real, axis=1)
+    rows = np.flatnonzero(good & (ratio < _BORDERLINE_RATIO))
+    Ms, x = Ms[rows], aligned.real[rows]
+    x = x / np.linalg.norm(x, axis=1, keepdims=True)
+    for _ in range(8):
+        x = _pinv_step(*_target(Ms, x), x)
+    F, J = _target(Ms, x)
+    sv = np.linalg.svd(_bordered(J, x), compute_uv=False)
+    real = (ratio[rows] < _REAL_RATIO) & (np.abs(F).max(axis=1) < _RESIDUAL_TOL)
+    points = np.zeros((len(p), 6), dtype=x.dtype)
+    points[rows] = x
+    masks = np.zeros((3, len(p)), dtype=bool)
+    masks[:, rows] = real, ~real, real & (sv[:, -1] < 1e-7 * sv[:, 0])
+    return points, *masks
 
 
-def _moved_quadrics(bodies, rotations) -> list:
-    """Tangency quadrics of the moved bodies g X, whose matrices are
-    g A g^T (membership: x in gX iff g^T x in X)."""
-    if len(bodies) != 4 or len(rotations) != 4:
+def _moved_quadrics(bodies, rotations) -> np.ndarray:
+    """Normalized target systems (..., 5, 6, 6) of the moved bodies g X for
+    rotations (..., 4, 4, 4): the tangency forms of g A g^T (membership:
+    x in gX iff g^T x in X) and the Pluecker quadric."""
+    g = np.asarray(rotations, dtype=float)
+    if len(bodies) != 4 or g.shape[-3:] != (4, 4, 4):
         raise ValueError("need four bodies and four rotations")
-    return [tangency_quadric_of(g @ body.defining_matrix() @ g.T)
-            for body, g in zip(bodies, np.asarray(rotations, dtype=float))]
+    A = np.array([body.defining_matrix() for body in bodies])
+    return _normalize_forms(tangency_quadric_of(g @ A @ np.swapaxes(g, -1, -2)))
 
 
 def _sphere_vectors(bodies, rotations):
@@ -539,8 +516,8 @@ def _sphere_vectors(bodies, rotations):
 def count_real_tangent_lines(bodies, rotations, rng: RngStream) -> int:
     """Number of real lines tangent to four rotated quadric bodies in RP^3;
     raises DegenerateConfigurationError for non-isolated or borderline draws."""
-    forms = _normalize_forms(_moved_quadrics(bodies, rotations))
-    sols = _solve_one(forms, rng, _sphere_vectors(bodies, rotations))
+    sols = _solve_one(_moved_quadrics(bodies, rotations), rng,
+                      _sphere_vectors(bodies, rotations))
     if sols.degenerate:
         raise DegenerateConfigurationError(
             f"merged endpoints: {sols.merged}, borderline reality: "
@@ -556,8 +533,8 @@ def _tau_chunk(args) -> tuple[list[int], list[str]]:
     bodies, seed, trials = args
     streams = [RngStream(seed, trial) for trial in trials]
     gs = np.array([haar_matrices(4, 4, s.generator()) for s in streams])
-    forms = np.array([_normalize_forms(_moved_quadrics(bodies, g)) for g in gs])
-    results = _solve_trials(forms, [s.substream(1 << 32) for s in streams],
+    results = _solve_trials(_moved_quadrics(bodies, gs),
+                            [s.substream(1 << 32) for s in streams],
                             _sphere_vectors(bodies, gs))
     log = next(([f"trial {t}: {r}", *r.path_log] for t, r in zip(trials, results)
                 if isinstance(r, PathFailureError)), [])
@@ -570,8 +547,11 @@ def _tau_trial(args) -> int:
     return _tau_chunk((*args[:2], [args[2]]))[0][0]
 
 
-def _solve_once(quadrics, rng: RngStream, max_steps: int) -> SolutionSet:
-    return _solve_one(_normalize_forms(quadrics), rng, None, max_steps, 0)
+def _solve_once(quadrics, rng: RngStream) -> SolutionSet:
+    result = _solve_batch(_normalize_forms(quadrics)[None], [rng.substream(0)])[0]
+    if isinstance(result, PathFailureError):
+        raise result
+    return result
 
 
 def average_tangent_count_empirical(bodies, trials: int, seed: int,

@@ -36,6 +36,16 @@ def test_volumes_usage_error(capsys):
     assert "k" in err
 
 
+@pytest.mark.parametrize("n", ["62", "200", "400"])
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_volumes_beyond_double_precision_are_usage_errors(capsys, k, n):
+    # at n = 62 |O(n+1)| underflows to 0, at 200 a division by it fails, and
+    # at 400 |S^n| overflows
+    code, out, err = run_cli(capsys, "volumes", k, n)
+    assert code == 2 and out == ""
+    assert "double precision" in err
+
+
 def test_delta_exact_and_unsupported(capsys):
     code, out, _ = run_cli(capsys, "delta", "0", "5", "--samples", "10")
     assert code == 0
@@ -128,6 +138,23 @@ def test_omega_csv_sweep(capsys, tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("count", ["-1", "nan", "2.5"])
+def test_omega_sweep_count_must_be_a_positive_integer(capsys, tmp_path, count):
+    code, _, err = run_cli(capsys, "omega", sphere_file(tmp_path),
+                           "--sweep-radius", "0.3", "1.2", count, "--level", "2")
+    assert code == 2
+    assert "COUNT" in err
+
+
+def test_omega_sweep_needs_a_metric_sphere(capsys, tmp_path):
+    p = tmp_path / "ellipsoid.body"
+    p.write_text("kind = ellipsoid\nn = 3\nsemiaxes = 1.0 0.8 0.5\n")
+    code, _, err = run_cli(capsys, "omega", str(p), "--sweep-radius", "0.3",
+                           "1.2", "4", "--level", "2")
+    assert code == 2
+    assert "metric sphere" in err
+
+
 def test_tau_formula_mode(capsys, tmp_path):
     bodies = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(4)]
     code, out, _ = run_cli(capsys, "tau", *bodies, "--mode", "formula")
@@ -142,6 +169,13 @@ def test_tau_wrong_body_count(capsys, tmp_path):
     code, _, err = run_cli(capsys, "tau", *bodies)
     assert code == 2
     assert "4 body files" in err
+
+
+def test_tau_flat_dimension_out_of_range(capsys, tmp_path):
+    bodies = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(4)]
+    code, _, err = run_cli(capsys, "tau", *bodies, "--k", "5")
+    assert code == 2
+    assert "need 0 <= k <= n-1, got (k, n) = (5, 3)" in err
 
 
 def test_tau_empirical_smoke(capsys, tmp_path):

@@ -41,7 +41,7 @@ def test_tangency_quadric_two_point_identity():
     gen = tf.RngStream(1).generator()
     for _ in range(30):
         A = random_symmetric(gen)
-        M = tf.tangency_quadric_of(A).matrix
+        M = tf.tangency_quadric_of(A)
         u = gen.standard_normal(4)
         v = gen.standard_normal(4)
         p = wedge(u, v)
@@ -50,20 +50,20 @@ def test_tangency_quadric_two_point_identity():
 
 
 def test_tangency_quadric_identity_matrix():
-    M = tf.tangency_quadric_of(np.eye(4)).matrix
+    M = tf.tangency_quadric_of(np.eye(4))
     assert np.allclose(M, np.eye(6))
     assert np.linalg.eigvalsh(M).min() > 0     # no real tangent lines
 
 
 def test_tangency_quadric_sphere_examples():
     A = np.diag([-1.0, 1.0, 1.0, 1.0])        # unit sphere in the chart x0=1
-    Q = tf.tangency_quadric_of(A)
+    M = tf.tangency_quadric_of(A)
     # line through the affine point (1,0,0) with direction (0,0,1) is tangent
     p = wedge(np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0]))
-    assert abs(Q.value(p)) < 1e-12
+    assert abs(p @ M @ p) < 1e-12
     # a line through the chart origin is secant: negative sign
     p = wedge(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]))
-    assert Q.value(p) < 0
+    assert p @ M @ p < 0
     with pytest.raises(tf.BodyError):
         tf.tangency_quadric_of(np.diag([0.0, 1.0, 1.0, 1.0]))
 
@@ -72,9 +72,24 @@ def test_tangency_quadric_test_is_scale_free():
     # eigenvalues -1, 1, 1 and 1e10, an ellipsoid with semiaxes 1e-5 1 1
     A = np.diag([-1.0, 1e10, 1.0, 1.0])
     for scale in (1e-8, 1.0, 1e8):
-        assert np.isfinite(tf.tangency_quadric_of(scale * A).matrix).all()
+        assert np.isfinite(tf.tangency_quadric_of(scale * A)).all()
     with pytest.raises(tf.BodyError):
         tf.tangency_quadric_of(np.diag([-1.0, 1e13, 1.0, 1.0]))
+
+
+def test_stacked_forms_equal_the_forms_of_each_matrix():
+    gen = tf.RngStream(11).generator()
+    A = gen.standard_normal((5, 4, 4, 4))
+    A = A + np.swapaxes(A, -1, -2)
+    forms, compounds = tf.tangency_quadric_of(A), tf.second_compound(A)
+    assert forms.shape == compounds.shape == (5, 4, 6, 6)
+    for idx in np.ndindex(5, 4):
+        assert np.array_equal(forms[idx], tf.tangency_quadric_of(A[idx]))
+        assert np.array_equal(compounds[idx], tf.second_compound(A[idx]))
+    # one singular matrix anywhere in the stack is refused
+    A[3, 2] = np.diag([0.0, 1.0, 1.0, 1.0])
+    with pytest.raises(tf.BodyError):
+        tf.tangency_quadric_of(A)
 
 
 complex_vectors = st.lists(st.complex_numbers(max_magnitude=3.0), min_size=4,
@@ -187,7 +202,6 @@ def test_trial_result_independent_of_chunk_companions():
                               for k in range(8)])):
         def solve(rows):
             return tangency._solve_batch(forms[rows], [rngs[k] for k in rows],
-                                         tangency._MAX_STEPS,
                                          None if W is None else W[rows])
 
         together = solve(list(range(8)))
@@ -198,6 +212,55 @@ def test_trial_result_independent_of_chunk_companions():
                                             alone.failed, alone.real_count)
             assert np.array_equal(chunked.residuals, alone.residuals)
             assert np.array_equal(chunked.solutions, alone.solutions)
+
+
+def scalar_classify(Ms, sol):
+    """The reality test of one endpoint with lstsq Newton steps, as it ran
+    before classification was batched: the reference for _classify."""
+    m = np.argmax(np.abs(sol))
+    aligned = sol * (sol[m].conj() / abs(sol[m]))
+    ratio = np.linalg.norm(aligned.imag) / np.linalg.norm(aligned.real)
+    if ratio >= tangency._BORDERLINE_RATIO:
+        return None, False, False, False
+    x = aligned.real / np.linalg.norm(aligned.real)
+    for _ in range(8):
+        J = 2.0 * np.einsum('sij,j->si', Ms, x)
+        r = np.concatenate([-np.einsum('i,sij,j->s', x, Ms, x), [0.0]])
+        x = x + np.linalg.lstsq(np.vstack([J, x[None, :]]), r, rcond=1e-12)[0]
+        x = x / np.linalg.norm(x)
+    real = (ratio < tangency._REAL_RATIO and np.abs(
+        np.einsum('i,sij,j->s', x, Ms, x)).max() < tangency._RESIDUAL_TOL)
+    Jb = np.vstack([2.0 * np.einsum('sij,j->si', Ms, x), x[None, :]])
+    sv = np.linalg.svd(Jb, compute_uv=False)
+    return x, real, not real, real and sv[-1] < 1e-7 * sv[0]
+
+
+def test_batched_classification_matches_the_scalar_reference():
+    bodies = [tf.metric_sphere(3, 0.5), tf.ellipsoid(3, [0.7, 1.3, 1.1]),
+              tf.ellipsoid(3, [1.6, 0.8, 0.9]),
+              tf.affine_sphere(3, [0.1, 0.2, 0.0], 0.6)]
+    gs = np.array([haar_matrices(4, 4, tf.RngStream(41, k).generator())
+                   for k in range(4)])
+    forms = tangency._moved_quadrics(bodies, gs)
+    gen = tf.RngStream(42).generator()
+    Ms, points = [], []
+    for M, sols in zip(forms, tangency._solve_batch(forms, [
+            tf.RngStream(43, k) for k in range(4)])):
+        # the endpoints, and real solutions given a phase and an imaginary
+        # part that makes them real, borderline, or not candidates at all
+        noisy = [x * np.exp(2j * np.pi * gen.uniform())
+                 + 1j * eps * gen.standard_normal(6) / np.sqrt(6)
+                 for x in sols.real_solutions for eps in (1e-8, 1e-5, 1e-3)]
+        points += [*sols.solutions, *noisy]
+        Ms += [M] * (len(sols.solutions) + len(noisy))
+    Ms, points = np.array(Ms), np.array(points)
+    polished, *masks = tangency._classify(Ms, points, np.ones(len(points), bool))
+    assert masks[0].sum() > 0 and masks[1].sum() > 0
+    for row in range(len(points)):
+        x, *flags = scalar_classify(Ms[row], points[row])
+        assert [mask[row] for mask in masks] == flags, row
+        if flags[0]:
+            assert np.abs(polished[row] - x).max() < 1e-12
 
 
 def test_sphere_start_data():
@@ -251,6 +314,18 @@ def test_empirical_estimates_match_recorded_values():
         est = tf.average_tangent_count_empirical(bodies, trials=40, seed=2024)
         assert (est.mean, est.samples, est.degenerate) == (mean, 40, 0), name
         assert est.stderr == pytest.approx(stderr, rel=1e-12), name
+
+
+def test_mixed_family_counts_match_recorded_values():
+    # a metric sphere, two ellipsoids and an affine sphere take the 32-path
+    # route; recorded when endpoints were classified one at a time
+    bodies = [tf.metric_sphere(3, 0.5), tf.ellipsoid(3, [0.7, 1.3, 1.1]),
+              tf.ellipsoid(3, [1.6, 0.8, 0.9]),
+              tf.affine_sphere(3, [0.1, 0.2, 0.0], 0.6)]
+    counts, log = tangency._tau_chunk((bodies, 777, range(24)))
+    assert counts == [0, 2, 6, 4, 2, 4, 0, 2, 4, 4, 2, 4,
+                      6, 2, 4, 4, 2, 4, 4, 0, 2, 4, 4, 4]
+    assert log == []
 
 
 def test_tau_shrinking_radius_kills_tangents():
