@@ -155,7 +155,7 @@ class ConvexBody:
     def surface_value(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         if self.matrix is not None:
-            return np.einsum('ni,ij,nj->n', x, self.matrix, x)
+            return ((x @ self.matrix) * x).sum(axis=1)
         return self.poly.value(x)
 
     def surface_gradient(self, x: np.ndarray) -> np.ndarray:

@@ -113,29 +113,20 @@ def surface_grid(n: int, level: int) -> QuadratureGrid:
 # ---------------------------------------------------------------------------
 # surface parametrization
 
-def _center_frame(body: ConvexBody):
-    """Star center c and an orthonormal basis W of c-perp."""
-    if body.matrix is not None:
-        lam, vec = body.eigh
-        return vec[:, 0], vec[:, 1:], lam
-    c = body.star_center()
-    return c, _orthobasis_complement(c[None, :])[0], None
-
-
 def _radial_roots(body: ConvexBody, omega: np.ndarray):
     """Geodesic radius rho(omega) of the surface along each ray from the
-    star center, plus the center frame.  Closed form for quadrics.  On
+    star center c, plus c and an orthonormal basis W (columns) of c-perp.
+    Closed form for quadrics, whose c is the negative eigenvector.  On
     implicit surfaces a 192-step scan brackets the first sign change of F
     on each ray (rejecting bodies not star-shaped around the center), then
     Illinois regula falsi, each step at least an ulp inside the bracket,
     narrows it to two ulps.  F is evaluated only on rays still open."""
-    c, W, lam = _center_frame(body)
     if body.matrix is not None:
-        lam0 = -lam[0]
-        d = lam[1:]
-        q = (omega ** 2) @ d
-        rho = np.arctan(np.sqrt(lam0 / q))
-        return rho, c, W
+        lam, vec = body.eigh
+        q = (omega ** 2) @ lam[1:]
+        return np.arctan(np.sqrt(-lam[0] / q)), vec[:, 0], vec[:, 1:]
+    c = body.star_center()
+    W = _orthobasis_complement(c[None, :])[0]
     omt = omega @ W.T
     s_in = body.interior_sign()
     N = omega.shape[0]
@@ -234,8 +225,7 @@ def _orthobasis_complement(v: np.ndarray) -> np.ndarray:
     u = v.copy()
     u[:, 0] += sign
     u = u / np.linalg.norm(u, axis=1, keepdims=True)
-    H = np.eye(d)[None, :, :] - 2.0 * u[:, :, None] * u[:, None, :]
-    return H[:, :, 1:]
+    return np.eye(d)[:, 1:] - 2.0 * u[:, :, None] * u[:, None, 1:]
 
 
 def shape_operators(body: ConvexBody, x: np.ndarray):
@@ -257,10 +247,10 @@ def shape_operators(body: ConvexBody, x: np.ndarray):
     g_in = np.einsum('ni,nij->nj', ghat, B1)
     g_in = g_in / np.linalg.norm(g_in, axis=1, keepdims=True)
     B2 = _orthobasis_complement(g_in)
-    T = np.einsum('nij,njk->nik', B1, B2)                # {x, ghat}-perp
+    T = B1 @ B2                                          # {x, ghat}-perp
 
     H = body.surface_hessian(x)
-    S = np.einsum('nia,nij,njb->nab', T, H, T)
+    S = T.transpose(0, 2, 1) @ (H @ T)
     S = -s_in * S / Gn[:, None, None]
     return 0.5 * (S + S.transpose(0, 2, 1)), T, nu
 
@@ -318,11 +308,10 @@ def curvature_frame(body: ConvexBody, x: ProjectivePoint) -> CurvatureFrame:
 
 def elementary_symmetric(values: np.ndarray, k: int) -> np.ndarray:
     """k-th elementary symmetric polynomial along the last axis, batched."""
-    values = np.atleast_2d(values)
-    N, m = values.shape
-    if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= {m}")
-    return _elementary_symmetric_all(values)[:, k]
+    e = _elementary_symmetric_all(values)
+    if not 0 <= k < e.shape[1]:
+        raise ValueError(f"need 0 <= k <= {e.shape[1] - 1}")
+    return e[:, k]
 
 
 def _elementary_symmetric_all(values: np.ndarray) -> np.ndarray:
@@ -342,7 +331,7 @@ def _abs_minors(d: np.ndarray, k: int, mc_samples: int,
     Gaussian (m, k) draws, taken from the generator in row order."""
     z = generator.standard_normal((d.shape[0], mc_samples, d.shape[1], k))
     q, _ = np.linalg.qr(z)
-    restricted = np.einsum('nsik,ni,nsil->nskl', q, d, q)
+    restricted = q.transpose(0, 1, 3, 2) @ (d[:, None, :, None] * q)
     return np.abs(restricted[..., 0, 0] if k == 1 else np.linalg.det(restricted))
 
 
@@ -431,14 +420,11 @@ def abs_normal_curvature_integral(d1, d2):
     flip = hi < -lo
     lo, hi = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
     same = lo * hi >= 0
-    out = np.where(same, 0.5 * pi * np.abs(lo + hi), 0.0)
-    if (~same).any():
-        a = hi[~same]           # positive branch
-        b = lo[~same]           # negative branch
-        mixed = 2.0 * np.sqrt(-a * b) + \
-            2.0 * np.abs(a + b) * np.abs(np.arctan(np.sqrt(-a / b)) - pi / 4)
-        out = np.array(out, dtype=float)
-        out[~same] = mixed
+    # positive and negative branch; (1, -1) stands in where the signs agree
+    a, b = np.where(same, 1.0, hi), np.where(same, -1.0, lo)
+    mixed = 2.0 * np.sqrt(-a * b) + \
+        2.0 * np.abs(a + b) * np.abs(np.arctan(np.sqrt(-a / b)) - pi / 4)
+    out = np.where(same, 0.5 * pi * np.abs(lo + hi), mixed)
     return out if out.shape else float(out)
 
 

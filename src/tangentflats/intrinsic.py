@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .bodies import BodyError, ConvexBody, quadric
 from .curvature import (NonConvexBodyError, QuadratureGrid, SurfaceSample,
@@ -24,19 +25,27 @@ from .curvature import (NonConvexBodyError, QuadratureGrid, SurfaceSample,
 from .rng import MCEstimate, RngStream
 from .volumes import sphere_volume, steiner_coefficient
 
-_GL64 = np.polynomial.legendre.leggauss(64)
-
-
 class TubeRadiusError(ValueError):
     """Requested tube radius exceeds the validity estimate."""
 
 
 def _cap_profile_volume(rho: np.ndarray, weights: np.ndarray, n: int) -> float:
     """Volume of the star-shaped region with radial profile rho over the
-    direction grid: integral of int_0^rho sin^{n-1}(t) dt."""
-    xg, wg = _GL64
-    t = 0.5 * rho[:, None] * (xg[None, :] + 1.0)
-    inner = 0.5 * rho * (np.sin(t) ** (n - 1) @ wg)
+    direction grid: weights @ I_{n-1}(rho), I_m(rho) = int_0^rho sin^m(t) dt,
+    in closed form.  From rho = pi/6 up, the reduction
+    I_m = -sin^{m-1}(rho) cos(rho) / m + (m-1)/m I_{m-2} from I_0 = rho and
+    I_1 = 1 - cos(rho); below, where its terms cancel, the positive series
+    I_m = sum_j (1/2)_j / j! sin^{m+1+2j}(rho) / (m+1+2j) of t = arcsin(u),
+    whose 27 terms shrink at least 4-fold each."""
+    m = n - 1
+    s, c = np.sin(rho), np.cos(rho)
+    inner = rho.copy() if m % 2 == 0 else 1.0 - c
+    for j in range(2 + m % 2, m + 1, 2):
+        inner = (j - 1) / j * inner - s ** (j - 1) * c / j
+    small = rho < pi / 6
+    j = np.arange(27)
+    coef = np.cumprod(np.r_[1.0, 1.0 - 0.5 / j[1:]]) / (m + 1 + 2 * j)
+    inner[small] = s[small] ** (m + 1) * polyval(s[small] ** 2, coef)
     return float(weights @ inner)
 
 

@@ -143,6 +143,52 @@ def test_body_file_round_trip(text):
     assert np.allclose(body2.matrix, body.matrix, atol=1e-12)
 
 
+@st.composite
+def quadric_bodies(draw):
+    n = draw(st.integers(2, 4))
+    positive = st.floats(0.1, 10.0)
+    kind = draw(st.sampled_from(tf.bodies.QUADRIC_KINDS))
+    if kind == "metric_sphere":
+        return tf.metric_sphere(n, draw(st.floats(0.01, 1.56)))
+    if kind == "affine_sphere":
+        center = draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))
+        return tf.affine_sphere(n, center, draw(positive),
+                                draw(st.integers(0, n)))
+    if kind == "ellipsoid":
+        axes = draw(st.lists(positive, min_size=n, max_size=n))
+        return tf.ellipsoid(n, axes, draw(st.integers(0, n)))
+    # one negative eigenvalue in a Haar-random frame
+    lam = np.array(draw(st.lists(positive, min_size=n + 1, max_size=n + 1)))
+    lam[0] = -lam[0]
+    g = tf.haar_matrices(n + 1, 1, tf.RngStream(
+        draw(st.integers(0, 2 ** 32 - 1))).generator())[0]
+    return tf.quadric(g @ np.diag(lam) @ g.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadric_bodies())
+def test_generated_quadric_bodies_round_trip(body):
+    back = tf.parse_body_text(tf.format_body(body))
+    assert (back.kind, back.n, back.chart) == (body.kind, body.n, body.chart)
+    scale = np.abs(body.matrix).max()
+    assert np.abs(back.matrix - body.matrix).max() <= 1e-14 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials_and_points(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_generated_implicit_bodies_round_trip(case, convex, seed):
+    coeffs, exponents, _ = case
+    d = exponents.shape[1]
+    center = tf.RngStream(seed).generator().standard_normal(d)
+    body = tf.implicit_surface(d - 1, coeffs, exponents, center=center,
+                               convex=convex)
+    back = tf.parse_body_text(tf.format_body(body))
+    assert (back.kind, back.n, back.convex) == (body.kind, body.n, convex)
+    assert np.array_equal(back.poly.coeffs, body.poly.coeffs)
+    assert np.array_equal(back.poly.exponents, body.poly.exponents)
+    assert np.abs(back.center - body.center).max() < 1e-15
+
+
 def test_body_file_quadric_and_implicit_round_trip():
     b = tf.quadric(np.diag([-0.8, 1.0, 2.0, 0.5]))
     b2 = tf.parse_body_text(tf.format_body(b))

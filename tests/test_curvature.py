@@ -3,10 +3,12 @@ from math import comb, gamma, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import tangentflats as tf
 from conftest import octahedral_quartic, random_ellipsoid
+from tangentflats.curvature import _abs_minors, shape_operators, surface_points
 
 
 def test_sphere_principal_curvatures():
@@ -240,6 +242,49 @@ def test_rotation_invariance_of_ratio(grid3):
     p1 = tf.tangent_volume_ratio_profile(body, grid3)
     p2 = tf.tangent_volume_ratio_profile(moved, grid3)
     assert np.abs(p1 - p2).max() < 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(np.log(0.5), np.log(2.0)), min_size=3, max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+def test_ratios_are_invariant_under_generated_rotations(grid3_coarse,
+                                                        log_axes, seed):
+    body = tf.ellipsoid(3, np.exp(log_axes))
+    g = tf.haar_matrices(4, 1, tf.RngStream(seed).generator())[0]
+    p1 = tf.tangent_volume_ratio_profile(body, grid3_coarse)
+    p2 = tf.tangent_volume_ratio_profile(tf.rotate_body(body, g), grid3_coarse)
+    assert np.abs(p1 - p2).max() < 1e-10
+
+
+@pytest.mark.parametrize("body", [tf.ellipsoid(3, [1.5, 0.8, 1.1]),
+                                  octahedral_quartic(1.2, 1.0, convex=True)],
+                         ids=["ellipsoid", "quartic"])
+def test_shape_operators_match_the_three_operand_contraction(grid3, body):
+    x, _ = surface_points(body, grid3)
+    S, T, nu = shape_operators(body, x)
+    H = body.surface_hessian(x)
+    Gn = np.linalg.norm(body.surface_gradient(x), axis=1)
+    ref = np.einsum('nia,nij,njb->nab', T, H, T)
+    ref = -body.interior_sign() * ref / Gn[:, None, None]
+    ref = 0.5 * (ref + ref.transpose(0, 2, 1))
+    assert np.abs(S - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(S, S.transpose(0, 2, 1))
+    # T spans the tangent space {x, nu}-perp with orthonormal columns
+    assert np.abs(T.transpose(0, 2, 1) @ T - np.eye(2)).max() < 1e-14
+    assert np.abs(np.einsum('ni,nij->nj', x, T)).max() < 1e-14
+    assert np.abs(np.einsum('ni,nij->nj', nu, T)).max() < 1e-14
+
+
+def test_abs_minors_match_the_three_operand_contraction():
+    d = tf.RngStream(29).generator().uniform(-2.0, 2.0, (50, 3))
+    for k in (1, 2, 3):
+        got = _abs_minors(d, k, 16, tf.RngStream(31, k).generator())
+        z = tf.RngStream(31, k).generator().standard_normal((50, 16, 3, k))
+        q, _ = np.linalg.qr(z)
+        restricted = np.einsum('nsik,ni,nsil->nskl', q, d, q)
+        ref = np.abs(restricted[..., 0, 0] if k == 1
+                     else np.linalg.det(restricted))
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_nonconvex_body_rejected(grid3_coarse):

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 import tangentflats as tf
 from conftest import random_ellipsoid
+from tangentflats.intrinsic import _cap_profile_volume
 
 
 def cap_volume_oracle(n, r):
@@ -18,6 +19,39 @@ def test_body_volume_against_cap_oracle(grid3):
     for r in (0.3, pi / 4, 1.1):
         body = tf.metric_sphere(3, r)
         assert abs(tf.body_volume(body, grid3) - cap_volume_oracle(3, r)) < 1e-8
+
+
+@pytest.mark.parametrize("r", [0.2, 0.3, pi / 6, pi / 4, 1.1, 1.35])
+def test_cap_volumes_match_the_closed_form(grid3, r):
+    """On S^3 a cap of radius r has volume 2 pi (r - sin r cos r), and its
+    polar is the cap of radius pi/2 - r."""
+    def cap(a):
+        return 2 * pi * (a - np.sin(a) * np.cos(a))
+
+    body = tf.metric_sphere(3, r)
+    assert tf.body_volume(body, grid3) == pytest.approx(cap(r), rel=1e-13, abs=0)
+    assert tf.polar_volume(body, grid3) == pytest.approx(cap(pi / 2 - r),
+                                                         rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cap_profile_volume_matches_gauss_legendre(n):
+    """int_0^rho sin^{n-1}(t) dt per ray, against 64-node Gauss-Legendre,
+    on both sides of the switch from the series to the reduction at pi/6."""
+    xg, wg = np.polynomial.legendre.leggauss(64)
+    rhos = np.concatenate([np.geomspace(1e-3, 0.5, 12),
+                           [pi / 6 - 1e-12, pi / 6],
+                           np.linspace(0.55, pi / 2 - 1e-3, 12)])
+    for rho in rhos:
+        t = 0.5 * rho * (xg + 1.0)
+        reference = 0.5 * rho * (np.sin(t) ** (n - 1) @ wg)
+        got = _cap_profile_volume(np.array([rho]), np.ones(1), n)
+        assert got == pytest.approx(reference, rel=1e-13, abs=0)
+    # the weights sum the rays
+    both = _cap_profile_volume(rhos[[3, 20]], np.array([2.0, 0.5]), n)
+    assert both == pytest.approx(
+        2.0 * _cap_profile_volume(rhos[[3]], np.ones(1), n)
+        + 0.5 * _cap_profile_volume(rhos[[20]], np.ones(1), n), rel=1e-15)
 
 
 def test_polar_of_cap_is_dual_cap(grid3):
