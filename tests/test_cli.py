@@ -3,6 +3,7 @@ from math import pi
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tangentflats.cli import main
 
@@ -419,3 +420,35 @@ def test_intrinsic_samples_the_surface_once(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert calls["surface_points"] == 1
     assert calls["_radial_roots"] <= 2             # the body and its polar
+
+
+@st.composite
+def implicit_body_texts(draw):
+    """Implicit body files in RP^3: terms of one degree with random
+    exponents and coefficients, and a random convexity declaration."""
+    degree = draw(st.integers(1, 8))
+    # cut points of a composition of `degree` into four exponents
+    exponent = st.lists(st.integers(0, degree), min_size=3, max_size=3).map(
+        lambda r: np.diff([0, *sorted(r), degree]).tolist())
+    coeff = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    terms = draw(st.lists(st.tuples(coeff, exponent), min_size=1, max_size=8))
+    if draw(st.booleans()):     # a term in x0^d alone: F(e_0) is mostly nonzero
+        terms.append((draw(coeff), [degree, 0, 0, 0]))
+    lines = ["kind = implicit", "n = 3",
+             f"convex = {str(draw(st.booleans())).lower()}"]
+    lines += [f"term = {c!r} " + " ".join(map(str, e)) for c, e in terms]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=implicit_body_texts())
+def test_generated_implicit_bodies_end_in_a_documented_exit_code(
+        capsys, tmp_path, text):
+    body = tmp_path / "generated.body"
+    body.write_text(text)
+    for command in ("omega", "intrinsic"):
+        code, out, err = run_cli(capsys, command, str(body), "--level", "1")
+        assert code in (0, 2, 3, 4), (command, code, err)
+        if code == 0:
+            assert "NaN" not in out and "Infinity" not in out, out

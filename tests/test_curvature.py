@@ -8,7 +8,10 @@ from scipy.integrate import quad
 
 import tangentflats as tf
 from conftest import octahedral_quartic, random_ellipsoid
-from tangentflats.curvature import _abs_minors, shape_operators, surface_points
+from tangentflats.bodies import ConvexBody
+from tangentflats.curvature import (_abs_minors, _orthobasis_complement,
+                                    _radial_roots, shape_operators,
+                                    surface_points)
 
 
 def test_sphere_principal_curvatures():
@@ -362,3 +365,122 @@ def test_octahedral_quartic_ratios_match_recorded_values(grid3, a, convex,
     else:
         ratio = tf.tangent_line_volume_rp3(body, grid3) / tf.schubert_volume(1, 3)
     assert ratio == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def _first_crossing(body, omega, steps=4096):
+    """Oracle: first sign change of the true F along the ray omega from the
+    star center, by a fine scan and scalar bisection down to adjacent floats."""
+    c = body.star_center()
+    w = _orthobasis_complement(c[None, :])[0] @ omega
+    s_in = body.interior_sign()
+
+    def inside(t):
+        x = np.cos(t)[:, None] * c + np.sin(t)[:, None] * w
+        return np.sign(body.surface_value(x)) == s_in
+
+    ts = np.linspace(1e-9, pi / 2 - 1e-9, steps)
+    k = np.argmin(inside(ts))
+    assert k > 0
+    lo, hi = ts[k - 1], ts[k]
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if inside(np.array([mid]))[0] else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _convex_sextic(b):
+    """x^6 + y^6 + z^6 = b w^6, whose radii solve tan(rho)^6 sum omega^6 = b."""
+    return tf.implicit_surface(3, [1.0, 1.0, 1.0, -b],
+                               [[0, 6, 0, 0], [0, 0, 6, 0], [0, 0, 0, 6],
+                                [6, 0, 0, 0]], convex=True)
+
+
+def test_degree_two_implicit_matches_the_ellipsoid(grid3_coarse):
+    semi = np.array([1.3, 0.9, 0.6])
+    ell = tf.ellipsoid(3, semi)
+    implicit = tf.implicit_surface(3, [-1.0, *(1 / semi ** 2)],
+                                   np.diag([2, 2, 2, 2]), convex=True)
+    omega = grid3_coarse.nodes
+    rho_i, c_i, W_i = _radial_roots(implicit, omega)
+    _, c_q, W_q = _radial_roots(ell, omega)
+    # the same rays in the ellipsoid's frame (its center may be -c_i)
+    s = np.sign(c_q @ c_i)
+    rho_q = _radial_roots(ell, s * (omega @ W_i.T) @ W_q)[0]
+    assert np.abs(rho_i - rho_q).max() <= 4 * np.spacing(rho_q).max()
+    # with equal frames both bodies put their nodes at the same points
+    assert np.allclose(s * c_q, c_i) and np.allclose(s * W_q, W_i)
+    got = tf.tangent_volume_ratio_profile(implicit, grid3_coarse)
+    ref = tf.tangent_volume_ratio_profile(ell, grid3_coarse)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_sextic_radii_match_scalar_bisection_on_F():
+    b = 0.7
+    body = _convex_sextic(b)
+    omega = tf.RngStream(41).generator().standard_normal((6, 3))
+    omega = np.vstack([omega / np.linalg.norm(omega, axis=1, keepdims=True),
+                       np.eye(3), np.full((1, 3), 3 ** -0.5)])
+    rho = _radial_roots(body, omega)[0]
+    ref = [_first_crossing(body, w) for w in omega]
+    assert np.abs(rho - ref).max() < 1e-13
+    exact = np.arctan((b / (omega ** 6).sum(1)) ** (1 / 6))
+    assert np.abs(rho - exact).max() < 1e-13
+
+
+def test_radial_roots_return_the_first_of_two_crossings():
+    # (|p|^2 - w^2)(|p|^4_4 - 0.6 w^4): the unit sphere comes first along the
+    # diagonal, the quartic first along the axes; every ray crosses twice
+    sphere = [(1.0, [0, 2, 0, 0]), (1.0, [0, 0, 2, 0]), (1.0, [0, 0, 0, 2]),
+              (-1.0, [2, 0, 0, 0])]
+    quartic = [(1.0, [0, 4, 0, 0]), (1.0, [0, 0, 4, 0]), (1.0, [0, 0, 0, 4]),
+               (-0.6, [4, 0, 0, 0])]
+    body = tf.implicit_surface(3, [a * b for a, _ in sphere for b, _ in quartic],
+                               [np.add(e, f) for _, e in sphere for _, f in quartic])
+    assert body.poly.degree == 6
+    omega = np.array([[1.0, 0, 0], [0, 0, 1.0], [3 ** -0.5] * 3,
+                      [0.6, 0.8, 0], [0.8, 0.36, 0.48]])
+    rho = _radial_roots(body, omega)[0]
+    r_quartic = (0.6 / (omega ** 4).sum(1)) ** 0.25
+    exact = np.arctan(np.minimum(1.0, r_quartic))
+    assert np.abs(rho - exact).max() < 1e-13
+    assert np.abs(rho - [_first_crossing(body, w) for w in omega]).max() < 1e-13
+    assert (r_quartic < 1).any() and (r_quartic > 1).any()
+
+
+def test_body_not_star_shaped_is_refused(grid3_coarse):
+    # x1^2 - x2^2 + 0.1 (x0^2 + x3^2) stays positive along the x1 axis
+    saddle = tf.implicit_surface(3, [1.0, -1.0, 0.1, 0.1],
+                                 [[0, 2, 0, 0], [0, 0, 2, 0], [2, 0, 0, 0],
+                                  [0, 0, 0, 2]], convex=True)
+    with pytest.raises(tf.curvature.SurfaceDegeneracyError,
+                       match="not star-shaped"):
+        tf.tangent_volume_ratio_profile(saddle, grid3_coarse)
+    # F(e_0) = 0: the default center is on the surface, not inside it
+    rim = tf.implicit_surface(3, [1.0, 1.0, 1.0, -1.0],
+                              [[0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4],
+                               [0, 2, 2, 0]])
+    with pytest.raises(tf.curvature.SurfaceDegeneracyError,
+                       match="center lies on the surface"):
+        _radial_roots(rim, grid3_coarse.nodes)
+
+
+@pytest.mark.parametrize("body", [
+    octahedral_quartic(1.2, 1.0, True),
+    _convex_sextic(0.7),
+], ids=["quartic", "sextic"])
+def test_radial_roots_evaluate_F_at_most_d_plus_2_times(monkeypatch, body):
+    """d+1 samples fix the binary form on every ray, plus the interior sign;
+    a scan or regula falsi that went back to F would call it per step."""
+    calls = []
+    value = ConvexBody.surface_value
+
+    def counted(self, x):
+        calls.append(len(x))
+        return value(self, x)
+
+    monkeypatch.setattr(ConvexBody, "surface_value", counted)
+    d = body.poly.degree
+    for level in (1, 2, 3, 4):
+        calls.clear()
+        _radial_roots(body, tf.surface_grid(3, level).nodes)
+        assert len(calls) <= d + 2, (level, calls)
