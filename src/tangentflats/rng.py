@@ -7,7 +7,6 @@ reproducible and independent of worker scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -53,6 +52,7 @@ def parallel_map(fn, tasks, workers: int = 1) -> list:
     """[fn(*task) for task in tasks], in order, spread over a pool of at
     most `workers` processes when there are several workers and tasks."""
     if workers > 1 and len(tasks) > 1:
+        from multiprocessing import Pool    # only here: it slows the import
         with Pool(min(workers, len(tasks))) as pool:
             return pool.starmap(fn, tasks)
     return [fn(*task) for task in tasks]

@@ -82,8 +82,11 @@ def second_compound(A: np.ndarray) -> np.ndarray:
     """Second compound matrices of the square matrices A (..., m, m): entries
     are the 2x2 minors det(A[{i,j},{k,l}]) over lexicographic index pairs."""
     A = np.asarray(A, dtype=np.result_type(A, float))
-    i, j = np.array(plucker_index_pairs(A.shape[-1], 2)).T[:, :, None]
-    return A[..., i, i.T] * A[..., j, j.T] - A[..., i, j.T] * A[..., j, i.T]
+    m = A.shape[-1]
+    i, j = np.array(plucker_index_pairs(m, 2)).T[:, :, None]
+    flat = A.reshape(A.shape[:-2] + (m * m,))   # np.take keeps a stack C-ordered
+    return (flat.take(m * i + i.T, -1) * flat.take(m * j + j.T, -1)
+            - flat.take(m * i + j.T, -1) * flat.take(m * j + i.T, -1))
 
 
 def tangency_quadric_of(A: np.ndarray) -> np.ndarray:
@@ -151,7 +154,7 @@ def _normalize_forms(forms) -> np.ndarray:
     """The tangency forms (..., 4, 6, 6) and the Pluecker quadric, each of
     unit norm: (..., 5, 6, 6).  Squared norms are BLAS dot products, as in
     np.linalg.norm of one matrix, so no bit depends on the stack."""
-    forms = np.ascontiguousarray(forms)
+    forms = np.asarray(forms)
     flat = forms.reshape(forms.shape[:-2] + (36,))
     sq = sum(np.matmul(x[..., None, :], x[..., None]) for x in (flat.real, flat.imag))
     pairing = np.broadcast_to(PLUCKER_PAIRING / np.linalg.norm(PLUCKER_PAIRING),

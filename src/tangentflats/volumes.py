@@ -12,11 +12,11 @@ The projective Grassmannian of k-flats in RP^n is Gr(k+1, n+1).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import acos, exp, gamma, log, pi, sqrt
 
 import numpy as np
-from scipy.integrate import quad
 
 
 def grassmannian_dimension(k: int, n: int) -> int:
@@ -91,8 +91,8 @@ def schubert_volume(k: int, n: int) -> float:
 def steiner_coefficient(k: int, n: int, eps: float) -> float:
     """The tube-expansion coefficient integral of cos^k(t) sin^{n-1-k}(t) on [0, eps].
 
-    Evaluated by adaptive quadrature to absolute error below 1e-12; closed
-    forms exist only for special (k, n) and those serve as test oracles.
+    Evaluated by the 64-node Gauss-Legendre rule on [0, eps], within 1e-13
+    relative for n <= 61; closed forms for special (k, n) are test oracles.
     """
     if not 0 <= k <= n - 1:
         raise ValueError("need 0 <= k <= n-1")
@@ -100,9 +100,17 @@ def steiner_coefficient(k: int, n: int, eps: float) -> float:
         raise ValueError("eps must lie in [0, pi/2]")
     if eps == 0.0:
         return 0.0
-    val, _ = quad(lambda t: np.cos(t) ** k * np.sin(t) ** (n - 1 - k), 0.0, eps,
-                  epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
+    t, w = eps * _unit_legendre_rule()
+    return float(w @ (np.cos(t) ** k * np.sin(t) ** (n - 1 - k)))
+
+
+@functools.cache
+def _unit_legendre_rule() -> np.ndarray:
+    """Read-only (nodes, weights) of the 64-node Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    rule = np.array([x + 1.0, w]) / 2.0
+    rule.flags.writeable = False        # built on first use, shared by every call
+    return rule
 
 
 def sphere_tangent_ratio(k: int, n: int, r):

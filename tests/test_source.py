@@ -1,5 +1,8 @@
 """Guards on the package source itself."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tangentflats"
@@ -36,3 +39,14 @@ def test_no_unoptimized_multi_operand_einsum_in_the_package():
     found = [f"{path.name}:{line}" for path in paths
              for line in unoptimized_einsums(path.read_text())]
     assert not found, f"multi-operand einsum without optimize= at {found}"
+
+
+def test_cli_imports_neither_scipy_nor_multiprocessing():
+    # both took most of the CLI's start-up time; the pool is imported only
+    # when a command runs with several workers
+    code = ("import sys, tangentflats.cli; print(' '.join(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
+    assert out.split() == []

@@ -92,6 +92,16 @@ def test_stacked_forms_equal_the_forms_of_each_matrix():
         tf.tangency_quadric_of(A)
 
 
+def test_stacked_compounds_are_c_ordered():
+    gen = tf.RngStream(12).generator()
+    A = gen.standard_normal((3, 4, 4, 4))
+    for stack in (A, A + 1j * A, np.swapaxes(A, -1, -2)):
+        compounds = tf.second_compound(stack)
+        assert compounds.shape == (3, 4, 6, 6)
+        assert compounds.flags.c_contiguous
+    assert tf.tangency_quadric_of(A + np.swapaxes(A, -1, -2)).flags.c_contiguous
+
+
 complex_vectors = st.lists(st.complex_numbers(max_magnitude=3.0), min_size=4,
                            max_size=4).map(np.array)
 

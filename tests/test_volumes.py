@@ -1,5 +1,6 @@
 from math import gamma, pi, sqrt
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -69,6 +70,18 @@ def test_steiner_coefficient_beta_total():
             total = tf.steiner_coefficient(k, n, pi / 2)
             beta = gamma((k + 1) / 2) * gamma((n - k) / 2) / gamma((n + 1) / 2)
             assert total == pytest.approx(beta / 2, abs=1e-10)
+
+
+def test_steiner_coefficient_matches_incomplete_beta():
+    # the integral is B(sin^2 eps; (m+1)/2, (k+1)/2) / 2 with m = n-1-k
+    with mpmath.workdps(50):
+        for n in range(2, 62):
+            for k in range(n):
+                a, b = mpmath.mpf(n - k) / 2, mpmath.mpf(k + 1) / 2
+                for eps in (1e-3, 0.05, 0.3, 1.0, pi / 2):
+                    exact = mpmath.betainc(a, b, 0, mpmath.sin(eps) ** 2) / 2
+                    got = tf.steiner_coefficient(k, n, eps)
+                    assert abs(got / exact - 1) <= 1e-13, (k, n, eps)
 
 
 def test_sphere_tangent_ratio_values():
