@@ -337,12 +337,16 @@ def _elementary_symmetric_all(values: np.ndarray) -> np.ndarray:
 def _abs_minors(d: np.ndarray, k: int, mc_samples: int,
                 generator: np.random.Generator) -> np.ndarray:
     """|det| of the diagonal forms d (N, m) restricted to mc_samples uniform
-    k-planes each, shape (N, mc_samples); the planes are QR frames of
-    Gaussian (m, k) draws, taken from the generator in row order."""
+    k-planes each, shape (N, mc_samples), spanned by Gaussian (m, k) draws z
+    from the generator in row order; only 1 < k < m needs the QR frame of z."""
     z = generator.standard_normal((d.shape[0], mc_samples, d.shape[1], k))
+    if k == d.shape[1]:
+        return np.repeat(np.abs(d.prod(axis=1))[:, None], mc_samples, axis=1)
+    if k == 1:                       # the line through z: (z^2 . d) / |z|^2
+        w = z[..., 0] ** 2
+        return np.abs(w @ d[..., None])[..., 0] / w.sum(axis=2)
     q, _ = np.linalg.qr(z)
-    restricted = q.transpose(0, 1, 3, 2) @ (d[:, None, :, None] * q)
-    return np.abs(restricted[..., 0, 0] if k == 1 else np.linalg.det(restricted))
+    return np.abs(np.linalg.det(q.transpose(0, 1, 3, 2) @ (d[:, None, :, None] * q)))
 
 
 def mean_abs_minor(frame: CurvatureFrame, k: int, mc_samples: int,

@@ -3,18 +3,21 @@
 Tangency of a line to a quadric {x^T A x = 0} is a quadratic condition on
 Pluecker coordinates, given by the second compound matrix of A; together
 with the Pluecker quadric this yields five quadrics in P^5, kept as arrays
-of shape (..., 6, 6).  Two homotopies share one tracker:
+of shape (..., 6, 6).  Each family takes a parameter homotopy (Morgan and
+Sommese, 1989) from a generic complex member whose regular solutions are
+solved once per process, on first use; one tracker serves both:
 
-- General quadrics: all 32 paths of a total-degree homotopy from a start
-  system of squared generic linear forms, with a random complex factor so
-  that paths avoid the real discriminant.
-- Four metric spheres, A = I - w w^T with w = sec(r) g e_0: a parameter
-  homotopy (Morgan and Sommese, 1989) along w(t) = W0 + tau (W1 - W0),
-  tau = t / (t + gamma (1 - t)), from the 12 isolated solutions of a generic
-  complex member W0.  For p = u ^ v the form is p.p - q.q with
-  q = (w.u) v - (w.v) u = L(w) p, linear in w.  The other 20 total-degree
-  paths end on the lines in the absolute quadric x.x = 0, tangent to every
-  such sphere, and are not tracked.
+- General quadrics: H = gamma (1 - t) G + t F on 32 paths, with G four
+  random complex symmetric forms and the Pluecker quadric, and a random
+  complex gamma so that paths avoid the real discriminant.  The
+  total-degree start G_s = (a_s p)^2 - (b_s p)^2 of generic linear forms
+  serves only to solve the cached starts and to retry lost paths.
+- Four metric spheres, A = I - w w^T with w = sec(r) g e_0: along
+  w(t) = W0 + tau (W1 - W0), tau = t / (t + gamma (1 - t)), from the 12
+  isolated solutions of a generic complex member W0.  For p = u ^ v the
+  form is p.p - q.q with q = (w.u) v - (w.v) u = L(w) p, linear in w.  The
+  other 20 total-degree paths end on the lines in the absolute quadric
+  x.x = 0, tangent to every such sphere, and are not tracked.
 
 The tracker has an RK4 predictor, a contracting Newton corrector and
 adaptive steps, and renormalizes to the unit sphere of C^6 after every step
@@ -52,7 +55,7 @@ _RETRIES = 2
 #: Path rows tracked together: 8 general trials or 21 sphere trials.  More
 #: rows save a little more CPU time, but peak memory grows with them.
 _CHUNK_ROWS = 256
-_SPHERE_START_SEED = 1989       # the generic member W0 and its solve
+_START_SEED = 1989              # the cached generic start systems and their solves
 _STALL_T = 1e-4                 # paths stalling past 1 - _STALL_T may still polish
 _RESIDUAL_TOL = 1e-10
 _DEDUP_TOL = 1e-8
@@ -162,43 +165,34 @@ def _normalize_forms(forms) -> np.ndarray:
     return np.concatenate([forms / np.sqrt(sq), pairing], axis=-3)
 
 
-def _start_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unit start solutions of every trial, the kernels of a - s b over the
-    32 sign vectors s: (T * 32, 6) for a, b of shape (T, 5, 6)."""
-    L = a[:, None] - _SIGNS[None, :, :, None] * b[:, None]
-    starts = np.linalg.svd(L)[2][..., -1, :].conj().reshape(-1, 6)
-    return starts / np.linalg.norm(starts, axis=1, keepdims=True)
-
-
 def solve_tangency_system(quadrics, rng: RngStream) -> SolutionSet:
-    """Track all 32 total-degree paths for four tangency forms (4, 6, 6) plus
-    the Pluecker quadric and classify the endpoints.
-
-    A solve that loses paths is retried with a fresh random path-rotation
-    constant (derived deterministically from the stream); once the retry
-    budget is exhausted PathFailureError carries the per-path log.
+    """Track all 32 paths for four tangency forms (4, 6, 6) plus the
+    Pluecker quadric, from the cached generic start, and classify the
+    endpoints.  A solve that loses paths is retried from a total-degree start
+    with a fresh path-rotation constant, both derived from the stream; once
+    the retry budget is exhausted PathFailureError carries the per-path log.
     """
     if len(quadrics) != 4:
         raise ValueError("need exactly four tangency quadrics")
     return _solve_one(_normalize_forms(quadrics), rng)
 
 
-def _solve_one(forms, rng, W=None):
+def _solve_one(forms, rng, W=None, fresh=False):
     """A batch of one of _solve_trials that raises its PathFailureError."""
-    result = _solve_trials(forms[None], [rng], None if W is None else W[None])[0]
+    result = _solve_trials(forms[None], [rng], None if W is None else W[None], fresh)[0]
     if isinstance(result, PathFailureError):
         raise result
     return result
 
 
-def _solve_trials(forms, rngs, W=None):
+def _solve_trials(forms, rngs, W=None, fresh=False):
     """_solve_batch with retries: trials whose attempt loses paths go into a
-    later batch with the next substream of their stream."""
+    later batch with the next substream, general ones from a total-degree start."""
     results, pending = [None] * len(rngs), list(range(len(rngs)))
     for attempt in range(_RETRIES + 1):
         batch = _solve_batch(forms[pending],
                              [rngs[i].substream(attempt) for i in pending],
-                             None if W is None else W[pending])
+                             None if W is None else W[pending], fresh or attempt > 0)
         for i, result in zip(pending, batch):
             results[i] = result
         pending = [i for i in pending if isinstance(results[i], PathFailureError)]
@@ -207,20 +201,17 @@ def _solve_trials(forms, rngs, W=None):
     return results
 
 
-def _homotopy(K, gam, p, t):
-    """Values, Jacobians and t-derivatives of H = (1 - t) gam G + t F at the
-    rows p.  Row r carries its trial's five forms M_s of F(p) = p^T M_s p
-    stacked as K[r, :30], and the linear forms a, b of the start system
-    G(p) = (a p)^2 - (b p)^2 as K[r, 30:35] and K[r, 35:]."""
-    W = np.matmul(K, p[:, :, None])[..., 0]
-    Y = W[:, :30].reshape(-1, 5, 6)
-    ap, bp = W[:, 30:35], W[:, 35:]
-    F = np.matmul(Y, p[:, :, None])[..., 0]
-    gG = gam[:, None] * (ap ** 2 - bp ** 2)
-    s = (1 - t)[:, None]
-    JG = 2.0 * (ap[:, :, None] * K[:, 30:35] - bp[:, :, None] * K[:, 35:])
-    J = (s * gam[:, None])[:, :, None] * JG + 2.0 * t[:, None, None] * Y
-    return s * gG + t[:, None] * F, J, F - gG
+def _homotopy(M0, M1, gam, p, t):
+    """Values, Jacobians and t-derivatives of H = gam (1 - t) G + t F at the
+    rows p, for the start system G(p) = p^T M0_s p and the target
+    F(p) = p^T M1_s p, M1 (R, 5, 6, 6) per row.  M0 is either shared,
+    (5, 6, 6), or per row like M1."""
+    Y0, Y1 = (np.matmul(M.reshape(M.shape[:-3] + (30, 6)), p[:, :, None]
+                        ).reshape(-1, 5, 6) for M in (M0, M1))
+    G, F = (np.matmul(Y, p[:, :, None])[..., 0] for Y in (Y0, Y1))
+    g, s = (gam * (1 - t))[:, None], t[:, None]
+    J = 2.0 * (g[..., None] * Y0 + s[..., None] * Y1)
+    return g * G + s * F, J, F - gam[:, None] * G
 
 
 def _sphere_maps(W):
@@ -253,25 +244,42 @@ def _sphere_homotopy(L0, Ld, gam, p, t):
     return F, J, dH
 
 
+def _regular_start(start, forms, count):
+    """start, and the count regular solutions (count, 6) of the system forms
+    (5, 6, 6): the endpoints of full bordered rank of its total-degree solve
+    at a fixed seed, checked; both read-only, since every caller shares them."""
+    p = _solve_one(forms, RngStream(_START_SEED, 1), fresh=True).solutions
+    F, J = _target(np.broadcast_to(forms, (len(p), 5, 6, 6)), p)
+    sv = np.linalg.svd(_bordered(J, p), compute_uv=False)
+    regular = sv[:, -1] > 1e-7 * sv[:, 0]
+    if regular.sum() != count or np.abs(F[regular]).max() > 1e-12:
+        raise RuntimeError("a cached start system is not regular")
+    p = p[regular]
+    start.flags.writeable = p.flags.writeable = False
+    return start, p
+
+
 @functools.cache
 def _sphere_start():
     """L(W0) for a generic complex member W0 of the sphere family, and its 12
-    isolated solutions: solved once per process, on first use, with the
-    32-path homotopy from a fixed seed, keeping the endpoints of full rank
-    (the other 20 lie on the excess component)."""
-    gen = RngStream(_SPHERE_START_SEED).generator()
+    isolated solutions, computed once per process on first use; the other
+    20 total-degree endpoints lie on the excess component."""
+    gen = RngStream(_START_SEED).generator()
     L0 = _sphere_maps(gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4)))
     L = L0.reshape(4, 4, 6)
-    C = np.eye(6) - L.transpose(0, 2, 1) @ L
-    p = solve_tangency_system(C, RngStream(_SPHERE_START_SEED, 1)).solutions
-    F, J = _target(np.broadcast_to(_normalize_forms(C), (len(p), 5, 6, 6)), p)
-    sv = np.linalg.svd(_bordered(J, p), compute_uv=False)
-    regular = sv[:, -1] > 1e-7 * sv[:, 0]
-    if regular.sum() != _SPHERE_PATHS or np.abs(F[regular]).max() > 1e-12:
-        raise RuntimeError("the sphere family's start system is not regular")
-    p = p[regular]
-    L0.flags.writeable = p.flags.writeable = False     # shared by every caller
-    return L0, p
+    C = _normalize_forms(np.eye(6) - L.transpose(0, 2, 1) @ L)
+    return _regular_start(L0, C, _SPHERE_PATHS)
+
+
+@functools.cache
+def _quadric_start():
+    """A generic complex system (5, 6, 6), four random complex symmetric
+    forms and the Pluecker quadric, and its 32 regular solutions: the start
+    of every general trial, computed once per process on first use."""
+    gen = RngStream(_START_SEED).generator()
+    A = gen.standard_normal((4, 6, 6)) + 1j * gen.standard_normal((4, 6, 6))
+    G = _normalize_forms(A + A.transpose(0, 2, 1))
+    return _regular_start(G, G, _TOTAL_PATHS)
 
 
 def _bordered(J, p):
@@ -381,23 +389,27 @@ def _polish(Ms, owner, p):
         polishing &= np.bincount(owner[rows], improved, minlength=T) > 0
 
 
-def _solve_batch(forms, rngs, W=None) -> list:
+def _solve_batch(forms, rngs, W=None, fresh=False) -> list:
     """Solve the systems (T, 5, 6, 6) of T trials together, one stream each:
     by the 12-path sphere homotopy when W (T, 4, 4) holds each trial's
-    sphere vectors, else by the 32-path total-degree homotopy.  Returns, per
-    trial, its SolutionSet or the PathFailureError its attempt ended in, the
-    same bit for bit whichever trials share the batch."""
+    sphere vectors, else by a 32-path homotopy from the cached generic
+    system, or, if fresh, from a total-degree start drawn from each stream.
+    Returns, per trial, its SolutionSet or the PathFailureError its attempt
+    ended in, the same bit for bit whichever trials share the batch."""
     T, gens = len(rngs), [rng.generator() for rng in rngs]
     gam = np.exp(2j * np.pi * np.array([gen.uniform() for gen in gens]))
-    if W is None:
+    if W is None and fresh:     # G_s = (a_s p)^2 - (b_s p)^2, zero on a p = +-b p
         z = np.array([gen.standard_normal((4, 5, 6)) for gen in gens])
         a, b = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
-        K = np.concatenate([forms.reshape(T, 30, 6), a, b], axis=1)
-        evaluate, params, p = _homotopy, (K, gam), _start_points(a, b)
-    else:
-        L0, starts = _sphere_start()
-        evaluate = functools.partial(_sphere_homotopy, L0)
-        params, p = (_sphere_maps(W) - L0, gam), np.tile(starts, (T, 1))
+        L = a[:, None] - _SIGNS[:, :, None] * b[:, None]
+        p = np.linalg.svd(L)[2][..., -1, :].conj().reshape(-1, 6)
+        G = a[..., :, None] * a[..., None, :] - b[..., :, None] * b[..., None, :]
+        evaluate, params = _homotopy, (G, forms, gam)
+    else:                       # from the cached start of the trials' family
+        start, starts = _quadric_start() if W is None else _sphere_start()
+        evaluate = functools.partial(_homotopy if W is None else _sphere_homotopy, start)
+        params = (forms if W is None else _sphere_maps(W) - start, gam)
+        p = np.tile(starts, (T, 1))
     paths = len(p) // T
     owner = np.repeat(np.arange(T), paths)
     t = _track(evaluate, params, owner, p)
@@ -570,8 +582,7 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
     if trials < 1:
         raise ValueError("need trials >= 1")
     spheres = all(body.kind == "metric_sphere" for body in bodies)
-    if spheres:
-        _sphere_start()                 # once, before a pool forks
+    (_sphere_start if spheres else _quadric_start)()    # once, before a pool forks
     size = _CHUNK_ROWS // (_SPHERE_PATHS if spheres else _TOTAL_PATHS)
     chunks = [((tuple(bodies), seed, range(i, min(i + size, trials))),)
               for i in range(0, trials, size)]

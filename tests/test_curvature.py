@@ -279,15 +279,19 @@ def test_shape_operators_match_the_three_operand_contraction(grid3, body):
 
 
 def test_abs_minors_match_the_three_operand_contraction():
-    d = tf.RngStream(29).generator().uniform(-2.0, 2.0, (50, 3))
-    for k in (1, 2, 3):
-        got = _abs_minors(d, k, 16, tf.RngStream(31, k).generator())
-        z = tf.RngStream(31, k).generator().standard_normal((50, 16, 3, k))
-        q, _ = np.linalg.qr(z)
-        restricted = np.einsum('nsik,ni,nsil->nskl', q, d, q)
-        ref = np.abs(restricted[..., 0, 0] if k == 1
-                     else np.linalg.det(restricted))
-        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    # k = 1 and k = m skip the QR; every k must still agree with it
+    for d in (tf.RngStream(29).generator().uniform(-2.0, 2.0, (50, 3)),
+              tf.RngStream(37).generator().uniform(-2.0, 2.0, (20, 6))):
+        N, m = d.shape
+        for k in range(1, m + 1):
+            got = _abs_minors(d, k, 16, tf.RngStream(31, k).generator())
+            z = tf.RngStream(31, k).generator().standard_normal((N, 16, m, k))
+            q, _ = np.linalg.qr(z)
+            restricted = np.einsum('nsik,ni,nsil->nskl', q, d, q)
+            ref = np.abs(restricted[..., 0, 0] if k == 1
+                         else np.linalg.det(restricted))
+            assert got.shape == (N, 16)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_nonconvex_body_rejected(grid3_coarse):

@@ -50,3 +50,14 @@ def test_cli_imports_neither_scipy_nor_multiprocessing():
                          capture_output=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
     assert out.split() == []
+
+
+def test_cli_import_solves_no_start_system():
+    # the cached start systems are solved on first use, never at import
+    code = ("import tangentflats.cli; from tangentflats import tangency; print("
+            "tangency._sphere_start.cache_info().currsize, "
+            "tangency._quadric_start.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
+    assert out.split() == ["0", "0"]

@@ -203,16 +203,21 @@ def test_tau_empirical_deterministic_and_parallel():
 
 
 def test_trial_result_independent_of_chunk_companions():
-    bodies = main_theorem_spheres()
-    forms = np.array([tangency._normalize_forms(
+    spheres = main_theorem_spheres()
+    gen = tf.RngStream(33).generator()
+    ellipsoids = [random_ellipsoid(gen) for _ in range(4)]
+    forms = {name: np.array([tangency._normalize_forms(
         moved_quadrics(bodies, tf.RngStream(31, k))) for k in range(8)])
+        for name, bodies in (("spheres", spheres), ("ellipsoids", ellipsoids))}
+    vectors = np.array([sphere_vectors(spheres, tf.RngStream(31, k)) for k in range(8)])
     rngs = [tf.RngStream(32, k) for k in range(8)]
-    # the total-degree route, then the sphere route on the same draws
-    for W in (None, np.array([sphere_vectors(bodies, tf.RngStream(31, k))
-                              for k in range(8)])):
+    # the sphere draws from a total-degree start, requested explicitly, and on
+    # the sphere route; the ellipsoid draws from the cached generic start
+    for name, W, fresh in (("spheres", None, True), ("spheres", vectors, False),
+                           ("ellipsoids", None, False)):
         def solve(rows):
-            return tangency._solve_batch(forms[rows], [rngs[k] for k in rows],
-                                         None if W is None else W[rows])
+            return tangency._solve_batch(forms[name][rows], [rngs[k] for k in rows],
+                                         None if W is None else W[rows], fresh)
 
         together = solve(list(range(8)))
         for k in range(8):
@@ -285,6 +290,19 @@ def test_sphere_start_data():
     assert np.array_equal(again[0], L0) and np.array_equal(again[1], starts)
 
 
+def test_quadric_start_data():
+    G, starts = tangency._quadric_start()
+    assert G.shape == (5, 6, 6) and starts.shape == (32, 6)
+    assert not G.flags.writeable and not starts.flags.writeable
+    assert np.array_equal(G[:4], G[:4].transpose(0, 2, 1))
+    F, J = tangency._target(np.broadcast_to(G, (32, 5, 6, 6)), starts)
+    assert np.abs(F).max() < 1e-12
+    sv = np.linalg.svd(tangency._bordered(J, starts), compute_uv=False)
+    assert (sv[:, -1] > 1e-7 * sv[:, 0]).all()
+    again = tangency._quadric_start.__wrapped__()
+    assert np.array_equal(again[0], G) and np.array_equal(again[1], starts)
+
+
 def test_main_theorem_spheres_have_twelve_isolated_solutions():
     # four spheres have at most 12 common tangent lines (Macdonald, Pach and
     # Theobald); the other 20 paths stall on the excess component at infinity
@@ -301,6 +319,22 @@ def test_main_theorem_spheres_have_twelve_isolated_solutions():
             sphere_vectors(bodies, stream))
         assert (spheres.tracked, spheres.singular, spheres.failed) == (12, 0, 0)
         assert spheres.real_count == sols.real_count
+
+
+def test_sphere_draws_that_lose_paths_recover_from_a_total_degree_start():
+    # on the 32-path route two paths of draw 2 stall on the excess component
+    # just before 1 - _STALL_T from the generic start (as do draws 3 and 11 of
+    # the twelve above); the total-degree retry tracks them, and draw 1 needs
+    # no retry
+    bodies = main_theorem_spheres()
+    for trial in (1, 2):
+        stream = tf.RngStream(21, trial)
+        rng = stream.substream(1 << 32)
+        forms = tangency._normalize_forms(moved_quadrics(bodies, stream))
+        first = tangency._solve_batch(forms[None], [rng.substream(0)])[0]
+        assert isinstance(first, tf.PathFailureError) == (trial == 2)
+        sols = tf.solve_tangency_system(moved_quadrics(bodies, stream), rng)
+        assert (sols.tracked, sols.singular, sols.failed) == (12, 20, 0)
 
 
 def test_criterion_3_trial_260_has_four_real_lines():
@@ -335,6 +369,16 @@ def test_mixed_family_counts_match_recorded_values():
     counts, log = tangency._tau_chunk((bodies, 777, range(24)))
     assert counts == [0, 2, 6, 4, 2, 4, 0, 2, 4, 4, 2, 4,
                       6, 2, 4, 4, 2, 4, 4, 0, 2, 4, 4, 4]
+    assert log == []
+
+
+def test_ellipsoid_counts_match_recorded_values():
+    # recorded when every general trial started from a total-degree system
+    gen = tf.RngStream(12).generator()
+    bodies = [random_ellipsoid(gen) for _ in range(4)]
+    counts, log = tangency._tau_chunk((bodies, 888, range(24)))
+    assert counts == [6, 6, 4, 6, 4, 4, 2, 8, 12, 8, 6, 6,
+                      2, 4, 8, 4, 4, 6, 4, 2, 6, 4, 6, 4]
     assert log == []
 
 
