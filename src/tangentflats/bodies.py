@@ -83,8 +83,8 @@ class HomogeneousPolynomial:
         degs = e.sum(axis=1)
         if len(set(degs.tolist())) != 1:
             raise BodyError("polynomial must be homogeneous")
-        if (e < 0).any():
-            raise BodyError("exponents must be nonnegative")
+        if (e < 0).any() or not np.isfinite(c).all():
+            raise BodyError("exponents must be nonnegative and coefficients finite")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "exponents", e)
         d = e.shape[1]
@@ -178,7 +178,9 @@ class ConvexBody:
 
 
 def _normalize_quadric(A: np.ndarray) -> np.ndarray:
-    A = 0.5 * (A + A.T)
+    if not np.isfinite(A).all():
+        raise BodyError("quadric matrix entries must be finite")
+    A = 0.5 * A + 0.5 * A.T
     lam = np.linalg.eigvalsh(A)
     if np.abs(lam).min() < 1e-12 * np.abs(lam).max():
         raise NonConvexQuadricError("quadric matrix is singular")
@@ -216,7 +218,8 @@ def affine_sphere(n: int, center, radius: float, chart: int = 0) -> ConvexBody:
     A[rest, rest] = 1.0
     A[chart, rest] = -center
     A[rest, chart] = -center
-    A[chart, chart] = center @ center - radius ** 2
+    with np.errstate(all="ignore"):     # an overflow is refused as not finite
+        A[chart, chart] = center @ center - radius * radius
     return ConvexBody("affine_sphere", n, True, matrix=_normalize_quadric(A),
                       radius=radius, chart=chart)
 
@@ -224,19 +227,24 @@ def affine_sphere(n: int, center, radius: float, chart: int = 0) -> ConvexBody:
 def ellipsoid(n: int, semiaxes, chart: int = 0) -> ConvexBody:
     """Axis-aligned ellipsoid in the affine chart x_chart = 1."""
     semiaxes = np.asarray(semiaxes, dtype=float)
-    if semiaxes.shape != (n,) or (semiaxes <= 0).any():
+    if semiaxes.shape != (n,) or not (semiaxes > 0).all():
         raise BodyError(f"need {n} positive semiaxes")
     diag = np.empty(n + 1)
     rest = [j for j in range(n + 1) if j != chart]
     diag[chart] = -1.0
-    diag[rest] = 1.0 / semiaxes ** 2
+    with np.errstate(over="ignore", divide="ignore"):   # inf and 0 are refused
+        diag[rest] = 1.0 / semiaxes ** 2
+    _normalize_quadric(np.diag(diag))       # finite and nonsingular, as for `quadric`
     return ConvexBody("ellipsoid", n, True, matrix=np.diag(diag), chart=chart)
 
 
 def quadric(A) -> ConvexBody:
     """General convex-bounding quadric {x^T A x = 0}; the matrix is sign
-    normalized to a single negative eigenvalue and symmetrized."""
+    normalized to a single negative eigenvalue and symmetrized, and scaled by
+    a power of two, exactly, so that its largest entry lies in [1, 2)."""
     A = np.asarray(A, dtype=float)
+    if np.isfinite(A).all():            # else refused by _normalize_quadric
+        A = np.ldexp(A, 1 - np.frexp(np.abs(A).max(initial=0))[1])
     n = A.shape[0] - 1
     return ConvexBody("quadric", n, True, matrix=_normalize_quadric(A))
 
@@ -253,6 +261,8 @@ def implicit_surface(n: int, coeffs, exponents, center=None,
     if center is None:
         center = np.eye(n + 1)[0]
     center = np.asarray(center, dtype=float)
+    if not 0 < np.linalg.norm(center) < np.inf:
+        raise BodyError("center must be a finite nonzero vector")
     center = center / np.linalg.norm(center)
     return ConvexBody("implicit", n, convex, poly=poly, center=center)
 

@@ -46,6 +46,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 EXIT_NUMERICAL = 4
+MAX_SWEEP_RADII = 10_000        # largest COUNT of omega --sweep-radius
 
 #: Exit code of every exception a command may end in; main prints the
 #: message, then the per-path log of an exception that carries one.
@@ -163,9 +164,9 @@ def cmd_omega(args) -> int:
         lo, hi, count = args.sweep_radius
         if body.kind != "metric_sphere":
             return fail(EXIT_USAGE, "--sweep-radius needs a metric sphere body")
-        if not (count >= 1 and count.is_integer()):
-            return fail(EXIT_USAGE, "--sweep-radius COUNT must be a positive "
-                                    f"integer, got {count}")
+        if not (1 <= count <= MAX_SWEEP_RADII and count.is_integer()):
+            return fail(EXIT_USAGE, "--sweep-radius COUNT must be an integer in "
+                                    f"[1, {MAX_SWEEP_RADII}], got {count}")
         for r in np.linspace(lo, hi, int(count)):
             ratio = tangent_volume_ratio_convex(metric_sphere(body.n, r),
                                                 args.k, grid)
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tangent-plane Monte Carlo samples per node")
     p.add_argument("--sweep-radius", nargs=3, type=float, default=None,
                    metavar=("LO", "HI", "COUNT"),
-                   help="metric spheres only: CSV-friendly radius sweep")
+                   help=f"metric spheres only: a sweep of COUNT <= {MAX_SWEEP_RADII} radii")
     common(p)
     p.set_defaults(func=cmd_omega)
 

@@ -19,11 +19,12 @@ solved once per process, on first use; one tracker serves both:
   other 20 total-degree paths end on the lines in the absolute quadric
   x.x = 0, tangent to every such sphere, and are not tracked.
 
-The tracker has an RK4 predictor, a contracting Newton corrector and
-adaptive steps, and renormalizes to the unit sphere of C^6 after every step
-(the patch row of the bordered Jacobian is the conjugate of the current
-point).  The paths of several trials are tracked together as rows of one
-array, each with its own t and step.
+The tracker has an RK4 predictor whose first stage is carried over from the
+step before, a contracting Newton corrector and adaptive steps (6 evaluations
+and 6 bordered solves a step), and renormalizes to the unit sphere of C^6
+after every step (the patch row of the bordered Jacobian is the conjugate of
+the current point).  The paths of several trials are tracked together as
+rows of one array, each with its own t and step.
 
 Endpoints are checked on the normalized target system, deduplicated, and
 classified real when, after phase alignment and a real Newton polish, the
@@ -52,9 +53,10 @@ _SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=5)))
 _MAX_STEPS = 4000
 _MAX_DT = 0.25
 _RETRIES = 2
-#: Path rows tracked together: 8 general trials or 21 sphere trials.  More
-#: rows save a little more CPU time, but peak memory grows with them.
-_CHUNK_ROWS = 256
+#: Path rows tracked together: 20 general trials or 53 sphere trials, so a
+#: 20-trial command is one batch and no loop pass runs on a few rows; 1280
+#: rows saved no more CPU time, while peak memory grows with the rows.
+_CHUNK_ROWS = 640
 _START_SEED = 1989              # the cached generic start systems and their solves
 _STALL_T = 1e-4                 # paths stalling past 1 - _STALL_T may still polish
 _RESIDUAL_TOL = 1e-10
@@ -206,8 +208,7 @@ def _homotopy(M0, M1, gam, p, t):
     rows p, for the start system G(p) = p^T M0_s p and the target
     F(p) = p^T M1_s p, M1 (R, 5, 6, 6) per row.  M0 is either shared,
     (5, 6, 6), or per row like M1."""
-    Y0, Y1 = (np.matmul(M.reshape(M.shape[:-3] + (30, 6)), p[:, :, None]
-                        ).reshape(-1, 5, 6) for M in (M0, M1))
+    Y0, Y1 = _products(M0, p), _products(M1, p)
     G, F = (np.matmul(Y, p[:, :, None])[..., 0] for Y in (Y0, Y1))
     g, s = (gam * (1 - t))[:, None], t[:, None]
     J = 2.0 * (g[..., None] * Y0 + s[..., None] * Y1)
@@ -287,21 +288,22 @@ def _bordered(J, p):
     return np.concatenate([J, p.conj()[:, None]], axis=1)
 
 
-def _newton_steps(J, p, rhs):
-    """Bordered Newton steps; ok is False on rows whose system is singular."""
-    Jb, b = _bordered(J, p), np.zeros((len(J), 6, 1), dtype=complex)
-    b[:, :5, 0] = rhs
+def _newton_steps(J, p, *rhs):
+    """Bordered Newton steps (R, 6) for each right-hand side (R, 5), from one
+    solve; ok is False on rows whose system is singular."""
+    Jb, b = _bordered(J, p), np.zeros((len(J), 6, len(rhs)), dtype=complex)
+    b[:, :5] = np.stack(rhs, axis=-1)
     ok = np.ones(len(J), dtype=bool)
     try:
-        return np.linalg.solve(Jb, b)[..., 0], ok
+        x = np.linalg.solve(Jb, b)
     except np.linalg.LinAlgError:
-        out = np.zeros((len(J), 6), dtype=complex)
+        x = np.zeros_like(b)
         for q in range(len(J)):
             try:
-                out[q] = np.linalg.solve(Jb[q], b[q])[:, 0]
+                x[q] = np.linalg.solve(Jb[q], b[q])
             except np.linalg.LinAlgError:
                 ok[q] = False
-        return out, ok
+    return *x.transpose(2, 0, 1), ok
 
 
 def _track(evaluate, params, owner, p):
@@ -310,10 +312,16 @@ def _track(evaluate, params, owner, p):
     trial stops after _MAX_STEPS steps.  evaluate(*rows, p, t) gives H, dH/dp
     and dH/dt, where rows are the per-trial params taken at each path.  The
     predictor is classical RK4 on the path's tangent in the chart through
-    the current point.  Every operation acts row by row, so no path depends
-    on the others.  Returns the t each path reached or stalled at."""
+    the current point.  As H is homogeneous of degree 2 in p, the tangent
+    that the last corrector solve also gives, over the corrected point's
+    norm, is the next first stage (that Newton step is below 1e-9); a
+    rejected step keeps it.  So a step is 6 evaluations and 6 solves.  Every
+    operation acts row by row, so no path depends on the others.  Returns
+    the t each path reached or stalled at."""
     t, dt, active = np.zeros(len(p)), np.full(len(p), 0.1), np.ones(len(p), dtype=bool)
     steps, idx = np.zeros(owner[-1] + 1, dtype=int), owner[:0]
+    _, J, dH = evaluate(*[x[owner] for x in params], p, t)
+    K1, OK1 = _newton_steps(J, p, -dH)
     while active.any():
         if active.sum() != len(idx):        # paths only ever leave the set
             idx = np.flatnonzero(active)
@@ -327,16 +335,16 @@ def _track(evaluate, params, owner, p):
             _, J, dH = evaluate(*rows, x, s)
             return _newton_steps(J, pc, -dH)
 
-        k1, ok = velocity(pc, tc)
+        k1, ok = K1[idx], OK1[idx]
         k2, ok2 = velocity(pc + 0.5 * h * k1, t_mid)
         k3, ok3 = velocity(pc + 0.5 * h * k2, t_mid)
         k4, ok4 = velocity(pc + h * k3, t_new)
         ok &= ok2 & ok3 & ok4
         pn = pc + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
         prev = None
-        for _ in range(3):
-            H, J, _ = evaluate(*rows, pn, t_new)
-            dd, okc = _newton_steps(J, pn, -H)
+        for i in range(3):
+            H, J, dH = evaluate(*rows, pn, t_new)
+            dd, *kn, okc = _newton_steps(J, pn, -H, *([-dH] if i == 2 else []))
             ok &= okc
             pn = pn + dd
             nrm = np.linalg.norm(dd, axis=1)
@@ -345,7 +353,8 @@ def _track(evaluate, params, owner, p):
             prev = nrm
         ok &= prev < 1e-9
         acc = idx[ok]
-        p[acc] = pn[ok] / np.linalg.norm(pn[ok], axis=1, keepdims=True)
+        scale = np.linalg.norm(pn[ok], axis=1, keepdims=True)
+        p[acc], K1[acc] = pn[ok] / scale, kn[0][ok] / scale
         t[acc] = t_new[ok]
         dt[acc] = np.minimum(dt[acc] * 1.5, _MAX_DT)
         dt[idx[~ok]] *= 0.5
@@ -354,9 +363,18 @@ def _track(evaluate, params, owner, p):
     return t
 
 
+def _products(M, p):
+    """M_s p (R, 5, 6) for the forms M (R, 5, 6, 6), or (5, 6, 6) shared, at rows
+    p; real forms act on complex rows as one real matmul on (re, im) columns."""
+    M = M.reshape(M.shape[:-3] + (30, 6))
+    if M.ndim == 3 and M.dtype == float and p.dtype == complex:
+        return np.matmul(M, p.view(float).reshape(-1, 6, 2)).view(complex).reshape(-1, 5, 6)
+    return np.matmul(M, p[:, :, None]).reshape(-1, 5, 6)
+
+
 def _target(Ms, p):
     """Values and Jacobians of the target forms Ms (R, 5, 6, 6) at rows p."""
-    Y = np.matmul(Ms, p[:, None, :, None])[..., 0]
+    Y = _products(Ms, p)
     return np.matmul(Y, p[:, :, None])[..., 0], 2.0 * Y
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tangentflats.cli import main
+from tangentflats.cli import MAX_SWEEP_RADII, main
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +154,34 @@ def test_omega_sweep_needs_a_metric_sphere(capsys, tmp_path):
                            "1.2", "4", "--level", "2")
     assert code == 2
     assert "metric sphere" in err
+
+
+@pytest.mark.parametrize("count", ["1e20", str(MAX_SWEEP_RADII + 1)])
+def test_omega_sweep_count_has_an_upper_bound(capsys, tmp_path, count):
+    # refused before np.linspace allocates the radii: 1e20 of them would not fit
+    code, out, err = run_cli(capsys, "omega", sphere_file(tmp_path),
+                             "--sweep-radius", "0.3", "1.2", count, "--level", "1")
+    assert code == 2 and out == ""
+    assert f"COUNT must be an integer in [1, {MAX_SWEEP_RADII}]" in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("omega", "kind = ellipsoid\nn = 3\nsemiaxes = 1 1 nan\n"),
+    ("intrinsic", "kind = ellipsoid\nn = 3\nsemiaxes = 1 1 nan\n"),
+    ("omega", "kind = affine_sphere\nn = 3\ncenter = 0 0 nan\nradius = 0.5\n"),
+    ("tau", "kind = ellipsoid\nn = 3\nsemiaxes = 1 1 1e-300\n"),    # 1/a^2 = inf
+    ("omega", "kind = implicit\nn = 3\nterm = nan 4 0 0 0\n"),
+    ("omega", "kind = implicit\nn = 3\nterm = 1 4 0 0 0\ncenter = nan 0 0 0\n"),
+    ("omega", "kind = implicit\nn = 3\nterm = 1 4 0 0 0\ncenter = 0 0 0 0\n"),
+])
+def test_nonfinite_body_parameters_are_usage_errors(capsys, tmp_path, command, text):
+    body = tmp_path / "nonfinite.body"
+    body.write_text(text)
+    bodies = [str(body)] * (4 if command == "tau" else 1)
+    code, out, err = run_cli(capsys, command, *bodies, "--level", "1", *(
+        ["--mode", "empirical", "--trials", "1", "--workers", "1"] if command == "tau" else []))
+    assert code == 2 and out == "", err
+    assert "finite" in err or "positive" in err
 
 
 def test_tau_formula_mode(capsys, tmp_path):
@@ -452,3 +480,60 @@ def test_generated_implicit_bodies_end_in_a_documented_exit_code(
         assert code in (0, 2, 3, 4), (command, code, err)
         if code == 0:
             assert "NaN" not in out and "Infinity" not in out, out
+
+
+def refuse_constant(name):
+    raise ValueError(f"the report holds {name}")
+
+
+# non-finite values, values whose squares or inverse squares overflow or
+# underflow, and the largest and smallest doubles
+EXTREME_FLOATS = (float("nan"), float("inf"), 0.0, 5e-324, 1e-300, 1e-160, 1e-7,
+                  1e7, 1e160, 1e300, 1.7976931348623157e308)
+
+
+def body_floats(lo, hi):
+    """Floats in [lo, hi] three times in four, else an extreme value of
+    either sign."""
+    usual = st.floats(lo, hi)
+    extreme = st.sampled_from([*EXTREME_FLOATS, *(-x for x in EXTREME_FLOATS)])
+    return st.one_of(usual, usual, usual, extreme)
+
+
+@st.composite
+def quadric_body_texts(draw):
+    """Ellipsoid, affine-sphere and quadric body files in RP^3 whose numbers
+    are mostly in range; a quadric is a symmetric perturbation of
+    diag(-1, 1, 1, 1), the unit ball."""
+    kind = draw(st.sampled_from(["ellipsoid", "affine_sphere", "quadric"]))
+
+    def numbers(count, lo, hi):
+        return " ".join(repr(draw(body_floats(lo, hi))) for _ in range(count))
+
+    if kind == "ellipsoid":
+        lines = [f"semiaxes = {numbers(3, 0.3, 2.0)}"]
+    elif kind == "affine_sphere":
+        lines = [f"center = {numbers(3, -0.6, 0.6)}", f"radius = {numbers(1, 0.1, 1.0)}"]
+    else:
+        A = [[-1.0 if i == j == 0 else float(i == j) for j in range(4)] for i in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                A[i][j] = A[j][i] = A[i][j] + draw(body_floats(-0.3, 0.3))
+        lines = ["row = " + " ".join(map(repr, row)) for row in A]
+    return "\n".join([f"kind = {kind}", "n = 3", *lines]) + "\n"
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=quadric_body_texts())
+def test_generated_quadric_bodies_end_in_a_documented_exit_code(
+        capsys, tmp_path, text):
+    body = tmp_path / "generated.body"
+    body.write_text(text)
+    for argv in (["omega", str(body)], ["intrinsic", str(body)],
+                 ["tau", *[str(body)] * 4, "--mode", "empirical", "--trials", "1",
+                  "--workers", "1"]):
+        code, out, err = run_cli(capsys, *argv, "--level", "1")
+        assert code in (0, 2, 3, 4), (argv[0], code, err)
+        if code == 0:
+            json.loads(out, parse_constant=refuse_constant)
