@@ -261,6 +261,8 @@ def implicit_surface(n: int, coeffs, exponents, center=None,
     if center is None:
         center = np.eye(n + 1)[0]
     center = np.asarray(center, dtype=float)
+    if center.shape != (n + 1,):
+        raise BodyError(f"center must have {n + 1} homogeneous coordinates")
     if not 0 < np.linalg.norm(center) < np.inf:
         raise BodyError("center must be a finite nonzero vector")
     center = center / np.linalg.norm(center)
@@ -341,6 +343,8 @@ def parse_body_text(text: str, name: str = "<body>") -> ConvexBody:
 
     kind = require("kind")
     n = require("n")
+    if n < 1:       # RP^0 is a point, with no hypersurfaces
+        raise BodyFileError(0, f"{name}: need n >= 1, got n = {n}")
     chart = fields.get("chart", 0)
     try:
         if kind == "metric_sphere":

@@ -25,7 +25,7 @@ from math import comb, gamma, pi
 
 import numpy as np
 
-from .bodies import ConvexBody
+from .bodies import BodyError, ConvexBody
 from .projective import ProjectivePoint
 from .rng import MCEstimate, RngStream
 from .volumes import sphere_volume
@@ -77,7 +77,7 @@ def grid_axis_points(n: int, level: int) -> int:
 
 def surface_grid(n: int, level: int) -> QuadratureGrid:
     if n < 2:
-        raise ValueError("need ambient projective dimension n >= 2")
+        raise BodyError("need ambient projective dimension n >= 2")
     if level < 1:
         raise ValueError("level must be >= 1")
     m = n - 1

@@ -1,12 +1,18 @@
 """Expected degree of the Grassmannian of lines in RP^3 by direct counting
 of real transversals to four random lines.
 
-A line x meets a line l iff l @ PLUCKER_PAIRING @ x = 0.  For independent
-lines the kernel of the 4 x 6 incidence matrix M is a plane whose Pluecker
-coordinates kappa are the Hodge-signed maximal minors of M (a Laplace
-expansion of 2 x 2 minors, no factorization), and the Pluecker quadric on it
-has discriminant disc = -(L^2 P)(kappa, kappa) / |kappa|^2: a draw has 2, 1
-or 0 transversals as disc is positive, within _TIE_TOL of 0, or negative.
+A line x meets a line l iff l @ PLUCKER_PAIRING @ x = 0, so the transversals
+of four lines l_i are the points of the Pluecker quadric on the plane W that
+P pairs to zero with V = span(l_i), and a draw's count lies in its pairing
+matrix G_ij = l_i P l_j and Gram matrix D_ij = l_i . l_j.  P has signature
+(3, 3), split between V and W, so the quadric is indefinite on W (2 real
+transversals) iff P has signature (2, 2) on V, iff det G > 0.  On an
+orthonormal basis of W its discriminant is disc = det G / det D, and |kappa|
+= sqrt(det D) for W's Pluecker coordinates kappa: 2, 1 or 0 transversals as
+disc is positive, within _TIE_TOL of 0, or negative.  W lies on the quadric
+iff it is the radical V ^ W of P on V, iff G has rank 2.  Both determinants
+round to about 1e-16 on dependent lines, so ties and draws with det D below
+_GRAM_TOL are redone on an orthonormal basis of V (an SVD), where D = I.
 
 For k = 0 and k = n-1 the expected degree is exactly one (a point incident
 to n random hyperplanes, or dually); other index pairs would need general
@@ -14,14 +20,13 @@ Schubert-problem solvers and are out of scope here, so they raise.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .projective import PLUCKER_PAIRING, plucker_index_pairs, uniform_lines
 from .rng import MCEstimate, RngStream, parallel_map
-from .tangency import DegenerateConfigurationError, second_compound
+from .tangency import DegenerateConfigurationError
 
 #: Reference numerical value of the expected degree for lines in RP^3,
 #: reliable to the five digits shown.
@@ -30,18 +35,7 @@ EXPECTED_DEGREE_LINES_RP3 = 1.7262
 _BATCH = 4096          # fixed internal batch size; part of the determinism contract
 _TIE_TOL = 1e-10       # |disc| <= 1 for unit lines, so an absolute band
 _RANK_TOL = 1e-8       # |kappa| below it: the four lines are dependent
-
-_PAIRS = plucker_index_pairs(6, 2)
-_I, _J = np.array(_PAIRS).T
-# kappa_D sums sign * top[A] * bottom[B] over the permutations (D, A, B) of
-# range(6) into increasing pairs (a Laplace expansion; sign = Hodge sign of D
-# times Laplace sign of (A, B)).  Rows A, B and sign, each of shape (6, 15).
-_LAPLACE = np.array([(_PAIRS.index(p[2:4]), _PAIRS.index(p[4:]),
-                      (-1) ** sum(x > y for x, y in itertools.combinations(p, 2)))
-                     for p in itertools.permutations(range(6))
-                     if p[0] < p[1] and p[2] < p[3] and p[4] < p[5]]).reshape(15, 6, 3).T
-#: The pairing PLUCKER_PAIRING induces on 2-vectors of R^6.
-_PAIRING2 = second_compound(PLUCKER_PAIRING)
+_GRAM_TOL = 1e-4       # det D above it: det G / det D is within about 1e-12
 
 
 class UnsupportedIndicesError(ValueError):
@@ -74,30 +68,35 @@ def line_meet_form(l, m) -> float:
                  @ np.asarray(m, dtype=float))
 
 
+def _det4(A):
+    """Determinants of 4 x 4 matrices A[i][j] (arrays of one shape) as
+    det[u; v; u'; v'] = (u ^ v) @ PLUCKER_PAIRING @ (u' ^ v')."""
+    top, bottom = ([A[r][i] * A[s][j] - A[r][j] * A[s][i]
+                    for i, j in plucker_index_pairs(4, 2)] for r, s in ((0, 1), (2, 3)))
+    return sum(PLUCKER_PAIRING[k, 5 - k] * top[k] * bottom[5 - k] for k in range(6))
+
+
 def _count_batch(plucker: np.ndarray):
     """Vectorized transversal counting.
 
     plucker: (B, 4, 6) unit Pluecker vectors of four lines per draw.
     Returns (counts, degenerate, disc, cond) arrays; counts is -1 on
-    degenerate draws and cond is |kappa|.
+    degenerate draws and cond is |kappa|.  G has a zero diagonal, so det G =
+    a^2 + b^2 + c^2 - 2(ab + bc + ca) with a, b, c = G01 G23, G02 G13, G03 G12.
     """
-    # the incidence rows as (4, 6, B), so that every gather below takes rows
-    M = np.ascontiguousarray((plucker @ PLUCKER_PAIRING).transpose(1, 2, 0))
-    top = M[0, _I] * M[1, _J] - M[0, _J] * M[1, _I]        # (15, B)
-    bottom = M[2, _I] * M[3, _J] - M[2, _J] * M[3, _I]
-    kappa = sum(s[:, None] * top[a] * bottom[b] for a, b, s in zip(*_LAPLACE))
-    norm2 = np.einsum('kb,kb->b', kappa, kappa)
-    cond = np.sqrt(norm2)
-    disc = -np.einsum('kb,kb->b', kappa, _PAIRING2 @ kappa) / np.maximum(norm2, 1e-300)
-    degenerate = cond < _RANK_TOL
-    tie = ~degenerate & (np.abs(disc) <= _TIE_TOL)
-    if tie.any():       # only a tie can have the form vanish on the whole plane
-        K = np.zeros((tie.sum(), 6, 6))
-        K[:, _I, _J], K[:, _J, _I] = kappa[:, tie].T, -kappa[:, tie].T
-        proj = K @ K.transpose(0, 2, 1) / norm2[tie, None, None]    # onto the plane
-        degenerate[tie] = np.abs(proj @ PLUCKER_PAIRING @ proj).max(axis=(1, 2)) < 1e-12
-    counts = np.where(disc > _TIE_TOL, 2, np.where(tie, 1, 0))
-    counts[degenerate] = -1
+    L = np.ascontiguousarray(plucker.transpose(1, 2, 0))              # (4, 6, B)
+    M = PLUCKER_PAIRING @ L                                           # rows l_i P
+    g = [np.einsum('kb,kb->b', M[i], L[j]) for i, j in plucker_index_pairs(4, 2)]
+    a, b, c = (g[k] * g[5 - k] for k in range(3))
+    det_g = a * a + b * b + c * c - 2.0 * (a * b + b * c + c * a)
+    det_d = _det4([[np.einsum('kb,kb->b', L[i], L[j]) for j in range(4)] for i in range(4)])
+    cond, disc = np.sqrt(np.abs(det_d)), det_g / np.maximum(det_d, 1e-300)
+    rare, degenerate = (det_d < _GRAM_TOL) | (np.abs(disc) <= _TIE_TOL), cond < _RANK_TOL
+    _, sv, vt = np.linalg.svd(plucker[rare])      # redo those on an orthonormal basis of V
+    eig = np.linalg.eigvalsh(vt[:, :4] @ PLUCKER_PAIRING @ vt[:, :4].transpose(0, 2, 1))
+    cond[rare], disc[rare] = sv.prod(axis=1), eig.prod(axis=1)
+    degenerate[rare] = (cond[rare] < _RANK_TOL) | (np.sort(np.abs(eig))[:, 1] < 1e-12)
+    counts = np.select([degenerate, disc > _TIE_TOL, np.abs(disc) <= _TIE_TOL], [-1, 2, 1], 0)
     return counts, degenerate, disc, cond
 
 

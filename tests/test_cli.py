@@ -537,3 +537,108 @@ def test_generated_quadric_bodies_end_in_a_documented_exit_code(
         assert code in (0, 2, 3, 4), (argv[0], code, err)
         if code == 0:
             json.loads(out, parse_constant=refuse_constant)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("omega", "kind = quadric\nn = -1\n"),
+    ("intrinsic", "kind = quadric\nn = -1\n"),
+    ("intrinsic", "kind = metric_sphere\nn = 1\nradius = 0.5\n"),
+    ("intrinsic", "kind = ellipsoid\nn = 0\nsemiaxes = \n"),
+    ("omega --k 0", "kind = implicit\nn = 1\nterm = 1 2 0\nterm = -1 0 2\n"),
+    ("omega", "kind = implicit\nn = 3\nterm = 1 2 0 0 0\nterm = -1 0 2 0 0\n"
+              "term = -1 0 0 2 0\nterm = -1 0 0 0 2\ncenter = 1 0\n"),
+])
+def test_small_dimension_body_files_are_usage_errors(capsys, tmp_path, command, text):
+    # body files parse from n = 1 on, and every command needs n >= 2
+    body = tmp_path / "small.body"
+    body.write_text(text)
+    command, *flags = command.split()
+    code, out, err = run_cli(capsys, command, str(body), *flags, "--level", "1")
+    assert code == 2 and out == "", err
+    assert "n >= " in err or "center must have 4 homogeneous coordinates" in err
+
+
+# Fuzzed command lines.  Flags that set the amount of work only ever take
+# values up to --workers 1, 1,000 samples, 1 trial and level 2, so that no
+# process pool starts and every command finishes in well under a second.
+NUMBER_TOKENS = st.one_of(
+    st.integers(-3, 5).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e400",
+                     "5e-324", "99999999999999999999", "-99999999999999999999",
+                     "0.5", "2.5", "", "x", "0x10"]),
+    st.floats().map(repr))
+CAPPED = {
+    "--samples": ["1", "1000", "0", "-1", "nan", "inf", "1e3", "x"],
+    "--trials": ["1", "0", "-1", "nan", "2.5"],
+    "--level": ["1", "2", "0", "-1", "nan", "inf", "1e9"],
+    "--workers": ["1", "0", "-1", "nan", "x"],
+    "--mode": ["formula", "empirical", "x"],
+    "--method": ["auto", "convex", "semialgebraic", "h-integral", "x"],
+    "--format": ["report", "csv", "x"],
+}
+DELTA_SOURCES = st.one_of(
+    st.sampled_from(["exact", "reference", "mc:1000", "mc:1", "mc:0", "mc:-5",
+                     "mc:nan", "mc:1e3", "x"]),
+    NUMBER_TOKENS.map("value:{}".format))
+
+
+@st.composite
+def fuzzed_argv(draw, bodies):
+    """A subcommand, its positionals and a list of flags, valid or not."""
+    command = draw(st.sampled_from(["delta", "tau", "omega", "intrinsic", "volumes",
+                                    "bogus", "--version"]))
+    body = st.sampled_from(bodies)
+    if command in ("delta", "volumes"):
+        positional = draw(st.lists(NUMBER_TOKENS, min_size=0, max_size=3))
+    elif command == "tau":
+        positional = draw(st.lists(body, min_size=0, max_size=5))
+    else:
+        positional = draw(st.lists(body, min_size=0, max_size=2))
+    flag = st.one_of(
+        st.sampled_from(sorted(CAPPED)).flatmap(
+            lambda name: st.sampled_from(CAPPED[name]).map(lambda v: [name, v])),
+        st.tuples(st.sampled_from(["--seed", "--k", "--n", "--eps"]),
+                  NUMBER_TOKENS).map(list),
+        DELTA_SOURCES.map(lambda v: ["--delta-source", v]),
+        st.tuples(NUMBER_TOKENS, NUMBER_TOKENS, st.sampled_from(
+            ["1", "3", "0", "-1", "nan", "inf", "1e20", "10001"])).map(
+                lambda lo_hi_count: ["--sweep-radius", *lo_hi_count]),
+        st.sampled_from([["--bogus"], ["--"], ["-x"]]),
+        st.text("ab1.e", max_size=4).map(lambda t: [t]))
+    flags = [token for f in draw(st.lists(flag, max_size=4)) for token in f]
+    caps = ["--workers", "1", "--level", "2"]
+    if command in ("delta", "omega"):
+        caps += ["--samples", "1000"]
+    if command == "tau":
+        caps += ["--trials", "1"]
+    return [command, *positional, *caps, *flags]
+
+
+@pytest.fixture(scope="module")
+def fuzz_bodies(tmp_path_factory):
+    """Body files for fuzzed command lines: three valid bodies in RP^3, one
+    in RP^1, a malformed file, a missing path and a directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {"sphere": "kind = metric_sphere\nn = 3\nradius = 0.5\n",
+             "points": "kind = metric_sphere\nn = 1\nradius = 0.5\n",
+             "ellipsoid": "kind = ellipsoid\nn = 3\nsemiaxes = 1.0 0.8 0.5\n",
+             "quartic": IMPLICIT_BODY, "malformed": "kind = sphere\nn three\n"}
+    for name, text in texts.items():
+        (root / f"{name}.body").write_text(text)
+    return [str(root / f"{name}.body") for name in (*texts, "missing")] + [str(root)]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_command_lines_end_in_a_documented_exit_code(capsys, fuzz_bodies, data):
+    argv = data.draw(fuzzed_argv(fuzz_bodies))
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # argparse: usage errors and --version
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 0 and out.startswith("{"):
+        json.loads(out, parse_constant=refuse_constant)

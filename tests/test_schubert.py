@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 import tangentflats as tf
 from tangentflats.projective import (PLUCKER_PAIRING, haar_matrices, lines_to_plucker,
                                      uniform_flat_frames, uniform_lines)
-from tangentflats.schubert import _count_batch
+from tangentflats.schubert import _count_batch, _det4
 
 
 def line_through(p, q):
@@ -144,6 +144,40 @@ def test_pencil_is_degenerate():
     assert out.degenerate
     assert out.condition > 1e-2
     assert qr_count_batch(np.array(lines)[None])[1][0]
+
+
+def test_rotated_pencil_and_tangent_line_keep_their_counts():
+    # the pencil and tangent-line configurations of the two tests above, moved
+    # off the coordinate axes: a pairing matrix of rank 2 stays degenerate and
+    # one of rank 3 stays a single transversal; so do four dependent lines, a
+    # regulus and four lines through one point, whose det D is a rounding residue
+    e, p = np.eye(4), np.array([1.0, 1.0, 1.0, 1.0])
+    pencil = np.array([line_through(e[0], e[3]), line_through(e[0], e[1] + e[3]),
+                       line_through(e[1], e[2]), line_through(e[1] + e[0], e[2] - e[0])])
+    tangent = np.array([ruling_line(1.0, 0.3), ruling_line(1.0, -0.7),
+                        ruling_line(0.4, 1.0), line_through(p, np.array([1.0, 0, 0, -1.0]))])
+    regulus = np.array([ruling_line(1.0, 0.3), ruling_line(1.0, -0.7),
+                        ruling_line(0.4, 1.0), ruling_line(1.0, 2.0)])
+    concurrent = np.array([line_through(e[0], q) for q in (*e[1:], e[1] + 2 * e[2] - e[3])])
+    for g in haar_matrices(4, 20, tf.RngStream(6).generator()):
+        moved = tf.second_compound(g).T                  # l -> g l on Pluecker vectors
+        assert tf.count_line_transversals(*pencil @ moved).degenerate
+        assert tf.count_line_transversals(*tangent @ moved).count == 1
+    moved = tf.second_compound(haar_matrices(4, 1000, tf.RngStream(7).generator()))
+    for lines in (regulus, concurrent):
+        _, degenerate, _, cond = _count_batch(lines @ moved.transpose(0, 2, 1))
+        assert degenerate.all() and (cond < 1e-8).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(-60, 60))
+def test_det4_matches_numpy_det(seed, symmetric, exponent):
+    # relative to Hadamard's bound prod_i |row_i|, which both errors scale with
+    A = np.ldexp(tf.RngStream(seed).generator().standard_normal((64, 4, 4)), exponent)
+    if symmetric:
+        A = A + A.transpose(0, 2, 1)
+    bound = np.prod(np.linalg.norm(A, axis=2), axis=1)
+    assert (np.abs(_det4(A.transpose(1, 2, 0)) - np.linalg.det(A)) <= 1e-12 * bound).all()
 
 
 @settings(max_examples=200, deadline=None)
