@@ -29,10 +29,10 @@ class NonConvexQuadricError(BodyError):
 
 
 class BodyFileError(BodyError):
-    """Malformed body file; carries the offending line number."""
+    """Malformed body file; carries the offending line number (None: the whole file)."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -338,13 +338,13 @@ def parse_body_text(text: str, name: str = "<body>") -> ConvexBody:
 
     def require(key):
         if key not in fields:
-            raise BodyFileError(0, f"{name}: missing required key {key!r}")
+            raise BodyFileError(None, f"{name}: missing required key {key!r}")
         return fields[key]
 
     kind = require("kind")
     n = require("n")
     if n < 1:       # RP^0 is a point, with no hypersurfaces
-        raise BodyFileError(0, f"{name}: need n >= 1, got n = {n}")
+        raise BodyFileError(None, f"{name}: need n >= 1, got n = {n}")
     chart = fields.get("chart", 0)
     try:
         if kind == "metric_sphere":
@@ -356,25 +356,25 @@ def parse_body_text(text: str, name: str = "<body>") -> ConvexBody:
         if kind == "quadric":
             rows = fields["row"]
             if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
-                raise BodyFileError(0, f"{name}: quadric needs {n + 1} rows "
-                                       f"of {n + 1} entries")
+                raise BodyFileError(None, f"{name}: quadric needs {n + 1} rows "
+                                          f"of {n + 1} entries")
             return quadric(np.array(rows))
         if kind == "implicit":
             terms = fields["term"]
             if not terms:
-                raise BodyFileError(0, f"{name}: implicit body needs terms")
+                raise BodyFileError(None, f"{name}: implicit body needs terms")
             coeffs = [t[0] for t in terms]
             expo = [t[1] for t in terms]
             if any(len(e) != n + 1 for e in expo):
-                raise BodyFileError(0, f"{name}: each term needs {n + 1} exponents")
+                raise BodyFileError(None, f"{name}: each term needs {n + 1} exponents")
             return implicit_surface(n, coeffs, expo,
                                     center=fields.get("center"),
                                     convex=fields.get("convex", False))
     except BodyError as exc:
         if isinstance(exc, BodyFileError):
             raise
-        raise BodyFileError(0, f"{name}: {exc}") from exc
-    raise BodyFileError(0, f"{name}: unknown body kind {kind!r}")
+        raise BodyFileError(None, f"{name}: {exc}") from exc
+    raise BodyFileError(None, f"{name}: unknown body kind {kind!r}")
 
 
 def parse_body_file(path) -> ConvexBody:

@@ -47,6 +47,8 @@ EXIT_USAGE = 2
 EXIT_REFUSED = 3
 EXIT_NUMERICAL = 4
 MAX_SWEEP_RADII = 10_000        # largest COUNT of omega --sweep-radius
+MAX_SAMPLES = 10 ** 9           # largest delta --samples and tau --delta-source mc:N
+MAX_TRIALS = 10 ** 6            # largest tau --trials
 
 #: Exit code of every exception a command may end in; main prints the
 #: message, then the per-path log of an exception that carries one.
@@ -94,18 +96,21 @@ def emit(report: dict, args) -> None:
         print(payload)
 
 
-def at_least(low, kind):
-    """argparse type for numbers of the given kind that must be >= low."""
+def at_least(low, kind, most=math.inf):
+    """argparse type for numbers of the given kind in [low, most]."""
     def parse(text: str):
         value = kind(text)
         if not value >= low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
     parse.__name__ = kind.__name__          # argparse names it in errors
     return parse
 
 
 positive_int = at_least(1, int)
+sample_count = at_least(1, int, MAX_SAMPLES)
 
 
 def fail(code: int, message: str) -> int:
@@ -194,7 +199,7 @@ def delta_source(text: str) -> str:
     """argparse type for --delta-source; returns the text unchanged."""
     kind, _, value = text.partition(":")
     if kind == "mc":
-        positive_int(value)
+        sample_count(value)
     elif kind == "value":
         if not (math.isfinite(float(value)) and float(value) >= 0):
             raise argparse.ArgumentTypeError(
@@ -311,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta", help="expected degree of the k-flat Grassmannian")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--samples", type=positive_int, default=1_000_000)
+    p.add_argument("--samples", type=sample_count, default=1_000_000,
+                   help=f"Monte Carlo draws, at most {MAX_SAMPLES}")
     common(p)
     p.set_defaults(func=cmd_delta)
 
@@ -333,9 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--mode", choices=("formula", "empirical"), default="formula")
-    p.add_argument("--trials", type=positive_int, default=200)
+    p.add_argument("--trials", type=at_least(1, int, MAX_TRIALS), default=200,
+                   help=f"empirical rotation trials, at most {MAX_TRIALS}")
     p.add_argument("--delta-source", type=delta_source, default="reference",
-                   help="exact | reference | mc:<samples> | value:<x>")
+                   help=f"exact | reference | mc:<samples <= {MAX_SAMPLES}> | value:<x>")
     common(p)
     p.set_defaults(func=cmd_tau)
 

@@ -6,6 +6,7 @@ reproducible and independent of worker scheduling.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,11 @@ class MCEstimate:
 
 
 def parallel_map(fn, tasks, workers: int = 1) -> list:
-    """[fn(*task) for task in tasks], in order, spread over a pool of at
-    most `workers` processes when there are several workers and tasks."""
-    if workers > 1 and len(tasks) > 1:
+    """[fn(*task) for task in tasks], in order, spread over a pool of at most
+    `workers` processes, capped at the tasks and the usable CPUs."""
+    workers = min(workers, len(tasks), len(os.sched_getaffinity(0)))
+    if workers > 1:
         from multiprocessing import Pool    # only here: it slows the import
-        with Pool(min(workers, len(tasks))) as pool:
+        with Pool(workers) as pool:
             return pool.starmap(fn, tasks)
     return [fn(*task) for task in tasks]

@@ -13,6 +13,8 @@ disc is positive, within _TIE_TOL of 0, or negative.  W lies on the quadric
 iff it is the radical V ^ W of P on V, iff G has rank 2.  Both determinants
 round to about 1e-16 on dependent lines, so ties and draws with det D below
 _GRAM_TOL are redone on an orthonormal basis of V (an SVD), where D = I.
+A rotation taking l_1 to e0 ^ e1 keeps the count and leaves l_2..l_4 uniform
+and independent, so a Monte Carlo draw is e0 ^ e1 and three uniform lines.
 
 For k = 0 and k = n-1 the expected degree is exactly one (a point incident
 to n random hyperplanes, or dually); other index pairs would need general
@@ -76,15 +78,14 @@ def _det4(A):
     return sum(PLUCKER_PAIRING[k, 5 - k] * top[k] * bottom[5 - k] for k in range(6))
 
 
-def _count_batch(plucker: np.ndarray):
+def _count_batch(L: np.ndarray):
     """Vectorized transversal counting.
 
-    plucker: (B, 4, 6) unit Pluecker vectors of four lines per draw.
+    L: (4, 6, B) unit Pluecker vectors of four lines per draw, draw-last.
     Returns (counts, degenerate, disc, cond) arrays; counts is -1 on
     degenerate draws and cond is |kappa|.  G has a zero diagonal, so det G =
     a^2 + b^2 + c^2 - 2(ab + bc + ca) with a, b, c = G01 G23, G02 G13, G03 G12.
     """
-    L = np.ascontiguousarray(plucker.transpose(1, 2, 0))              # (4, 6, B)
     M = PLUCKER_PAIRING @ L                                           # rows l_i P
     g = [np.einsum('kb,kb->b', M[i], L[j]) for i, j in plucker_index_pairs(4, 2)]
     a, b, c = (g[k] * g[5 - k] for k in range(3))
@@ -92,7 +93,7 @@ def _count_batch(plucker: np.ndarray):
     det_d = _det4([[np.einsum('kb,kb->b', L[i], L[j]) for j in range(4)] for i in range(4)])
     cond, disc = np.sqrt(np.abs(det_d)), det_g / np.maximum(det_d, 1e-300)
     rare, degenerate = (det_d < _GRAM_TOL) | (np.abs(disc) <= _TIE_TOL), cond < _RANK_TOL
-    _, sv, vt = np.linalg.svd(plucker[rare])      # redo those on an orthonormal basis of V
+    _, sv, vt = np.linalg.svd(L[..., rare].transpose(2, 0, 1))  # redo on an orthonormal basis of V
     eig = np.linalg.eigvalsh(vt[:, :4] @ PLUCKER_PAIRING @ vt[:, :4].transpose(0, 2, 1))
     cond[rare], disc[rare] = sv.prod(axis=1), eig.prod(axis=1)
     degenerate[rare] = (cond[rare] < _RANK_TOL) | (np.sort(np.abs(eig))[:, 1] < 1e-12)
@@ -105,16 +106,17 @@ def count_line_transversals(l1, l2, l3, l4) -> TransversalCount:
     a Pluecker vector of any nonzero length."""
     plucker = np.array([l1, l2, l3, l4], dtype=float)
     plucker /= np.maximum(np.sqrt((plucker ** 2).sum(axis=1)), 1e-300)[:, None]
-    counts, degenerate, disc, cond = _count_batch(plucker[None])
+    counts, degenerate, disc, cond = _count_batch(plucker[:, :, None])
     return TransversalCount(None if degenerate[0] else int(counts[0]),
                             float(disc[0]), float(cond[0]))
 
 
 def _delta13_batch(seed: int, batch_index: int, size: int):
-    """One deterministic batch of transversal counts for (k, n) = (1, 3)."""
-    gen = RngStream(seed, batch_index).generator()
-    plucker = uniform_lines(4 * size, gen).reshape(size, 4, 6)
-    counts, degenerate, _, _ = _count_batch(plucker)
+    """One deterministic batch of counts for (k, n) = (1, 3), e0 ^ e1 fixed."""
+    lines = np.zeros((4, 6, size))
+    lines[0, 0] = 1.0
+    uniform_lines(3, size, RngStream(seed, batch_index).generator(), out=lines[1:])
+    counts, degenerate, _, _ = _count_batch(lines)
     ok = counts[~degenerate]
     return int(ok.sum()), int((ok ** 2).sum()), int(ok.shape[0]), int(degenerate.sum())
 

@@ -215,3 +215,8 @@ def test_body_file_errors_carry_line_numbers():
     with pytest.raises(BodyFileError) as err:
         tf.parse_body_text("kind = metric_sphere\nn = 3\nwobble = 1\n")
     assert "unknown key" in str(err.value)
+    # an error of the whole file names no line
+    with pytest.raises(BodyFileError) as err:
+        tf.parse_body_text("kind = metric_sphere\nn = 3\n", name="q.body")
+    assert err.value.line is None
+    assert str(err.value) == "q.body: missing required key 'radius'"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tangentflats.cli import MAX_SWEEP_RADII, main
+from tangentflats.cli import MAX_SAMPLES, MAX_SWEEP_RADII, MAX_TRIALS, main
 
 
 def run_cli(capsys, *argv):
@@ -57,12 +57,13 @@ def test_delta_exact_and_unsupported(capsys):
     assert "scope" in err
 
 
-# `delta 1 3 --samples 20000` reports recorded before the transversal count
-# went through the one Pluecker pairing constant; the counts must not move.
+# `delta 1 3 --samples 20000` reports recorded when each draw became the fixed
+# line e0 ^ e1 and three uniform lines (a new random stream); the counts must
+# not move.
 DELTA_REPORTS = {
-    5: {"mean": 1.7251, "stderr": 0.004869567243016233, "samples": 20000,
+    5: {"mean": 1.715, "stderr": 0.004943680005684017, "samples": 20000,
         "degenerate": 0},
-    17: {"mean": 1.7249, "stderr": 0.004871055928573695, "samples": 20000,
+    17: {"mean": 1.7194, "stderr": 0.004911658398078083, "samples": 20000,
          "degenerate": 0},
 }
 
@@ -269,6 +270,22 @@ def test_nonpositive_counts_are_usage_errors(capsys, tmp_path, argv):
         main(argv)
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (("delta", "1", "3", "--samples", str(MAX_SAMPLES + 1)), MAX_SAMPLES),
+    (("tau", "BODIES", "--delta-source", f"mc:{MAX_SAMPLES + 1}"), MAX_SAMPLES),
+    (("tau", "BODIES", "--mode", "empirical", "--trials", str(MAX_TRIALS + 1)),
+     MAX_TRIALS),
+], ids=["samples", "delta-source-mc", "trials"])
+def test_sample_and_trial_counts_have_an_upper_bound(capsys, tmp_path, argv, bound):
+    # refused by the argument parser, before any task list or draw is made
+    bodies = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(4)]
+    argv = [a for arg in argv for a in (bodies if arg == "BODIES" else [arg])]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"must be at most {bound}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
@@ -556,6 +573,22 @@ def test_small_dimension_body_files_are_usage_errors(capsys, tmp_path, command, 
     code, out, err = run_cli(capsys, command, str(body), *flags, "--level", "1")
     assert code == 2 and out == "", err
     assert "n >= " in err or "center must have 4 homogeneous coordinates" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind = metric_sphere\nn = 3\n", "missing required key 'radius'"),
+    ("kind = quadric\nn = -1\n", "need n >= 1, got n = -1"),
+    ("kind = implicit\nn = 3\nterm = 1 2 0 0 0\nterm = -1 0 2 0 0\n"
+     "term = -1 0 0 2 0\nterm = -1 0 0 0 2\ncenter = 1 0\n",
+     "center must have 4 homogeneous coordinates"),
+    ("kind = dodecahedron\nn = 3\n", "unknown body kind 'dodecahedron'"),
+])
+def test_whole_file_body_errors_name_no_line(capsys, tmp_path, text, message):
+    body = tmp_path / "q.body"
+    body.write_text(text)
+    code, out, err = run_cli(capsys, "omega", str(body), "--level", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {body}: {message}\n"
 
 
 # Fuzzed command lines.  Flags that set the amount of work only ever take

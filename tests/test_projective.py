@@ -144,13 +144,19 @@ def test_lines_to_plucker_matches_embed():
     assert np.abs(batch - tf.plucker_embed(frames)).max() < 1e-12
 
 
-def test_uniform_lines_are_the_lines_of_uniform_frames():
-    # the same Gaussian draw, wedged directly instead of orthonormalized
-    lines = uniform_lines(1000, tf.RngStream(34, 5).generator())
-    frames = uniform_flat_frames(1, 3, 1000, tf.RngStream(34, 5).generator())
-    ref = lines_to_plucker(frames)
-    assert np.abs(np.linalg.norm(lines, axis=1) - 1.0).max() < 1e-14
-    assert np.abs(np.abs(np.einsum('bi,bi->b', lines, ref)) - 1.0).max() < 1e-12
+def test_uniform_lines_are_unit_wedges_of_the_normals_held_draw_last():
+    lines = uniform_lines(3, 1000, tf.RngStream(34, 5).generator())
+    z = tf.RngStream(34, 5).generator().standard_normal((2, 4, 3, 1000))
+    ref = tf.plucker_embed(z.transpose(2, 3, 0, 1))         # (3, 1000, 6) minors
+    ref /= np.linalg.norm(ref, axis=-1, keepdims=True)
+    assert lines.shape == (3, 6, 1000)
+    assert np.abs(lines - ref.transpose(0, 2, 1)).max() < 1e-14
+    stack = np.zeros((4, 6, 1000))
+    uniform_lines(3, 1000, tf.RngStream(34, 5).generator(), out=stack[1:])
+    assert np.array_equal(stack[1:], lines) and not stack[0].any()
+    # O(4)-invariance forces E[p p^T] = I / 6 on unit Pluecker vectors
+    second_moment = np.einsum('lib,ljb->ij', lines, lines) / 3000
+    assert np.abs(second_moment - np.eye(6) / 6).max() < 0.02
 
 
 def test_pairing_is_the_determinant_of_both_frames():

@@ -1,0 +1,30 @@
+import multiprocessing
+
+from tangentflats import rng
+
+
+def test_parallel_map_caps_its_pool_at_the_tasks_and_usable_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and runs the tasks in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    tasks = [(-i,) for i in range(10)]
+    assert rng.parallel_map(abs, tasks, workers=500) == list(range(10))
+    assert rng.parallel_map(abs, tasks[:2], workers=500) == [0, 1]
+    assert rng.parallel_map(abs, tasks, workers=1) == list(range(10))
+    assert sizes == [3, 2]

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 import tangentflats as tf
 from tangentflats.projective import (PLUCKER_PAIRING, haar_matrices, lines_to_plucker,
                                      uniform_flat_frames, uniform_lines)
-from tangentflats.schubert import _count_batch, _det4
+from tangentflats.schubert import _count_batch, _delta13_batch, _det4
 
 
 def line_through(p, q):
@@ -43,19 +43,73 @@ def ruling_line(a, b):
     return line_through(np.array([a, b, 0.0, 0.0]), np.array([0.0, 0.0, a, b]))
 
 
+def delta_lines(seed, batch, size=4096):
+    """The (4, 6, size) draws of one `delta` batch: e0 ^ e1 and three uniform lines."""
+    lines = np.zeros((4, 6, size))
+    lines[0, 0] = 1.0
+    uniform_lines(3, size, tf.RngStream(seed, batch).generator(), out=lines[1:])
+    return lines
+
+
 def test_closed_form_matches_qr_reference():
-    # the 200,704 draws of `delta 1 3 --samples 200704 --seed 0`
+    # the 200,704 draws of `delta 1 3 --samples 200704 --seed 0`, and 8 batches
+    # of four uniform lines
     worst = 0.0
-    for batch in range(49):
-        plucker = uniform_lines(4 * 4096, tf.RngStream(0, batch).generator())
-        plucker = plucker.reshape(4096, 4, 6)
-        counts, degenerate, disc, cond = _count_batch(plucker)
-        ref_counts, ref_degenerate, ref_disc = qr_count_batch(plucker)
+    stacks = [delta_lines(0, batch) for batch in range(49)]
+    stacks += [uniform_lines(4, 4096, tf.RngStream(1, batch).generator()) for batch in range(8)]
+    for batch, lines in enumerate(stacks):
+        counts, degenerate, disc, cond = _count_batch(lines)
+        ref_counts, ref_degenerate, ref_disc = qr_count_batch(lines.transpose(2, 0, 1))
         assert np.array_equal(counts, ref_counts)
         assert np.array_equal(degenerate, ref_degenerate)
         assert ((0.0 <= cond) & (cond <= 1.0 + 1e-12)).all()
         worst = max(worst, np.abs(disc - ref_disc).max())
+        if batch < 49:          # these are the draws `delta` counts
+            ok = counts[~degenerate]
+            assert _delta13_batch(0, batch, 4096) == (
+                ok.sum(), (ok ** 2).sum(), ok.size, degenerate.sum())
     assert worst < 1e-12
+
+
+def test_rotating_the_first_line_to_e0_e1_keeps_every_count():
+    # why a `delta` draw may fix its first line: the rotation g = q^T, from a
+    # complete QR of l_1's frame, takes l_1 to +-e0 ^ e1, and the count of
+    # (e0 ^ e1, g l_2, g l_3, g l_4) is the count of the four lines
+    frames = tf.RngStream(41).generator().standard_normal((20_000, 4, 2, 4))
+    lines = lines_to_plucker(frames)
+    lines /= np.linalg.norm(lines, axis=-1, keepdims=True)
+    q, _ = np.linalg.qr(frames[:, 0].transpose(0, 2, 1), mode="complete")
+    q[:, :, 3] *= np.linalg.det(q)[:, None]               # det q = 1
+    moved = lines @ tf.second_compound(q)          # rows g l = C2(q^T) l = C2(q)^T l
+    assert np.abs(np.abs(moved[:, 0, 0]) - 1.0).max() < 1e-12
+    moved[:, 0] = np.eye(6)[0]
+    counts, _, disc, _ = _count_batch(lines.transpose(1, 2, 0))
+    moved_counts, _, _, _ = _count_batch(moved.transpose(1, 2, 0))
+    sure = np.abs(disc) > 1e-9
+    assert sure.sum() > 19_000 and np.isin(counts[sure], (0, 2)).all()
+    assert np.array_equal(counts[sure], moved_counts[sure])
+
+
+# seeds of the two samples below, fixed here and used nowhere else
+FIXED_LINE_SEED, FOUR_LINE_SEED = 19, 23
+
+
+def test_fixed_first_line_has_the_count_law_of_four_uniform_lines():
+    # 163,840 `delta` draws against as many draws of four independent lines
+    four = []
+    for batch in range(40):
+        counts, degenerate, _, _ = _count_batch(
+            uniform_lines(4, 4096, tf.RngStream(FOUR_LINE_SEED, batch).generator()))
+        ok = counts[~degenerate]
+        four.append((ok.sum(), (ok ** 2).sum(), ok.size))
+    fixed = [_delta13_batch(FIXED_LINE_SEED, batch, 4096)[:3] for batch in range(40)]
+    moments = []
+    for parts in (fixed, four):
+        total, total_sq, kept = map(sum, zip(*parts))
+        assert kept > 163_800
+        moments.append((total / kept, (total_sq / kept - (total / kept) ** 2) / kept))
+    (mean_fixed, var_fixed), (mean_four, var_four) = moments
+    assert abs(mean_fixed - mean_four) <= 5.0 * np.sqrt(var_fixed + var_four)
 
 
 def test_meet_form_examples():
@@ -165,7 +219,8 @@ def test_rotated_pencil_and_tangent_line_keep_their_counts():
         assert tf.count_line_transversals(*tangent @ moved).count == 1
     moved = tf.second_compound(haar_matrices(4, 1000, tf.RngStream(7).generator()))
     for lines in (regulus, concurrent):
-        _, degenerate, _, cond = _count_batch(lines @ moved.transpose(0, 2, 1))
+        moved_lines = (lines @ moved.transpose(0, 2, 1)).transpose(1, 2, 0)
+        _, degenerate, _, cond = _count_batch(moved_lines)
         assert degenerate.all() and (cond < 1e-8).all()
 
 
@@ -186,7 +241,7 @@ def test_det4_matches_numpy_det(seed, symmetric, exponent):
        st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4))
 def test_count_is_invariant_under_signs_scales_and_rotations(seed, signs, scales):
     gen = tf.RngStream(seed).generator()
-    lines = uniform_lines(4, gen)
+    lines = uniform_lines(4, 1, gen)[:, :, 0]
     g = haar_matrices(4, 1, gen)[0]
     base = tf.count_line_transversals(*lines)
     assume(not base.degenerate and abs(base.discriminant) > 1e-6)
@@ -201,7 +256,7 @@ def test_counts_are_even_and_rotation_invariant():
     frames = uniform_flat_frames(1, 3, 4 * 1000, gen).reshape(1000, 4, 2, 4)
     plucker = lines_to_plucker(frames)
     plucker /= np.linalg.norm(plucker, axis=-1, keepdims=True)
-    counts, degenerate, _, _ = _count_batch(plucker)
+    counts, degenerate, _, _ = _count_batch(plucker.transpose(1, 2, 0))
     ok = counts[~degenerate]
     assert degenerate.sum() < 5
     assert np.isin(ok, (0, 2)).all()          # no tangency at this tolerance
@@ -211,7 +266,7 @@ def test_counts_are_even_and_rotation_invariant():
     rotated = np.einsum('ij,bckj->bcki', g, frames)
     pl2 = lines_to_plucker(rotated)
     pl2 /= np.linalg.norm(pl2, axis=-1, keepdims=True)
-    counts2, deg2, _, _ = _count_batch(pl2)
+    counts2, deg2, _, _ = _count_batch(pl2.transpose(1, 2, 0))
     both = ~degenerate & ~deg2
     assert np.array_equal(counts[both], counts2[both])
 
