@@ -48,6 +48,7 @@ EXIT_REFUSED = 3
 EXIT_NUMERICAL = 4
 MAX_SWEEP_RADII = 10_000        # largest COUNT of omega --sweep-radius
 MAX_SAMPLES = 10 ** 9           # largest delta --samples and tau --delta-source mc:N
+MAX_PLANE_SAMPLES = 1024        # largest omega --samples, 16x the default
 MAX_TRIALS = 10 ** 6            # largest tau --trials
 
 #: Exit code of every exception a command may end in; main prints the
@@ -150,6 +151,7 @@ def cmd_delta(args) -> int:
     report = make_report("delta", {"k": args.k, "n": args.n,
                                    "samples": args.samples}, args.seed,
                          results, {"discarded_draws": est.degenerate}, t0)
+    report["diagnostics"] = est.diagnostics
     emit(report, args)
     return EXIT_OK
 
@@ -326,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--method", choices=("auto", "convex", "semialgebraic",
                                         "h-integral"), default="auto")
-    p.add_argument("--samples", type=positive_int, default=64,
-                   help="tangent-plane Monte Carlo samples per node")
+    p.add_argument("--samples", type=at_least(1, int, MAX_PLANE_SAMPLES), default=64,
+                   help=f"tangent-plane Monte Carlo samples per node, at most {MAX_PLANE_SAMPLES}")
     p.add_argument("--sweep-radius", nargs=3, type=float, default=None,
                    metavar=("LO", "HI", "COUNT"),
                    help=f"metric spheres only: a sweep of COUNT <= {MAX_SWEEP_RADII} radii")

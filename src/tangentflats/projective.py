@@ -93,24 +93,12 @@ def uniform_flat_frames(k: int, n: int, count: int,
     return q.transpose(0, 2, 1)
 
 
-def uniform_lines(count: int, size: int, generator: np.random.Generator,
-                  out=None) -> np.ndarray:
-    """count uniform lines per draw for size draws, as unit Pluecker vectors held
-    draw-last, (count, 6, size), written into `out` if given: the wedges of the
-    O(4)-invariant column pairs of gen.standard_normal((2, 4, count, size))."""
-    z = generator.standard_normal((2, 4, count, size))
-    p = lines_to_plucker(z.transpose(2, 3, 0, 1), axis=1, out=out)
-    p /= np.sqrt(np.einsum('lkb,lkb->lb', p, p))[:, None]
-    return p
-
-
-def lines_to_plucker(frames: np.ndarray, axis: int = -1, out=None) -> np.ndarray:
+def lines_to_plucker(frames: np.ndarray) -> np.ndarray:
     """Pluecker coordinates for a batch of line frames in RP^3.
 
-    frames: (..., 2, 4) row pairs; returns the coordinates in the
-    lexicographic order (01, 02, 03, 12, 13, 23), unnormalized, on `axis` of
-    the result, (..., 6) by default, written into `out` if given.
+    frames: (..., 2, 4) row pairs; returns (..., 6), the coordinates in the
+    lexicographic order (01, 02, 03, 12, 13, 23), unnormalized.
     """
     u, v = frames[..., 0, :], frames[..., 1, :]
     return np.stack([u[..., i] * v[..., j] - u[..., j] * v[..., i]
-                     for i, j in plucker_index_pairs(4, 2)], axis=axis, out=out)
+                     for i, j in plucker_index_pairs(4, 2)], axis=-1)

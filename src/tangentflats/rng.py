@@ -7,7 +7,7 @@ reproducible and independent of worker scheduling.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,7 @@ class MCEstimate:
     seed: int
     degenerate: int = 0         # samples discarded
     failed: int = 0             # of those, lost to a numerical failure
+    diagnostics: dict = field(default_factory=dict)     # deterministic run counters
 
     def within(self, target: float, nsigma: float) -> bool:
         """True if `target` lies within nsigma standard errors of the mean."""

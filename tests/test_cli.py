@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tangentflats.cli import MAX_SAMPLES, MAX_SWEEP_RADII, MAX_TRIALS, main
+from tangentflats.cli import (MAX_PLANE_SAMPLES, MAX_SAMPLES, MAX_SWEEP_RADII, MAX_TRIALS,
+                              main)
 
 
 def run_cli(capsys, *argv):
@@ -58,13 +59,18 @@ def test_delta_exact_and_unsupported(capsys):
 
 
 # `delta 1 3 --samples 20000` reports recorded when each draw became the fixed
-# line e0 ^ e1 and three uniform lines (a new random stream); the counts must
-# not move.
+# line (e1, e1), a second line in normal form from two uniforms and two
+# uniform lines as (a, b) pairs (a new random stream); the counts must not
+# move.  (At seed 17 the mean and stderr equal those of the previous stream.)
 DELTA_REPORTS = {
-    5: {"mean": 1.715, "stderr": 0.004943680005684017, "samples": 20000,
+    5: {"mean": 1.7267, "stderr": 0.004857626511658378, "samples": 20000,
         "degenerate": 0},
     17: {"mean": 1.7194, "stderr": 0.004911658398078083, "samples": 20000,
          "degenerate": 0},
+}
+DELTA_DIAGNOSTICS = {
+    5: {"count1_draws": 0, "svd_draws": 2, "min_condition": 0.004389087759270375},
+    17: {"count1_draws": 0, "svd_draws": 0, "min_condition": 0.010388989707865132},
 }
 
 
@@ -76,6 +82,16 @@ def test_delta_reports_match_recorded_values(capsys, seed):
     report = json.loads(out)
     assert report["results"]["expected_degree"] == DELTA_REPORTS[seed]
     assert report["degenerate_counts"] == {"discarded_draws": 0}
+
+
+@pytest.mark.parametrize("seed", sorted(DELTA_DIAGNOSTICS))
+def test_delta_diagnostics_match_recorded_values_for_any_workers(capsys, seed):
+    # batch totals combined by sum and min, so one block for every --workers
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(capsys, "delta", "1", "3", "--samples", "20000",
+                               "--seed", str(seed), "--workers", workers)
+        assert code == 0
+        assert json.loads(out)["diagnostics"] == DELTA_DIAGNOSTICS[seed]
 
 
 def test_delta_reports_are_reproducible(capsys):
@@ -92,7 +108,7 @@ def test_delta_reports_are_reproducible(capsys):
 def test_delta_refuses_when_every_draw_is_degenerate(capsys, monkeypatch):
     from tangentflats import schubert
     monkeypatch.setattr(schubert, "_delta13_batch",
-                        lambda seed, batch, size: (0, 0, 0, size))
+                        lambda seed, batch, size: (0, 0, 0, size, 0, 0, 0.0))
     code, _, err = run_cli(capsys, "delta", "1", "3", "--samples", "100")
     assert code == 3
     assert "all 100 draws were degenerate" in err
@@ -277,11 +293,13 @@ def test_nonpositive_counts_are_usage_errors(capsys, tmp_path, argv):
     (("tau", "BODIES", "--delta-source", f"mc:{MAX_SAMPLES + 1}"), MAX_SAMPLES),
     (("tau", "BODIES", "--mode", "empirical", "--trials", str(MAX_TRIALS + 1)),
      MAX_TRIALS),
-], ids=["samples", "delta-source-mc", "trials"])
+    (("omega", "BODY", "--method", "semialgebraic", "--samples", "1000000000000"),
+     MAX_PLANE_SAMPLES),
+], ids=["samples", "delta-source-mc", "trials", "omega"])
 def test_sample_and_trial_counts_have_an_upper_bound(capsys, tmp_path, argv, bound):
     # refused by the argument parser, before any task list or draw is made
     bodies = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(4)]
-    argv = [a for arg in argv for a in (bodies if arg == "BODIES" else [arg])]
+    argv = [a for arg in argv for a in {"BODIES": bodies, "BODY": bodies[:1]}.get(arg, [arg])]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import tangentflats as tf
-from tangentflats.projective import (haar_matrices, lines_to_plucker, uniform_flat_frames,
-                                     uniform_lines)
+from tangentflats.projective import haar_matrices, lines_to_plucker, uniform_flat_frames
 
 
 def projector(frame):
@@ -142,21 +141,6 @@ def test_lines_to_plucker_matches_embed():
     for fr, row in zip(frames, batch):
         assert np.abs(row - tf.plucker_embed(fr)).max() < 1e-12
     assert np.abs(batch - tf.plucker_embed(frames)).max() < 1e-12
-
-
-def test_uniform_lines_are_unit_wedges_of_the_normals_held_draw_last():
-    lines = uniform_lines(3, 1000, tf.RngStream(34, 5).generator())
-    z = tf.RngStream(34, 5).generator().standard_normal((2, 4, 3, 1000))
-    ref = tf.plucker_embed(z.transpose(2, 3, 0, 1))         # (3, 1000, 6) minors
-    ref /= np.linalg.norm(ref, axis=-1, keepdims=True)
-    assert lines.shape == (3, 6, 1000)
-    assert np.abs(lines - ref.transpose(0, 2, 1)).max() < 1e-14
-    stack = np.zeros((4, 6, 1000))
-    uniform_lines(3, 1000, tf.RngStream(34, 5).generator(), out=stack[1:])
-    assert np.array_equal(stack[1:], lines) and not stack[0].any()
-    # O(4)-invariance forces E[p p^T] = I / 6 on unit Pluecker vectors
-    second_moment = np.einsum('lib,ljb->ij', lines, lines) / 3000
-    assert np.abs(second_moment - np.eye(6) / 6).max() < 0.02
 
 
 def test_pairing_is_the_determinant_of_both_frames():

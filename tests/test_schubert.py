@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import tangentflats as tf
 from tangentflats.projective import (PLUCKER_PAIRING, haar_matrices, lines_to_plucker,
-                                     uniform_flat_frames, uniform_lines)
-from tangentflats.schubert import _count_batch, _delta13_batch, _det4
+                                     plucker_index_pairs, uniform_flat_frames)
+from tangentflats.schubert import AB_FROM_PLUCKER, _count_batch, _delta13_batch, _hollow_det
 
 
 def line_through(p, q):
@@ -43,12 +43,31 @@ def ruling_line(a, b):
     return line_through(np.array([a, b, 0.0, 0.0]), np.array([0.0, 0.0, a, b]))
 
 
+def uniform_ab(count, size, gen):
+    """count uniform lines per draw as unit (a, b) pairs held draw-last,
+    (count, 2, 3, size): normalized gen.standard_normal((count, 2, 3, size))."""
+    z = gen.standard_normal((count, 2, 3, size))
+    return z / np.linalg.norm(z, axis=2, keepdims=True)
+
+
+def plucker_to_ab(plucker):
+    """(a, b) pairs (..., 2, 3) of Pluecker vectors (..., 6)."""
+    return (plucker @ AB_FROM_PLUCKER.T).reshape(*plucker.shape[:-1], 2, 3)
+
+
+def ab_to_plucker(lines):
+    """Unit Pluecker vectors (B, 4, 6) of a (4, 2, 3, B) stack of (a, b) pairs."""
+    return np.einsum('ij,ljb->bli', AB_FROM_PLUCKER.T, lines.reshape(4, 6, -1)) / 2
+
+
 def delta_lines(seed, batch, size=4096):
-    """The (4, 6, size) draws of one `delta` batch: e0 ^ e1 and three uniform lines."""
-    lines = np.zeros((4, 6, size))
-    lines[0, 0] = 1.0
-    uniform_lines(3, size, tf.RngStream(seed, batch).generator(), out=lines[1:])
-    return lines
+    """The (4, 2, 3, size) draws of one `delta` batch, rebuilt from its stream:
+    (e1, e1), line 2 in normal form from two uniforms and two uniform lines."""
+    gen = tf.RngStream(seed, batch).generator()
+    c = gen.uniform(-1.0, 1.0, (2, size))
+    line2 = np.stack([c, np.sqrt(1.0 - c ** 2), np.zeros_like(c)], axis=1)
+    line1 = np.broadcast_to(np.eye(3)[0][None, :, None], (2, 3, size))
+    return np.concatenate([np.stack([line1, line2]), uniform_ab(2, size, gen)])
 
 
 def test_closed_form_matches_qr_reference():
@@ -56,19 +75,38 @@ def test_closed_form_matches_qr_reference():
     # of four uniform lines
     worst = 0.0
     stacks = [delta_lines(0, batch) for batch in range(49)]
-    stacks += [uniform_lines(4, 4096, tf.RngStream(1, batch).generator()) for batch in range(8)]
+    stacks += [uniform_ab(4, 4096, tf.RngStream(1, batch).generator()) for batch in range(8)]
     for batch, lines in enumerate(stacks):
         counts, degenerate, disc, cond = _count_batch(lines)
-        ref_counts, ref_degenerate, ref_disc = qr_count_batch(lines.transpose(2, 0, 1))
+        ref_counts, ref_degenerate, ref_disc = qr_count_batch(ab_to_plucker(lines))
         assert np.array_equal(counts, ref_counts)
         assert np.array_equal(degenerate, ref_degenerate)
         assert ((0.0 <= cond) & (cond <= 1.0 + 1e-12)).all()
         worst = max(worst, np.abs(disc - ref_disc).max())
+        plucker = ab_to_plucker(lines)                  # cond = sqrt(det D)
+        assert np.abs(cond - np.sqrt(np.abs(np.linalg.det(
+            plucker @ plucker.transpose(0, 2, 1))))).max() < 1e-12
         if batch < 49:          # these are the draws `delta` counts
             ok = counts[~degenerate]
+            svd = (cond < 1e-2) | (np.abs(disc) <= 1e-10)
             assert _delta13_batch(0, batch, 4096) == (
-                ok.sum(), (ok ** 2).sum(), ok.size, degenerate.sum())
+                ok.sum(), (ok ** 2).sum(), ok.size, degenerate.sum(),
+                (counts == 1).sum(), svd.sum(), cond.min())
     assert worst < 1e-12
+
+
+def test_plucker_to_ab_is_an_isometry_up_to_sqrt_2():
+    # AB_FROM_PLUCKER / sqrt(2) is orthogonal and takes PLUCKER_PAIRING to
+    # diag(I3, -I3) / 2 on (a, b), so a unit line has |a| = |b| = 1
+    assert np.array_equal(AB_FROM_PLUCKER @ AB_FROM_PLUCKER.T, 2.0 * np.eye(6))
+    pairing = AB_FROM_PLUCKER @ PLUCKER_PAIRING @ AB_FROM_PLUCKER.T / 4
+    assert np.array_equal(pairing, np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]) / 2)
+    lines = lines_to_plucker(uniform_flat_frames(1, 3, 1000, tf.RngStream(42).generator()))
+    ab = plucker_to_ab(lines)
+    assert ab.shape == (1000, 2, 3)
+    assert np.abs(np.linalg.norm(ab, axis=2) - 1.0).max() < 1e-12
+    assert np.abs(ab.reshape(-1, 6) @ AB_FROM_PLUCKER / 2 - lines).max() < 1e-15
+    assert np.array_equal(plucker_to_ab(np.eye(6)[0]), [np.eye(3)[0]] * 2)   # e0 ^ e1
 
 
 def test_rotating_the_first_line_to_e0_e1_keeps_every_count():
@@ -83,8 +121,35 @@ def test_rotating_the_first_line_to_e0_e1_keeps_every_count():
     moved = lines @ tf.second_compound(q)          # rows g l = C2(q^T) l = C2(q)^T l
     assert np.abs(np.abs(moved[:, 0, 0]) - 1.0).max() < 1e-12
     moved[:, 0] = np.eye(6)[0]
-    counts, _, disc, _ = _count_batch(lines.transpose(1, 2, 0))
-    moved_counts, _, _, _ = _count_batch(moved.transpose(1, 2, 0))
+    counts, _, disc, _ = _count_batch(plucker_to_ab(lines).transpose(1, 2, 3, 0))
+    moved_counts, _, _, _ = _count_batch(plucker_to_ab(moved).transpose(1, 2, 3, 0))
+    sure = np.abs(disc) > 1e-9
+    assert sure.sum() > 19_000 and np.isin(counts[sure], (0, 2)).all()
+    assert np.array_equal(counts[sure], moved_counts[sure])
+
+
+def test_rotating_the_second_line_to_normal_form_keeps_every_count():
+    # why a `delta` draw may put its second line in normal form: rotations
+    # (R_a, R_b) in SO(3) x SO(3) whose first two rows are Gram-Schmidt frames
+    # of (a_1, a_2) and of (b_1, b_2) take line 1 to (e1, e1) and line 2 to
+    # ((c1, sqrt(1 - c1^2), 0), (c2, sqrt(1 - c2^2), 0)), c = a_1.a_2, b_1.b_2,
+    # and c is uniform on [-1, 1] (Archimedes), as the sampler draws it
+    lines = uniform_ab(4, 20_000, tf.RngStream(43).generator())
+    first, second = lines[0], lines[1]                         # (2, 3, B)
+    cos = np.einsum('skb,skb->sb', first, second)
+    bins, _ = np.histogram(cos, bins=10, range=(-1.0, 1.0))   # 4,000 +- 60 each
+    assert np.abs(bins - 4000).max() < 300
+    ortho = second - cos[:, None] * first
+    ortho /= np.linalg.norm(ortho, axis=1, keepdims=True)
+    frames = np.stack([first, ortho, np.cross(first, ortho, axis=1)], axis=1)
+    assert np.abs(np.linalg.det(frames.transpose(0, 3, 1, 2)) - 1.0).max() < 1e-12
+    moved = np.einsum('srkb,lskb->lsrb', frames, lines)        # R_s applied to each line
+    normal = np.stack([cos, np.sqrt(1.0 - cos ** 2), np.zeros_like(cos)], axis=1)
+    assert np.abs(moved[0] - np.eye(3)[0][None, :, None]).max() < 1e-12
+    assert np.abs(moved[1] - normal).max() < 1e-12
+    moved[0], moved[1] = np.eye(3)[0][None, :, None], normal
+    counts, _, disc, _ = _count_batch(lines)
+    moved_counts, _, _, _ = _count_batch(moved)
     sure = np.abs(disc) > 1e-9
     assert sure.sum() > 19_000 and np.isin(counts[sure], (0, 2)).all()
     assert np.array_equal(counts[sure], moved_counts[sure])
@@ -99,7 +164,7 @@ def test_fixed_first_line_has_the_count_law_of_four_uniform_lines():
     four = []
     for batch in range(40):
         counts, degenerate, _, _ = _count_batch(
-            uniform_lines(4, 4096, tf.RngStream(FOUR_LINE_SEED, batch).generator()))
+            uniform_ab(4, 4096, tf.RngStream(FOUR_LINE_SEED, batch).generator()))
         ok = counts[~degenerate]
         four.append((ok.sum(), (ok ** 2).sum(), ok.size))
     fixed = [_delta13_batch(FIXED_LINE_SEED, batch, 4096)[:3] for batch in range(40)]
@@ -219,20 +284,21 @@ def test_rotated_pencil_and_tangent_line_keep_their_counts():
         assert tf.count_line_transversals(*tangent @ moved).count == 1
     moved = tf.second_compound(haar_matrices(4, 1000, tf.RngStream(7).generator()))
     for lines in (regulus, concurrent):
-        moved_lines = (lines @ moved.transpose(0, 2, 1)).transpose(1, 2, 0)
-        _, degenerate, _, cond = _count_batch(moved_lines)
+        moved_lines = plucker_to_ab(lines @ moved.transpose(0, 2, 1))
+        _, degenerate, _, cond = _count_batch(moved_lines.transpose(1, 2, 3, 0))
         assert degenerate.all() and (cond < 1e-8).all()
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(-60, 60))
-def test_det4_matches_numpy_det(seed, symmetric, exponent):
+@given(st.integers(0, 2 ** 32 - 1), st.integers(-60, 60))
+def test_hollow_det_matches_numpy_det(seed, exponent):
     # relative to Hadamard's bound prod_i |row_i|, which both errors scale with
-    A = np.ldexp(tf.RngStream(seed).generator().standard_normal((64, 4, 4)), exponent)
-    if symmetric:
-        A = A + A.transpose(0, 2, 1)
-    bound = np.prod(np.linalg.norm(A, axis=2), axis=1)
-    assert (np.abs(_det4(A.transpose(1, 2, 0)) - np.linalg.det(A)) <= 1e-12 * bound).all()
+    m = np.ldexp(tf.RngStream(seed).generator().standard_normal((6, 64)), exponent)
+    M = np.zeros((64, 4, 4))
+    for k, (i, j) in enumerate(plucker_index_pairs(4, 2)):
+        M[:, i, j] = M[:, j, i] = m[k]
+    bound = np.prod(np.linalg.norm(M, axis=2), axis=1)
+    assert (np.abs(_hollow_det(m) - np.linalg.det(M)) <= 1e-12 * bound).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -241,7 +307,7 @@ def test_det4_matches_numpy_det(seed, symmetric, exponent):
        st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4))
 def test_count_is_invariant_under_signs_scales_and_rotations(seed, signs, scales):
     gen = tf.RngStream(seed).generator()
-    lines = uniform_lines(4, 1, gen)[:, :, 0]
+    lines = ab_to_plucker(uniform_ab(4, 1, gen))[0]
     g = haar_matrices(4, 1, gen)[0]
     base = tf.count_line_transversals(*lines)
     assume(not base.degenerate and abs(base.discriminant) > 1e-6)
@@ -256,7 +322,7 @@ def test_counts_are_even_and_rotation_invariant():
     frames = uniform_flat_frames(1, 3, 4 * 1000, gen).reshape(1000, 4, 2, 4)
     plucker = lines_to_plucker(frames)
     plucker /= np.linalg.norm(plucker, axis=-1, keepdims=True)
-    counts, degenerate, _, _ = _count_batch(plucker.transpose(1, 2, 0))
+    counts, degenerate, _, _ = _count_batch(plucker_to_ab(plucker).transpose(1, 2, 3, 0))
     ok = counts[~degenerate]
     assert degenerate.sum() < 5
     assert np.isin(ok, (0, 2)).all()          # no tangency at this tolerance
@@ -266,7 +332,7 @@ def test_counts_are_even_and_rotation_invariant():
     rotated = np.einsum('ij,bckj->bcki', g, frames)
     pl2 = lines_to_plucker(rotated)
     pl2 /= np.linalg.norm(pl2, axis=-1, keepdims=True)
-    counts2, deg2, _, _ = _count_batch(pl2.transpose(1, 2, 0))
+    counts2, deg2, _, _ = _count_batch(plucker_to_ab(pl2).transpose(1, 2, 3, 0))
     both = ~degenerate & ~deg2
     assert np.array_equal(counts[both], counts2[both])
 

@@ -61,3 +61,23 @@ def test_cli_import_solves_no_start_system():
                          capture_output=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
     assert out.split() == ["0", "0"]
+
+
+def test_every_function_the_benchmark_tracer_hooks_exists(monkeypatch):
+    # perfbench/tracer.py wraps these names from outside; a deleted or renamed
+    # one would leave its per-layer metrics silently at 0
+    import importlib
+    import importlib.util
+    perfbench = SRC.parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))             # its `import stats`
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer",
+                                                  perfbench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{attr}" for module, attr, *_ in tracer.FUNCTIONS
+               if not hasattr(importlib.import_module(f"tangentflats.{module}"), attr)]
+    missing += [f"{module}.{cls}.{attr}" for module, cls, attr, _ in tracer.METHODS
+                if not hasattr(getattr(importlib.import_module(f"tangentflats.{module}"),
+                                       cls, None), attr)]
+    assert tracer.FUNCTIONS and tracer.METHODS
+    assert not missing, f"hooked by perfbench/tracer.py but missing: {missing}"
