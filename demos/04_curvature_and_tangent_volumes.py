@@ -31,16 +31,18 @@ print(f"  k=1 ratio via |normal curvature| average: {via_h:.10f}")
 print(f"  relative difference: {abs(via_h - prof[1]) / prof[1]:.2e}")
 
 print("\ncurvature at a single point of the ellipsoid:")
-x = np.array([1.0, 1.5, 0.0, 0.0])
+x = np.array([[1.0, 1.5, 0.0, 0.0]])
 x = x / np.linalg.norm(x)
-cf = tf.curvature_frame(ell, tf.ProjectivePoint(x))
-print(f"  principal curvatures at the long-axis endpoint: {cf.principal}")
-print(f"  sigma_1 = {cf.curvature_sigma(1):.8f},  sigma_2 = "
-      f"{cf.curvature_sigma(2):.8f}")
+d = tf.principal_curvature_arrays(ell, x)
+sigma1, sigma2 = (tf.elementary_symmetric(d, k)[0] for k in (1, 2))
+print(f"  principal curvatures at the long-axis endpoint: {d[0]}")
+print(f"  sigma_1 = {sigma1:.8f},  sigma_2 = {sigma2:.8f}")
 
-est = tf.mean_abs_minor(cf, 1, 50_000, tf.RngStream(5))
-print(f"  E|restricted form| over random tangent lines: {est.mean:.6f}"
-      f" +- {est.stderr:.6f}   (sigma_1/2 = {cf.curvature_sigma(1) / 2:.6f})")
+# the normal curvature along a uniform tangent direction z is (z^2 . d) / |z|^2
+z = tf.RngStream(5).generator().standard_normal((50_000, 2)) ** 2
+vals = np.abs(z @ d[0]) / z.sum(axis=1)
+print(f"  E|restricted form| over random tangent lines: {vals.mean():.6f}"
+      f" +- {vals.std(ddof=1) / np.sqrt(len(vals)):.6f}   (sigma_1/2 = {sigma1 / 2:.6f})")
 
 print("\na non-convex star-shaped quartic (mixed curvature signs):")
 terms, expo = [], []

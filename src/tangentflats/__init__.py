@@ -13,8 +13,8 @@ product formula for the average tangent count under random rotations.
 __version__ = "0.1.0"
 
 from .rng import MCEstimate, RngStream
-from .projective import (PLUCKER_PAIRING, ProjectivePoint, haar_matrices,
-                         lines_to_plucker, plucker_embed, uniform_flat_frames)
+from .projective import (PLUCKER_PAIRING, haar_matrices, lines_to_plucker,
+                         plucker_embed, uniform_flat_frames)
 from .volumes import (SchubertRatio, TangentCountInputs,
                       average_scaling_factor, average_tangent_count,
                       expected_degree_lines_asymptotic,
@@ -27,10 +27,10 @@ from .bodies import (BodyError, BodyFileError, ConvexBody,
                      NonConvexQuadricError, affine_sphere, ellipsoid,
                      format_body, implicit_surface, metric_sphere,
                      parse_body_file, parse_body_text, quadric, rotate_body)
-from .curvature import (CurvatureFrame, NonConvexBodyError, QuadratureGrid,
+from .curvature import (NonConvexBodyError, QuadratureGrid,
                         SurfaceDegeneracyError, abs_normal_curvature_integral,
-                        curvature_frame, elementary_symmetric, mean_abs_minor,
-                        min_curvature_radius, surface_area, surface_grid,
+                        elementary_symmetric, min_curvature_radius,
+                        principal_curvature_arrays, surface_area, surface_grid,
                         tangent_line_volume_rp3, tangent_volume_ratio_convex,
                         tangent_volume_ratio_error,
                         tangent_volume_ratio_profile,

@@ -50,6 +50,7 @@ MAX_SWEEP_RADII = 10_000        # largest COUNT of omega --sweep-radius
 MAX_SAMPLES = 10 ** 9           # largest delta --samples and tau --delta-source mc:N
 MAX_PLANE_SAMPLES = 1024        # largest omega --samples, 16x the default
 MAX_TRIALS = 10 ** 6            # largest tau --trials
+MAX_LEVEL = 7                   # largest --level: 128 * 4^6 grid nodes
 
 #: Exit code of every exception a command may end in; main prints the
 #: message, then the per-path log of an exception that carries one.
@@ -304,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("report", "csv"), default="report")
         p.add_argument("--workers", type=positive_int,
                        default=os.cpu_count() or 1)
-        p.add_argument("--level", type=positive_int, default=4,
-                       help="quadrature refinement level")
+        p.add_argument("--level", type=at_least(1, int, MAX_LEVEL), default=4,
+                       help=f"quadrature refinement level, at most {MAX_LEVEL}")
         if seed:
             p.add_argument("--seed", type=int, default=0)
 

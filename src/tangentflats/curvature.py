@@ -26,7 +26,6 @@ from math import comb, gamma, pi
 import numpy as np
 
 from .bodies import BodyError, ConvexBody
-from .projective import ProjectivePoint
 from .rng import MCEstimate, RngStream
 from .volumes import sphere_volume
 
@@ -40,10 +39,6 @@ class NonConvexBodyError(ValueError):
 
 class SurfaceDegeneracyError(ValueError):
     """Surface parametrization or gradient degenerates at some node."""
-
-
-class NotOnSurfaceError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -271,51 +266,6 @@ def principal_curvature_arrays(body: ConvexBody, x: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(S)[:, ::-1]
 
 
-@dataclass(frozen=True)
-class CurvatureFrame:
-    """Curvature data of a hypersurface at one point: inward normal,
-    descending principal curvatures, and principal directions (rows)."""
-
-    x: ProjectivePoint
-    nu: np.ndarray
-    principal: np.ndarray
-    frame: np.ndarray
-
-    def curvature_sigma(self, k: int) -> float:
-        return float(elementary_symmetric(self.principal[None, :], k)[0])
-
-
-def curvature_frame(body: ConvexBody, x: ProjectivePoint) -> CurvatureFrame:
-    """Curvature frame of the body at a surface point.
-
-    The point must satisfy |F(x)| <= 1e-10 (relative); points off by up to
-    1e-6 are projected back onto the surface along the gradient first.
-    """
-    v = np.array(x.v, dtype=float)
-    scale = max(1.0, float(np.abs(body.surface_gradient(v[None, :])).max()))
-    val = float(body.surface_value(v[None, :])[0])
-    if abs(val) > 1e-6 * scale:
-        raise NotOnSurfaceError(f"point is off the surface: F = {val:.3e}")
-    if abs(val) > 1e-10 * scale:
-        for _ in range(50):
-            val = float(body.surface_value(v[None, :])[0])
-            G = body.surface_gradient(v[None, :])[0]
-            G = G - (G @ v) * v
-            g2 = G @ G
-            if g2 < 1e-24:
-                raise SurfaceDegeneracyError("gradient vanishes while projecting")
-            v = v - val * G / g2
-            v = v / np.linalg.norm(v)
-            if abs(val) < 1e-13 * scale:
-                break
-    S, T, nu = shape_operators(body, v[None, :])
-    w, vecs = np.linalg.eigh(S[0])
-    order = np.argsort(w)[::-1]
-    principal = w[order]
-    directions = (T[0] @ vecs[:, order]).T
-    return CurvatureFrame(ProjectivePoint(v), nu[0], principal, directions)
-
-
 def elementary_symmetric(values: np.ndarray, k: int) -> np.ndarray:
     """k-th elementary symmetric polynomial along the last axis, batched."""
     e = _elementary_symmetric_all(values)
@@ -347,26 +297,6 @@ def _abs_minors(d: np.ndarray, k: int, mc_samples: int,
         return np.abs(w @ d[..., None])[..., 0] / w.sum(axis=2)
     q, _ = np.linalg.qr(z)
     return np.abs(np.linalg.det(q.transpose(0, 1, 3, 2) @ (d[:, None, :, None] * q)))
-
-
-def mean_abs_minor(frame: CurvatureFrame, k: int, mc_samples: int,
-                   rng: RngStream) -> MCEstimate:
-    """Monte Carlo mean of |det| of the second fundamental form restricted
-    to a uniform k-plane of the tangent space: a batch of one node of the
-    sampler in tangent_volume_ratio_semialgebraic.
-
-    For positive definite forms this equals sigma_k / C(n-1, k); with mixed
-    signs only the Monte Carlo average applies.
-    """
-    m = frame.principal.shape[0]
-    if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= {m}")
-    if k == 0:
-        return MCEstimate(1.0, 0.0, mc_samples, rng.seed)
-    vals = _abs_minors(frame.principal[None], k, mc_samples, rng.generator())[0]
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else 0.0
-    return MCEstimate(mean, stderr, mc_samples, rng.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Projective points, flats, the Pluecker embedding and Haar sampling.
+"""Flats, the Pluecker embedding and Haar sampling.
 
 Conventions
 -----------
@@ -14,12 +14,8 @@ PLUCKER_PAIRING, which also gives the Pluecker quadric p^T P p / 2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
-
-ORTHO_TOL = 1e-12
-SPAN_TOL = 1e-9
 
 
 def plucker_index_pairs(n_plus_1: int, k_plus_1: int):
@@ -32,27 +28,6 @@ def plucker_index_pairs(n_plus_1: int, k_plus_1: int):
 #: for p = u ^ v and q = u' ^ v', zero iff the lines meet.
 PLUCKER_PAIRING = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])).copy()
 PLUCKER_PAIRING.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of RP^n, represented by a unit vector on the double cover S^n."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        if abs(np.linalg.norm(v) - 1.0) > ORTHO_TOL:
-            raise ValueError("representative vector must have unit norm")
-        object.__setattr__(self, "v", v)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectivePoint):
-            return NotImplemented
-        return min(np.linalg.norm(self.v - other.v),
-                   np.linalg.norm(self.v + other.v)) < SPAN_TOL
-
-    __hash__ = None
 
 
 def plucker_embed(frames: np.ndarray) -> np.ndarray:

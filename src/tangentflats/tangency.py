@@ -5,19 +5,26 @@ Pluecker coordinates, given by the second compound matrix of A; together
 with the Pluecker quadric this yields five quadrics in P^5, kept as arrays
 of shape (..., 6, 6).  Each family takes a parameter homotopy (Morgan and
 Sommese, 1989) from a generic complex member whose regular solutions are
-solved once per process, on first use; one tracker serves both:
+solved once per process, on first use.  One evaluator serves every route:
 
-- General quadrics: H = gamma (1 - t) G + t F on 32 paths, with G four
-  random complex symmetric forms and the Pluecker quadric, and a random
-  complex gamma so that paths avoid the real discriminant.  The
-  total-degree start G_s = (a_s p)^2 - (b_s p)^2 of generic linear forms
-  serves only to solve the cached starts and to retry lost paths.
-- Four metric spheres, A = I - w w^T with w = sec(r) g e_0: along
-  w(t) = W0 + tau (W1 - W0), tau = t / (t + gamma (1 - t)), from the 12
-  isolated solutions of a generic complex member W0.  For p = u ^ v the
-  form is p.p - q.q with q = (w.u) v - (w.v) u = L(w) p, linear in w.  The
-  other 20 total-degree paths end on the lines in the absolute quadric
-  x.x = 0, tangent to every such sphere, and are not tracked.
+    H = gamma (1 - t) p^T M0 p + t p^T M1 p + c(t) p^T M2 p,
+    c = gamma t (1 - t) / (t + gamma (1 - t)),
+
+(t + gamma (1 - t)) times the arc (1 - tau) M0 + tau M1 + tau (1 - tau) M2,
+tau = t / (t + gamma (1 - t)), from the start forms M0 to the target M1,
+with a random complex gamma so that paths avoid the real discriminant.
+
+- General quadrics, 32 paths: M0 is four random complex symmetric forms and
+  the Pluecker quadric, and there is no M2.  The total-degree start
+  G_s = (a_s p)^2 - (b_s p)^2 of generic linear forms, as M0, serves only to
+  solve the cached starts and to retry lost paths.
+- Four metric spheres, A = I - w w^T with w = sec(r) g e_0, 12 paths: C2(I - X)
+  is affine in X of rank one, so along w = (1 - tau) W0 + tau W the forms
+  are M0 = C2(I - W0 W0^T) of a generic complex member W0,
+  M1 = C2(I - W W^T) and M2 = I - C2(I - D D^T), D = W - W0, the Pluecker
+  quadric in M0 and M1 only.  The other 20 total-degree paths end on the
+  lines in the absolute quadric x.x = 0, tangent to every such sphere, and
+  are not tracked.
 
 The tracker has an RK4 predictor whose first stage is carried over from the
 step before, a contracting Newton corrector and adaptive steps (6 evaluations
@@ -203,46 +210,30 @@ def _solve_trials(forms, rngs, W=None, fresh=False):
     return results
 
 
-def _homotopy(M0, M1, gam, p, t):
-    """Values, Jacobians and t-derivatives of H = gam (1 - t) G + t F at the
-    rows p, for the start system G(p) = p^T M0_s p and the target
-    F(p) = p^T M1_s p, M1 (R, 5, 6, 6) per row.  M0 is either shared,
-    (5, 6, 6), or per row like M1."""
+def _homotopy(M0, M1, M2, gam, p, t):
+    """Values, Jacobians and t-derivatives of H (the module docstring) at the
+    rows p, for the start forms M0, shared (5, 6, 6) or per row, and the
+    forms M1 and M2 (R, 5, 6, 6) per row; M2 is None on the 32-path routes."""
     Y0, Y1 = _products(M0, p), _products(M1, p)
     G, F = (np.matmul(Y, p[:, :, None])[..., 0] for Y in (Y0, Y1))
     g, s = (gam * (1 - t))[:, None], t[:, None]
     J = 2.0 * (g[..., None] * Y0 + s[..., None] * Y1)
-    return g * G + s * F, J, F - gam[:, None] * G
+    H, dH = g * G + s * F, F - gam[:, None] * G
+    if M2 is not None:          # c = g s / u and dc/dt = gam (g (1 - s) - s^2) / u^2
+        Y2, u = _products(M2, p), s + g
+        Q = np.matmul(Y2, p[:, :, None])[..., 0]
+        J += (2.0 * g * s / u)[..., None] * Y2
+        H += g * s / u * Q
+        dH += gam[:, None] * (g * (1 - s) - s * s) / u ** 2 * Q
+    return H, J, dH
 
 
-def _sphere_maps(W):
-    """The linear maps L(w), q = L(w) p = (w.u) v - (w.v) u for p = u ^ v, of
-    the four vectors W (..., 4, 4), stacked as (..., 16, 6)."""
-    L = np.zeros(W.shape + (6,), dtype=W.dtype)
-    for a, (i, j) in enumerate(plucker_index_pairs(4, 2)):
-        L[..., j, a] = W[..., i]
-        L[..., i, a] = -W[..., j]
-    return L.reshape(W.shape[:-2] + (16, 6))
-
-
-def _sphere_homotopy(L0, Ld, gam, p, t):
-    """Values, Jacobians and t-derivatives of H(p, t) = F(p; w(t)), with
-    w(t) = W0 + tau (W1 - W0) and tau = t / (t + gam (1 - t)), at the rows p:
-    F_s(p) = p.p - q_s.q_s with q_s = L(w_s) p, equal to
-    p^T C2(I - w_s w_s^T) p, and the Pluecker quadric.  L0 = L(W0) is shared;
-    row r carries L(W1 - W0) of its trial as Ld[r]."""
-    s = t + gam * (1 - t)
-    M = L0 + (t / s)[:, None, None] * Ld
-    q = np.matmul(M, p[:, :, None]).reshape(-1, 4, 4)
-    qd = np.matmul(Ld, p[:, :, None]).reshape(-1, 4, 4)
-    Pp = np.matmul(PLUCKER_PAIRING, p[:, :, None])[..., 0]
-    F = np.concatenate([(p * p).sum(axis=1)[:, None] - (q * q).sum(axis=2),
-                        (p * Pp).sum(axis=1)[:, None]], axis=1)
-    Mq = np.matmul(M.reshape(-1, 4, 4, 6).transpose(0, 1, 3, 2), q[..., None])
-    J = 2.0 * np.concatenate([p[:, None] - Mq[..., 0], Pp[:, None]], axis=1)
-    dH = np.zeros_like(F)
-    dH[:, :4] = -2.0 * (gam / s ** 2)[:, None] * (q * qd).sum(axis=2)
-    return F, J, dH
+def _sphere_forms(W):
+    """The tangency forms C2(I - w w^T) of the vectors W (..., 4, 4) of four
+    metric spheres, and the Pluecker quadric: (..., 5, 6, 6)."""
+    C = second_compound(np.eye(4) - W[..., :, None] * W[..., None, :])
+    pairing = np.broadcast_to(PLUCKER_PAIRING, C.shape[:-3] + (1, 6, 6))
+    return np.concatenate([C, pairing], axis=-3)
 
 
 def _regular_start(start, forms, count):
@@ -262,14 +253,12 @@ def _regular_start(start, forms, count):
 
 @functools.cache
 def _sphere_start():
-    """L(W0) for a generic complex member W0 of the sphere family, and its 12
-    isolated solutions, computed once per process on first use; the other
-    20 total-degree endpoints lie on the excess component."""
+    """The vectors W0 (4, 4) of a generic complex member of the sphere
+    family, and its 12 isolated solutions, computed once per process on first
+    use; the other 20 total-degree endpoints lie on the excess component."""
     gen = RngStream(_START_SEED).generator()
-    L0 = _sphere_maps(gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4)))
-    L = L0.reshape(4, 4, 6)
-    C = _normalize_forms(np.eye(6) - L.transpose(0, 2, 1) @ L)
-    return _regular_start(L0, C, _SPHERE_PATHS)
+    W0 = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+    return _regular_start(W0, _normalize_forms(_sphere_forms(W0)[:4]), _SPHERE_PATHS)
 
 
 @functools.cache
@@ -320,12 +309,13 @@ def _track(evaluate, params, owner, p):
     the t each path reached or stalled at."""
     t, dt, active = np.zeros(len(p)), np.full(len(p), 0.1), np.ones(len(p), dtype=bool)
     steps, idx = np.zeros(owner[-1] + 1, dtype=int), owner[:0]
-    _, J, dH = evaluate(*[x[owner] for x in params], p, t)
+    _, J, dH = evaluate(*[x if x is None else x[owner] for x in params], p, t)
     K1, OK1 = _newton_steps(J, p, -dH)
     while active.any():
         if active.sum() != len(idx):        # paths only ever leave the set
             idx = np.flatnonzero(active)
-            rows, live = [x[owner[idx]] for x in params], np.unique(owner[idx])
+            rows = [x if x is None else x[owner[idx]] for x in params]
+            live = np.unique(owner[idx])
         steps[live] += 1
         pc, tc = p[idx], t[idx]
         t_new = np.minimum(tc + dt[idx], 1.0)
@@ -409,25 +399,33 @@ def _polish(Ms, owner, p):
 
 def _solve_batch(forms, rngs, W=None, fresh=False) -> list:
     """Solve the systems (T, 5, 6, 6) of T trials together, one stream each:
-    by the 12-path sphere homotopy when W (T, 4, 4) holds each trial's
-    sphere vectors, else by a 32-path homotopy from the cached generic
-    system, or, if fresh, from a total-degree start drawn from each stream.
+    on 12 paths along the sphere family from its cached member when W
+    (T, 4, 4) holds each trial's sphere vectors, else on 32 paths from the
+    cached generic system, or, if fresh, from a total-degree start drawn
+    from each stream.
     Returns, per trial, its SolutionSet or the PathFailureError its attempt
     ended in, the same bit for bit whichever trials share the batch."""
     T, gens = len(rngs), [rng.generator() for rng in rngs]
     gam = np.exp(2j * np.pi * np.array([gen.uniform() for gen in gens]))
-    if W is None and fresh:     # G_s = (a_s p)^2 - (b_s p)^2, zero on a p = +-b p
+    M1, M2 = forms, None
+    if W is not None:           # C2(I - w w^T) is affine in w w^T: the arc from W0
+        W0, starts = _sphere_start()
+        M0, M1 = _sphere_forms(W0), _sphere_forms(W)
+        M2 = np.eye(6) - _sphere_forms(W - W0)
+        M2[:, 4] = 0.0
+    elif fresh:                 # G_s = (a_s p)^2 - (b_s p)^2, zero on a p = +-b p
         z = np.array([gen.standard_normal((4, 5, 6)) for gen in gens])
         a, b = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
         L = a[:, None] - _SIGNS[:, :, None] * b[:, None]
-        p = np.linalg.svd(L)[2][..., -1, :].conj().reshape(-1, 6)
-        G = a[..., :, None] * a[..., None, :] - b[..., :, None] * b[..., None, :]
-        evaluate, params = _homotopy, (G, forms, gam)
-    else:                       # from the cached start of the trials' family
-        start, starts = _quadric_start() if W is None else _sphere_start()
-        evaluate = functools.partial(_homotopy if W is None else _sphere_homotopy, start)
-        params = (forms if W is None else _sphere_maps(W) - start, gam)
+        starts = np.linalg.svd(L)[2][..., -1, :].conj().reshape(-1, 6)
+        M0 = a[..., :, None] * a[..., None, :] - b[..., :, None] * b[..., None, :]
+    else:
+        M0, starts = _quadric_start()
+    if M0.ndim == 3:            # a cached start, shared by every trial
+        evaluate, params = functools.partial(_homotopy, M0), (M1, M2, gam)
         p = np.tile(starts, (T, 1))
+    else:
+        evaluate, params, p = _homotopy, (M0, M1, M2, gam), starts
     paths = len(p) // T
     owner = np.repeat(np.arange(T), paths)
     t = _track(evaluate, params, owner, p)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tangentflats.cli import (MAX_PLANE_SAMPLES, MAX_SAMPLES, MAX_SWEEP_RADII, MAX_TRIALS,
-                              main)
+from tangentflats.cli import (MAX_LEVEL, MAX_PLANE_SAMPLES, MAX_SAMPLES, MAX_SWEEP_RADII,
+                              MAX_TRIALS, main)
 
 
 def run_cli(capsys, *argv):
@@ -295,7 +295,8 @@ def test_nonpositive_counts_are_usage_errors(capsys, tmp_path, argv):
      MAX_TRIALS),
     (("omega", "BODY", "--method", "semialgebraic", "--samples", "1000000000000"),
      MAX_PLANE_SAMPLES),
-], ids=["samples", "delta-source-mc", "trials", "omega"])
+    (("omega", "BODY", "--level", str(MAX_LEVEL + 1)), MAX_LEVEL),
+], ids=["samples", "delta-source-mc", "trials", "omega", "level"])
 def test_sample_and_trial_counts_have_an_upper_bound(capsys, tmp_path, argv, bound):
     # refused by the argument parser, before any task list or draw is made
     bodies = [sphere_file(tmp_path, name=f"s{i}.body") for i in range(4)]

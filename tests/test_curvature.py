@@ -10,41 +10,29 @@ import tangentflats as tf
 from conftest import octahedral_quartic, random_ellipsoid
 from tangentflats.bodies import ConvexBody
 from tangentflats.curvature import (_abs_minors, _orthobasis_complement,
-                                    _radial_roots, shape_operators,
-                                    surface_points)
+                                    _radial_roots, principal_curvature_arrays,
+                                    shape_operators, surface_points)
 
 
 def test_sphere_principal_curvatures():
     body = tf.metric_sphere(3, pi / 4)
-    x = tf.ProjectivePoint(np.array([np.cos(pi / 4), 0.0, np.sin(pi / 4), 0.0]))
-    cf = tf.curvature_frame(body, x)
-    assert np.abs(cf.principal - 1.0).max() < 1e-9        # cot(pi/4) = 1
-    # frame invariants
-    assert abs(cf.x.v @ cf.nu) < 1e-12
-    assert abs(np.linalg.norm(cf.nu) - 1.0) < 1e-12
-    gram = cf.frame @ cf.frame.T
-    assert np.abs(gram - np.eye(2)).max() < 1e-10
-    assert np.abs(cf.frame @ cf.x.v).max() < 1e-10
-    assert np.abs(cf.frame @ cf.nu).max() < 1e-10
+    x = np.array([[np.cos(pi / 4), 0.0, np.sin(pi / 4), 0.0]])
+    assert np.abs(principal_curvature_arrays(body, x) - 1.0).max() < 1e-9   # cot(pi/4)
+    # tangent basis and normal invariants
+    _, T, nu = shape_operators(body, x)
+    T, nu = T[0], nu[0]
+    assert abs(x[0] @ nu) < 1e-12
+    assert abs(np.linalg.norm(nu) - 1.0) < 1e-12
+    assert np.abs(T.T @ T - np.eye(2)).max() < 1e-10
+    assert np.abs(x[0] @ T).max() < 1e-10
+    assert np.abs(nu @ T).max() < 1e-10
 
 
 def test_sphere_flat_limit():
     r = pi / 2 - 1e-4
     body = tf.metric_sphere(3, r)
-    x = tf.ProjectivePoint(np.array([np.cos(r), np.sin(r), 0.0, 0.0]))
-    cf = tf.curvature_frame(body, x)
-    assert np.abs(cf.principal).max() < 2e-4              # cot r -> 0
-
-
-def test_curvature_frame_surface_checks():
-    body = tf.metric_sphere(3, 0.5)
-    with pytest.raises(tf.curvature.NotOnSurfaceError):
-        tf.curvature_frame(body, tf.ProjectivePoint(np.array([1.0, 0, 0, 0])))
-    # a point within 1e-6 of the surface gets projected
-    r = 0.5 + 5e-7
-    v = np.array([np.cos(r), np.sin(r), 0.0, 0.0])
-    cf = tf.curvature_frame(body, tf.ProjectivePoint(v))
-    assert np.abs(cf.principal - 1 / np.tan(0.5)).max() < 1e-6
+    x = np.array([[np.cos(r), np.sin(r), 0.0, 0.0]])
+    assert np.abs(principal_curvature_arrays(body, x)).max() < 2e-4   # cot r -> 0
 
 
 def _fd_shape_operator(A, x, eps=1e-6):
@@ -93,9 +81,8 @@ def test_ellipsoid_curvature_finite_difference_oracle():
     for raw in pts:
         x = raw / np.linalg.norm(raw)
         expected = _fd_shape_operator(A, x)
-        cf = tf.curvature_frame(body, tf.ProjectivePoint(
-            _project_to_surface(A, x)))
-        assert np.abs(cf.principal - expected).max() < 1e-5
+        got = principal_curvature_arrays(body, _project_to_surface(A, x)[None])[0]
+        assert np.abs(got - expected).max() < 1e-5
 
 
 def _project_to_surface(A, x):
@@ -123,44 +110,50 @@ def test_elementary_symmetric_brute_force():
 def test_sigma_of_sphere_frames():
     n, r = 4, 0.9
     body = tf.metric_sphere(n, r)
-    x = np.zeros(n + 1)
-    x[0], x[1] = np.cos(r), np.sin(r)
-    cf = tf.curvature_frame(body, tf.ProjectivePoint(x))
-    assert cf.curvature_sigma(0) == 1.0
+    x = np.zeros((1, n + 1))
+    x[0, 0], x[0, 1] = np.cos(r), np.sin(r)
+    d = principal_curvature_arrays(body, x)
+    assert tf.elementary_symmetric(d, 0)[0] == 1.0
     for k in range(n):
         expect = comb(n - 1, k) * (1 / np.tan(r)) ** k
-        assert cf.curvature_sigma(k) == pytest.approx(expect, rel=1e-9)
+        assert tf.elementary_symmetric(d, k)[0] == pytest.approx(expect, rel=1e-9)
     # top symmetric polynomial is the product
-    assert cf.curvature_sigma(n - 1) == pytest.approx(np.prod(cf.principal), rel=1e-12)
+    assert tf.elementary_symmetric(d, n - 1)[0] == pytest.approx(np.prod(d), rel=1e-12)
 
 
-def test_mean_abs_minor_positive_definite():
+def mean_abs_minor(d, k, samples, seed):
+    """Mean and standard error of |det| of the diagonal form d restricted to
+    uniform k-planes."""
+    vals = _abs_minors(np.asarray(d, dtype=float)[None], k, samples,
+                       tf.RngStream(seed).generator())[0]
+    return vals.mean(), vals.std(ddof=1) / np.sqrt(samples)
+
+
+def test_mean_abs_minor_positive_definite(grid3_coarse):
     body = tf.ellipsoid(3, [1.2, 0.9, 0.7])
     x = _project_to_surface(body.matrix, np.array([1.0, 0.5, 0.4, -0.3]))
-    cf = tf.curvature_frame(body, tf.ProjectivePoint(x))
+    d = principal_curvature_arrays(body, x[None])
     for k in (1, 2):
-        est = tf.mean_abs_minor(cf, k, 40_000, tf.RngStream(7))
-        expect = cf.curvature_sigma(k) / comb(2, k)
-        assert abs(est.mean - expect) < 4 * max(est.stderr, 1e-12)
-    est0 = tf.mean_abs_minor(cf, 0, 10, tf.RngStream(8))
-    assert est0.mean == 1.0 and est0.stderr == 0.0
+        mean, stderr = mean_abs_minor(d[0], k, 40_000, 7)
+        expect = tf.elementary_symmetric(d, k)[0] / comb(2, k)
+        assert abs(mean - expect) < 4 * max(stderr, 1e-12)
+    # at k = 0 the restricted determinant is 1: no Monte Carlo error
+    est0 = tf.tangent_volume_ratio_semialgebraic(body, 0, grid3_coarse, 10,
+                                                 tf.RngStream(8))
+    assert est0.stderr == 0.0
+    assert est0.mean == pytest.approx(
+        tf.tangent_volume_ratio_profile(body, grid3_coarse)[0], rel=1e-12)
 
 
 def test_mean_abs_minor_flat_and_saddle():
-    flat = tf.CurvatureFrame(
-        tf.ProjectivePoint(np.array([1.0, 0, 0, 0])), np.array([0, 1.0, 0, 0]),
-        np.zeros(2), np.array([[0, 0, 1.0, 0], [0, 0, 0, 1.0]]))
-    est = tf.mean_abs_minor(flat, 1, 500, tf.RngStream(9))
-    assert est.mean == 0.0
-    saddle = tf.CurvatureFrame(
-        tf.ProjectivePoint(np.array([1.0, 0, 0, 0])), np.array([0, 1.0, 0, 0]),
-        np.array([1.0, -1.0]), np.array([[0, 0, 1.0, 0], [0, 0, 0, 1.0]]))
+    mean, stderr = mean_abs_minor([0.0, 0.0], 1, 500, 9)
+    assert mean == 0.0 and stderr == 0.0
     # oracle: mean over the circle of |cos^2 - sin^2| is 2/pi
     oracle = quad(lambda t: abs(np.cos(t) ** 2 - np.sin(t) ** 2) / pi,
                   -pi / 2, pi / 2)[0]
     assert oracle == pytest.approx(2 / pi, abs=1e-12)
-    est = tf.mean_abs_minor(saddle, 1, 200_000, tf.RngStream(10))
-    assert abs(est.mean - 2 / pi) < 4 * est.stderr
+    mean, stderr = mean_abs_minor([1.0, -1.0], 1, 200_000, 10)
+    assert abs(mean - 2 / pi) < 4 * stderr
 
 
 def test_abs_normal_curvature_integral():

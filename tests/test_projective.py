@@ -39,13 +39,6 @@ def test_plucker_invariant_under_in_plane_rotation():
                            atol=1e-10)
 
 
-def test_projective_point_sign_equivalence():
-    v = np.array([0.6, 0.8, 0.0, 0.0])
-    assert tf.ProjectivePoint(v) == tf.ProjectivePoint(-v)
-    with pytest.raises(ValueError):
-        tf.ProjectivePoint(2 * v)
-
-
 def test_haar_rotation_deterministic():
     g1 = haar_matrices(4, 1, tf.RngStream(7, 5).generator())[0]
     g2 = haar_matrices(4, 1, tf.RngStream(7, 5).generator())[0]

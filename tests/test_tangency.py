@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -108,19 +109,65 @@ complex_vectors = st.lists(st.complex_numbers(max_magnitude=3.0), min_size=4,
                            max_size=4).map(np.array)
 
 
+PAIRS = np.array(list(itertools.combinations(range(4), 2))).T
+
+
+def sphere_form(w):
+    return tf.second_compound(np.eye(4) - np.outer(w, w))
+
+
+def sphere_form_bound(w):
+    """|A_ik A_jl| + |A_il A_jk| with A = I + |w| |w|^T: the sums of absolute
+    terms that bound the rounding error of sphere_form(w)."""
+    A, (I, J), ix = np.eye(4) + np.outer(abs(w), abs(w)), PAIRS, np.ix_
+    return A[ix(I, I)] * A[ix(J, J)] + A[ix(I, J)] * A[ix(J, I)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(complex_vectors, complex_vectors, complex_vectors)
-def test_sphere_form_matches_second_compound(w, u, v):
-    # p.p - q.q with q = L(w) p is p^T C2(I - w w^T) p on lines p = u ^ v
-    p = wedge(u, v)
-    C = tf.second_compound(np.eye(4) - np.outer(w, w))
-    L = tangency._sphere_maps(np.tile(w, (4, 1)))
-    F = tangency._sphere_homotopy(L, np.zeros_like(L), 1.0, p[None], np.zeros(1))[0]
-    expect = p @ C @ p
-    # relative to sums of absolute terms, which bound the rounding errors
-    scale = np.abs(p) @ np.abs(C) @ np.abs(p) + (np.abs(L[:4] @ p) ** 2).sum()
-    assert np.all(np.abs(F[0, :4] - expect) <= 1e-12 * scale)
-    assert abs(F[0, 4] - p @ tf.PLUCKER_PAIRING @ p) <= 1e-12 * (np.abs(p) ** 2).sum()
+@given(complex_vectors, complex_vectors, st.complex_numbers(max_magnitude=3.0))
+def test_sphere_forms_are_an_arc_in_tau(w0, w1, tau):
+    # C2(I - X) is affine in X of rank one, so along w = (1 - tau) w0 + tau w1
+    # the form is quadratic in tau, with the tau (1 - tau) coefficient
+    # I - C2(I - d d^T), d = w1 - w0
+    w, d = (1 - tau) * w0 + tau * w1, w1 - w0
+    coefficients = (1 - tau, tau, tau * (1 - tau))
+    terms = (sphere_form(w0), sphere_form(w1), np.eye(6) - sphere_form(d))
+    error = sum(c * x for c, x in zip(coefficients, terms)) - sphere_form(w)
+    # relative to the sum of absolute terms, plus the underflow threshold,
+    # below which rounding errors are absolute
+    scale = sphere_form_bound(w) + abs(coefficients[2]) * np.eye(6) + sum(
+        abs(c) * sphere_form_bound(x) for c, x in zip(coefficients, (w0, w1, d)))
+    assert np.all(np.abs(error) <= 1e-12 * scale + np.finfo(float).tiny)
+
+
+def sphere_family(W):
+    """The forms M0, M1 and M2 of the sphere route for sphere vectors W
+    (R, 4, 4), as _solve_batch builds them."""
+    W0, _ = tangency._sphere_start()
+    M2 = np.eye(6) - tangency._sphere_forms(W - W0)
+    M2[:, 4] = 0.0
+    return tangency._sphere_forms(W0), tangency._sphere_forms(W), M2
+
+
+def test_sphere_homotopy_is_the_scaled_arc_with_its_t_derivative():
+    gen, R = tf.RngStream(43).generator(), 12
+    p = gen.standard_normal((R, 6)) + 1j * gen.standard_normal((R, 6))
+    t, gam = gen.uniform(0.05, 0.95, R), np.exp(2j * np.pi * gen.uniform(size=R))
+    W = gen.standard_normal((R, 4, 4))
+    evaluate = functools.partial(tangency._homotopy, *sphere_family(W), gam)
+    H, J, dH = evaluate(p, t)
+    # H is (t + gam (1 - t)) times the sphere forms at w(tau) and the
+    # Pluecker quadric, tau = t / (t + gam (1 - t))
+    s = (t + gam * (1 - t))[:, None, None, None]
+    W0 = tangency._sphere_start()[0]
+    M = s * tangency._sphere_forms(W0 + t[:, None, None] / s[..., 0] * (W - W0))
+    assert np.abs(H - np.einsum("ri,rkij,rj->rk", p, M, p)).max() <= 1e-12 * np.abs(H).max()
+    assert np.abs(J - 2.0 * np.einsum("rkij,rj->rki", M, p)).max() <= 1e-12 * np.abs(J).max()
+    # central differences in t: the error is O(h^2) times the third
+    # derivative, far below the tolerance at h = 1e-5
+    h = 1e-5
+    central = (evaluate(p, t + h)[0] - evaluate(p, t - h)[0]) / (2 * h)
+    assert np.abs(dH - central).max() <= 1e-7 * np.abs(dH).max()
 
 
 def test_solver_generic_quadrics():
@@ -250,15 +297,13 @@ def test_carried_first_stage_is_the_tangent_at_the_renormalized_point(family):
         tf.tangency_quadric_of(np.array([random_symmetric(gen) for _ in range(4 * R)])
                                ).reshape(R, 4, 6, 6))
     if family == "shared start":
-        evaluate = functools.partial(tangency._homotopy, tangency._quadric_start()[0],
-                                     forms, gam)
+        M0, M1, M2 = tangency._quadric_start()[0], forms, None
     elif family == "per-row start":
-        evaluate = functools.partial(tangency._homotopy, tangency._normalize_forms(
-            random_complex_forms(gen, (R, 4))), forms, gam)
+        M0 = tangency._normalize_forms(random_complex_forms(gen, (R, 4)))
+        M1, M2 = forms, None
     else:
-        L0 = tangency._sphere_start()[0]
-        evaluate = functools.partial(tangency._sphere_homotopy, L0, tangency._sphere_maps(
-            gen.standard_normal((R, 4, 4))) - L0, gam)
+        M0, M1, M2 = sphere_family(gen.standard_normal((R, 4, 4)))
+    evaluate = functools.partial(tangency._homotopy, M0, M1, M2, gam)
     H, J, dH = evaluate(p, t)
     _, tangent, ok = tangency._newton_steps(J, p, -H, -dH)
     scale = np.linalg.norm(p, axis=1, keepdims=True)
@@ -371,15 +416,18 @@ def test_batched_classification_matches_the_scalar_reference():
 
 
 def test_sphere_start_data():
-    L0, starts = tangency._sphere_start()
-    assert starts.shape == (12, 6)
-    F, J, _ = tangency._sphere_homotopy(L0, np.zeros_like(L0), 1.0, starts,
-                                        np.zeros(12))
+    W0, starts = tangency._sphere_start()
+    assert W0.shape == (4, 4) and starts.shape == (12, 6)
+    assert not W0.flags.writeable and not starts.flags.writeable
+    # at t = 0 the homotopy is the start member's sphere forms
+    M0 = tangency._sphere_forms(W0)
+    F, J, _ = tangency._homotopy(M0, np.broadcast_to(M0, (12, 5, 6, 6)), None,
+                                 np.ones(12), starts, np.zeros(12))
     assert np.abs(F).max() < 1e-12
     sv = np.linalg.svd(tangency._bordered(J, starts), compute_uv=False)
     assert (sv[:, -1] > 1e-7 * sv[:, 0]).all()
     again = tangency._sphere_start.__wrapped__()
-    assert np.array_equal(again[0], L0) and np.array_equal(again[1], starts)
+    assert np.array_equal(again[0], W0) and np.array_equal(again[1], starts)
 
 
 def test_quadric_start_data():
@@ -461,6 +509,14 @@ def test_mixed_family_counts_match_recorded_values():
     counts, log = tangency._tau_chunk((bodies, 777, range(24)))
     assert counts == [0, 2, 6, 4, 2, 4, 0, 2, 4, 4, 2, 4,
                       6, 2, 4, 4, 2, 4, 4, 0, 2, 4, 4, 4]
+    assert log == []
+
+
+def test_sphere_counts_match_recorded_values():
+    # the 12-path route; recorded when it had an evaluator of its own
+    counts, log = tangency._tau_chunk((main_theorem_spheres(), 777, range(24)))
+    assert counts == [8, 4, 2, 0, 4, 4, 0, 4, 4, 4, 2, 4,
+                      6, 4, 2, 4, 4, 2, 2, 0, 4, 0, 4, 4]
     assert log == []
 
 
