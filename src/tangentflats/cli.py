@@ -8,10 +8,11 @@ omega      tangent-flat volume ratio of a body from a body file
 tau        average tangent count, by formula or by empirical line counting
 intrinsic  intrinsic volume profile, Steiner check, sum identity, bounds
 
-Reports are JSON documents with sorted keys; byte-identical for a fixed
-seed apart from the wall_time_s field.  Exit codes: 0 success, 2 usage or
-malformed input, 3 refusal on degenerate or out-of-validity input,
-4 numerical failure.
+Each command returns its parameters and results; main completes the report
+(command, seed, version, wall_time_s), emits it as JSON with sorted keys,
+byte-identical for a fixed seed apart from wall_time_s, and maps every
+refusal to its exit code in EXIT_CODES: 0 success, 2 usage or malformed
+input, 3 refusal on degenerate or out-of-validity input, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -52,28 +53,20 @@ MAX_PLANE_SAMPLES = 1024        # largest omega --samples, 16x the default
 MAX_TRIALS = 10 ** 6            # largest tau --trials
 MAX_LEVEL = 7                   # largest --level: 128 * 4^6 grid nodes
 
+
+class UsageError(ValueError):
+    """A command line the command refuses after parsing: exit 2."""
+
+
 #: Exit code of every exception a command may end in; main prints the
 #: message, then the per-path log of an exception that carries one.
 EXIT_CODES = {
-    BodyError: EXIT_USAGE, OSError: EXIT_USAGE,
+    BodyError: EXIT_USAGE, OSError: EXIT_USAGE, UsageError: EXIT_USAGE,
     UnsupportedIndicesError: EXIT_USAGE,
     NonConvexBodyError: EXIT_REFUSED, SurfaceDegeneracyError: EXIT_REFUSED,
     TubeRadiusError: EXIT_REFUSED, DegenerateConfigurationError: EXIT_REFUSED,
     PathFailureError: EXIT_NUMERICAL,
 }
-
-
-def make_report(command: str, parameters: dict, seed, results: dict,
-                degenerate: dict | None = None, t0: float | None = None) -> dict:
-    return {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "wall_time_s": (time.perf_counter() - t0) if t0 is not None else 0.0,
-        "results": results,
-        "degenerate_counts": degenerate or {},
-        "version": __version__,
-    }
 
 
 def estimate_entry(est: MCEstimate) -> dict:
@@ -115,16 +108,14 @@ positive_int = at_least(1, int)
 sample_count = at_least(1, int, MAX_SAMPLES)
 
 
-def fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def cmd_volumes(args) -> int:
-    t0 = time.perf_counter()
-    k, n = args.k, args.n
+def check_flat_dimension(k: int, n: int) -> None:
     if not 0 <= k <= n - 1:
-        return fail(EXIT_USAGE, f"need 0 <= k <= n-1, got (k, n) = ({k}, {n})")
+        raise UsageError(f"need 0 <= k <= n-1, got (k, n) = ({k}, {n})")
+
+
+def cmd_volumes(args) -> dict:
+    k, n = args.k, args.n
+    check_flat_dimension(k, n)
     try:
         results = {
             "sphere_volume": sphere_volume(n),
@@ -135,67 +126,53 @@ def cmd_volumes(args) -> int:
             "dimension": grassmannian_dimension(k, n),
         }
         representable = all(0 < v < math.inf for v in results.values())
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         representable = False
     if not representable:       # the exact volumes are all positive and finite
-        return fail(EXIT_USAGE, f"(k, n) = ({k}, {n}): the volumes overflow or "
-                                "underflow double precision")
-    emit(make_report("volumes", {"k": k, "n": n}, None, results, t0=t0), args)
-    return EXIT_OK
+        raise UsageError(f"(k, n) = ({k}, {n}): the volumes overflow or "
+                         "underflow double precision")
+    return {"parameters": {"k": k, "n": n}, "results": results}
 
 
-def cmd_delta(args) -> int:
-    t0 = time.perf_counter()
+def cmd_delta(args) -> dict:
     est = estimate_expected_degree(args.k, args.n, args.samples, args.seed,
                                    workers=args.workers)
-    results = {"expected_degree": estimate_entry(est)}
-    report = make_report("delta", {"k": args.k, "n": args.n,
-                                   "samples": args.samples}, args.seed,
-                         results, {"discarded_draws": est.degenerate}, t0)
-    report["diagnostics"] = est.diagnostics
-    emit(report, args)
-    return EXIT_OK
+    return {"parameters": {"k": args.k, "n": args.n, "samples": args.samples},
+            "results": {"expected_degree": estimate_entry(est)},
+            "degenerate_counts": {"discarded_draws": est.degenerate},
+            "diagnostics": est.diagnostics}
 
 
-def cmd_omega(args) -> int:
-    t0 = time.perf_counter()
+def cmd_omega(args) -> dict:
     body = parse_body_file(args.body)
-    if not 0 <= args.k <= body.n - 1:
-        return fail(EXIT_USAGE, f"need 0 <= k <= n-1, got (k, n) = "
-                                f"({args.k}, {body.n})")
+    check_flat_dimension(args.k, body.n)
     method = args.method
     if method == "auto":
         method = "convex" if body.convex else "semialgebraic"
     grid = surface_grid(body.n, args.level)
-    results: dict = {}
     if args.sweep_radius:
         lo, hi, count = args.sweep_radius
         if body.kind != "metric_sphere":
-            return fail(EXIT_USAGE, "--sweep-radius needs a metric sphere body")
+            raise UsageError("--sweep-radius needs a metric sphere body")
         if not (1 <= count <= MAX_SWEEP_RADII and count.is_integer()):
-            return fail(EXIT_USAGE, "--sweep-radius COUNT must be an integer in "
-                                    f"[1, {MAX_SWEEP_RADII}], got {count}")
-        for r in np.linspace(lo, hi, int(count)):
-            ratio = tangent_volume_ratio_convex(metric_sphere(body.n, r),
-                                                args.k, grid)
-            results[f"ratio_r_{r:.6f}"] = ratio
+            raise UsageError("--sweep-radius COUNT must be an integer in "
+                             f"[1, {MAX_SWEEP_RADII}], got {count}")
+        results = {f"ratio_r_{r:.6f}": tangent_volume_ratio_convex(
+            metric_sphere(body.n, r), args.k, grid) for r in np.linspace(lo, hi, int(count))}
     elif method == "convex":
-        results["tangent_ratio"] = tangent_volume_ratio_convex(body, args.k, grid)
+        results = {"tangent_ratio": tangent_volume_ratio_convex(body, args.k, grid)}
     elif method == "h-integral":
         if body.n != 3:
-            return fail(EXIT_USAGE, "h-integral method needs n = 3")
+            raise UsageError("h-integral method needs n = 3")
         vol = tangent_line_volume_rp3(body, grid)
-        results["tangent_volume"] = vol
-        results["tangent_ratio"] = vol / schubert_volume(1, 3)
+        results = {"tangent_volume": vol, "tangent_ratio": vol / schubert_volume(1, 3)}
     else:
         est = tangent_volume_ratio_semialgebraic(
             body, args.k, grid, args.samples, RngStream(args.seed))
-        results["tangent_ratio"] = estimate_entry(est)
-    report = make_report("omega", {"body": args.body, "k": args.k,
-                                   "level": args.level, "method": method},
-                         args.seed, results, {}, t0)
-    emit(report, args)
-    return EXIT_OK
+        results = {"tangent_ratio": estimate_entry(est)}
+    return {"parameters": {"body": args.body, "k": args.k, "level": args.level,
+                           "method": method},
+            "results": results}
 
 
 def delta_source(text: str) -> str:
@@ -233,21 +210,22 @@ def _resolve_delta(source: str, k: int, n: int, seed: int, workers: int):
     return EXPECTED_DEGREE_LINES_RP3
 
 
-def cmd_tau(args) -> int:
-    t0 = time.perf_counter()
+def cmd_tau(args) -> dict:
     k, n = args.k, args.n
-    if not 0 <= k <= n - 1:
-        return fail(EXIT_USAGE, f"need 0 <= k <= n-1, got (k, n) = ({k}, {n})")
+    check_flat_dimension(k, n)
     d = grassmannian_dimension(k, n)
     if len(args.bodies) != d:
-        return fail(EXIT_USAGE,
-                    f"(k, n) = ({k}, {n}) needs {d} body files, got {len(args.bodies)}")
+        raise UsageError(f"(k, n) = ({k}, {n}) needs {d} body files, "
+                         f"got {len(args.bodies)}")
     bodies = [parse_body_file(p) for p in args.bodies]
     if any(b.n != n for b in bodies):
-        return fail(EXIT_USAGE, "all bodies must live in the same RP^n")
+        raise UsageError("all bodies must live in the same RP^n")
     delta = _resolve_delta(args.delta_source, k, n, args.seed, args.workers)
     results: dict = {"expected_degree": delta}
-    degenerate: dict = {}
+    report = {"parameters": {"k": k, "n": n, "mode": args.mode,
+                             "bodies": list(args.bodies), "trials": args.trials,
+                             "delta_source": args.delta_source},
+              "results": results}
     if args.mode == "formula":
         grid = surface_grid(n, args.level)
         ratios = [tangent_volume_ratio_convex(b, k, grid) for b in bodies]
@@ -257,24 +235,17 @@ def cmd_tau(args) -> int:
         results["average_tangent_count"] = tau
     else:
         if (k, n) != (1, 3) or any(b.matrix is None for b in bodies):
-            return fail(EXIT_USAGE, "empirical mode counts tangent lines "
-                                    "to quadrics in RP^3 only")
+            raise UsageError("empirical mode counts tangent lines to quadrics "
+                             "in RP^3 only")
         est = average_tangent_count_empirical(bodies, args.trials,
                                               args.seed, args.workers)
         results["average_tangent_count"] = estimate_entry(est)
-        degenerate["discarded_trials"] = est.degenerate
-        degenerate["path_failure_trials"] = est.failed
-    report = make_report("tau", {"k": k, "n": n, "mode": args.mode,
-                                 "bodies": list(args.bodies),
-                                 "trials": args.trials,
-                                 "delta_source": args.delta_source},
-                         args.seed, results, degenerate, t0)
-    emit(report, args)
-    return EXIT_OK
+        report["degenerate_counts"] = {"discarded_trials": est.degenerate,
+                                       "path_failure_trials": est.failed}
+    return report
 
 
-def cmd_intrinsic(args) -> int:
-    t0 = time.perf_counter()
+def cmd_intrinsic(args) -> dict:
     body = parse_body_file(args.body)
     grid = surface_grid(body.n, args.level)
     profile = compute_profile(body, grid)
@@ -286,11 +257,8 @@ def cmd_intrinsic(args) -> int:
     for k in range(body.n):
         results[f"bound_ok_k{k}"] = bound_check(body, k, grid, profile=profile)
     results["tube_volume"] = steiner_tube_volume(body, args.eps, profile)
-    report = make_report("intrinsic", {"body": args.body, "eps": args.eps,
-                                       "level": args.level}, None, results,
-                         t0=t0)
-    emit(report, args)
-    return EXIT_OK
+    return {"parameters": {"body": args.body, "eps": args.eps, "level": args.level},
+            "results": results}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,8 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        report = {"degenerate_counts": {}, **args.func(args)}
+        report.update(command=args.command, seed=args.seed, version=__version__,
+                      wall_time_s=time.perf_counter() - t0)
+        emit(report, args)
+        return EXIT_OK
     except BrokenPipeError:
         return EXIT_OK
     except tuple(EXIT_CODES) as exc:

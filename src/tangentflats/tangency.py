@@ -71,6 +71,9 @@ _DEDUP_TOL = 1e-8
 _REAL_RATIO = 1e-6
 _BORDERLINE_RATIO = 1e-4
 _DEGENERATE, _PATHS_LOST = -1, -2   # per-trial counts of discarded trials
+#: Largest share of discarded Monte Carlo draws (tau trials, delta draws)
+#: that an estimate accepts; a larger one raises DegenerateConfigurationError.
+MAX_DISCARDED_SHARE = 0.05
 
 
 class PathFailureError(RuntimeError):
@@ -593,7 +596,7 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
     Trials are solved in chunks of at most _CHUNK_ROWS path rows, and
     workers > 1 spreads whole chunks over a process pool; no count depends
     on the chunking.  Degenerate draws are discarded and reported; more than
-    five percent of them raises a diagnostic error.
+    MAX_DISCARDED_SHARE of them raises a diagnostic error.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -607,7 +610,7 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
     ok = counts[counts >= 0]
     degenerate = int((counts < 0).sum())
     failed = int((counts == _PATHS_LOST).sum())
-    if degenerate > 0.05 * trials:
+    if degenerate > MAX_DISCARDED_SHARE * trials:
         exc = DegenerateConfigurationError(
             f"{degenerate} of {trials} trials discarded ({degenerate - failed} "
             f"degenerate, {failed} lost paths after every retry)")

@@ -42,11 +42,16 @@ def orthogonal_volume(n: int) -> float:
 
 
 def grassmannian_volume(k: int, n: int) -> float:
-    """Volume of the Grassmannian of k-planes in R^n."""
+    """Volume of the Grassmannian of k-planes in R^n: with j = min(k, n-k),
+    the product over m < j of |S^(n-j+m)| / |S^m|, the quotient of the O
+    volumes with its common factors cancelled, so that it does not pass
+    through |O(n)|, which underflows from n = 63."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return orthogonal_volume(n) / (orthogonal_volume(k) * orthogonal_volume(n - k)) \
-        if 0 < k < n else 1.0
+    j, vol = min(k, n - k), 1.0
+    for m in range(j):
+        vol *= sphere_volume(n - j + m) / sphere_volume(m)
+    return vol
 
 
 def projective_grassmannian_volume(k: int, n: int) -> float:

@@ -41,8 +41,8 @@ def test_volumes_usage_error(capsys):
 @pytest.mark.parametrize("n", ["62", "200", "400"])
 @pytest.mark.parametrize("k", ["0", "1"])
 def test_volumes_beyond_double_precision_are_usage_errors(capsys, k, n):
-    # at n = 62 |O(n+1)| underflows to 0, at 200 a division by it fails, and
-    # at 400 |S^n| overflows
+    # from n = 62 the reported |O(n+1)| underflows to 0 (the Grassmannian
+    # volumes do not pass through it), and at 400 |S^n| overflows
     code, out, err = run_cli(capsys, "volumes", k, n)
     assert code == 2 and out == ""
     assert "double precision" in err
@@ -694,3 +694,120 @@ def test_fuzzed_command_lines_end_in_a_documented_exit_code(capsys, fuzz_bodies,
     assert "Traceback" not in err, (argv, err)
     if code == 0 and out.startswith("{"):
         json.loads(out, parse_constant=refuse_constant)
+
+
+def test_delta_refuses_more_than_five_percent_degenerate_draws(capsys, monkeypatch):
+    from tangentflats import schubert
+    count = schubert._count_batch
+
+    def degenerate_share(share):
+        """_count_batch with the first `share` of each batch degenerate."""
+        def counting(lines):
+            counts, degenerate, disc, cond = count(lines)
+            forced = np.arange(counts.size) < share * counts.size
+            return np.where(forced, -1, counts), degenerate | forced, disc, cond
+        return counting
+
+    argv = ("delta", "1", "3", "--samples", "1000", "--workers", "1")
+    monkeypatch.setattr(schubert, "_count_batch", degenerate_share(0.10))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: 100 of 1000 draws were degenerate\n")
+    monkeypatch.setattr(schubert, "_count_batch", degenerate_share(0.04))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["degenerate_counts"] == {"discarded_draws": 40}
+
+
+REPORT_KEYS = {"command", "parameters", "seed", "wall_time_s", "results",
+               "degenerate_counts", "version"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("volumes", "1", "3"),
+    ("delta", "1", "3", "--samples", "2000"),
+    ("omega", "SPHERE"),
+    ("tau", *["SPHERE"] * 4),
+    ("tau", *["SPHERE"] * 4, "--mode", "empirical", "--trials", "2"),
+    ("intrinsic", "SPHERE"),
+], ids=["volumes", "delta", "omega", "tau-formula", "tau-empirical", "intrinsic"])
+def test_every_report_has_the_same_keys_and_reproduces(capsys, tmp_path, argv):
+    argv = [sphere_file(tmp_path) if a == "SPHERE" else a for a in argv]
+    reports = []
+    for _ in range(2):
+        code, out, err = run_cli(capsys, *argv, "--level", "2", "--workers", "1")
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    assert set(reports[0]) == REPORT_KEYS | ({"diagnostics"} if argv[0] == "delta" else set())
+    assert reports[0]["command"] == argv[0]
+    assert all(r.pop("wall_time_s") >= 0 for r in reports)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("volumes", "5", "3"), "need 0 <= k <= n-1, got (k, n) = (5, 3)"),
+    (("volumes", "1", "63"),
+     "(k, n) = (1, 63): the volumes overflow or underflow double precision"),
+    (("omega", "SPHERE", "--k", "3"), "need 0 <= k <= n-1, got (k, n) = (3, 3)"),
+    (("omega", "QUARTIC", "--sweep-radius", "0.3", "1.2", "4"),
+     "--sweep-radius needs a metric sphere body"),
+    (("omega", "SPHERE", "--sweep-radius", "0.3", "1.2", "0"),
+     f"--sweep-radius COUNT must be an integer in [1, {MAX_SWEEP_RADII}], got 0.0"),
+    (("omega", "SPHERE4", "--method", "h-integral"), "h-integral method needs n = 3"),
+    (("tau", *["SPHERE"] * 4, "--k", "3"), "need 0 <= k <= n-1, got (k, n) = (3, 3)"),
+    (("tau", *["SPHERE"] * 3), "(k, n) = (1, 3) needs 4 body files, got 3"),
+    (("tau", *["SPHERE"] * 3, "SPHERE4"), "all bodies must live in the same RP^n"),
+    (("tau", *["SPHERE"] * 3, "QUARTIC", "--mode", "empirical"),
+     "empirical mode counts tangent lines to quadrics in RP^3 only"),
+], ids=["volumes-k", "volumes-precision", "omega-k", "sweep-body", "sweep-count",
+        "h-integral-n", "tau-k", "tau-body-count", "tau-dimensions", "tau-empirical-kind"])
+def test_command_refusals_exit_2_with_one_error_line(capsys, tmp_path, argv, message):
+    quartic, sphere4 = tmp_path / "quartic.body", tmp_path / "sphere4.body"
+    quartic.write_text(IMPLICIT_BODY)
+    sphere4.write_text("kind = metric_sphere\nn = 4\nradius = 0.5\n")
+    files = {"SPHERE": sphere_file(tmp_path), "SPHERE4": str(sphere4),
+             "QUARTIC": str(quartic)}
+    code, out, err = run_cli(capsys, *[files.get(a, a) for a in argv], "--level", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# Reports recorded before main took over building and emitting them, with
+# wall_time_s dropped: the tangent counts of twenty ellipsoid trials and the
+# h-integral of an implicit quartic must stay the same to the last bit.
+ELLIPSOID_SEMIAXES = ("1.0 0.8 0.5", "1.4 0.7 1.1", "0.6 0.9 1.2", "1.3 1.0 0.7")
+
+
+def test_tau_empirical_ellipsoid_report_matches_recorded_values(capsys, tmp_path):
+    bodies = []
+    for i, semiaxes in enumerate(ELLIPSOID_SEMIAXES):
+        body = tmp_path / f"e{i}.body"
+        body.write_text(f"kind = ellipsoid\nn = 3\nsemiaxes = {semiaxes}\n")
+        bodies.append(str(body))
+    code, out, _ = run_cli(capsys, "tau", *bodies, "--mode", "empirical",
+                           "--trials", "20", "--seed", "4", "--workers", "1")
+    assert code == 0
+    report = json.loads(out)
+    report.pop("wall_time_s")
+    assert report == {
+        "command": "tau",
+        "degenerate_counts": {"discarded_trials": 0, "path_failure_trials": 0},
+        "parameters": {"bodies": bodies, "delta_source": "reference", "k": 1,
+                       "mode": "empirical", "n": 3, "trials": 20},
+        "results": {"average_tangent_count": {"degenerate": 0, "mean": 4.2, "samples": 20,
+                                              "stderr": 0.4328607409463598},
+                    "expected_degree": 1.7262},
+        "seed": 4, "version": "0.1.0"}
+
+
+def test_omega_h_integral_report_matches_recorded_values(capsys, tmp_path):
+    body = tmp_path / "quartic.body"
+    body.write_text(IMPLICIT_BODY)
+    code, out, _ = run_cli(capsys, "omega", str(body), "--method", "h-integral")
+    assert code == 0
+    report = json.loads(out)
+    report.pop("wall_time_s")
+    assert report == {
+        "command": "omega", "degenerate_counts": {},
+        "parameters": {"body": str(body), "k": 1, "level": 4, "method": "h-integral"},
+        "results": {"tangent_ratio": 1.2741399695891822,
+                    "tangent_volume": 19.753168213255492},
+        "seed": 0, "version": "0.1.0"}

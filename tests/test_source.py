@@ -81,3 +81,29 @@ def test_every_function_the_benchmark_tracer_hooks_exists(monkeypatch):
                                        cls, None), attr)]
     assert tracer.FUNCTIONS and tracer.METHODS
     assert not missing, f"hooked by perfbench/tracer.py but missing: {missing}"
+
+
+def test_cli_refusals_and_reports_go_through_main():
+    # every exception cli.py raises has an exit code in EXIT_CODES (argparse
+    # turns its own type errors into exit 2 before main runs a command), and
+    # only main emits a report, so one place decides how a command ends
+    import builtins
+    import functools
+    from tangentflats import cli
+
+    def resolve(name):
+        head, *rest = name.split(".")
+        return functools.reduce(getattr, rest, getattr(cli, head, None) or
+                                getattr(builtins, head))
+
+    tree = ast.parse((SRC / "cli.py").read_text())
+    raised = {ast.unparse(node.exc.func) if isinstance(node.exc, ast.Call) else
+              ast.unparse(node.exc) for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    unmapped = [name for name in sorted(raised - {"argparse.ArgumentTypeError"})
+                if not issubclass(resolve(name), tuple(cli.EXIT_CODES))]
+    assert raised and not unmapped, f"raised in cli.py but not in EXIT_CODES: {unmapped}"
+    emitters = sorted({fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                       for node in ast.walk(fn) if isinstance(node, ast.Call)
+                       and ast.unparse(node.func) == "emit"})
+    assert emitters == ["main"], f"emit called from {emitters}"

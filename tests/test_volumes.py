@@ -33,6 +33,22 @@ def test_grassmannian_volumes():
                 tf.grassmannian_volume(n - k, n), rel=1e-12)
 
 
+def test_grassmannian_volumes_beyond_the_orthogonal_underflow():
+    # |O(n)| underflows from n = 63, yet |Gr(k, n)| for k in {0, 1} stays
+    # representable until Gamma(n/2) in |S^(n-1)| overflows at n = 344
+    for n in range(1, 343):
+        for k in {0, min(1, n)}:
+            vol = tf.grassmannian_volume(k, n)
+            assert 0 < vol < float("inf")
+            assert vol == tf.grassmannian_volume(n - k, n)
+    # and moves only in the last bits against the quotient of O volumes
+    for n in range(1, 62):
+        for k in range(n + 1):
+            quotient = tf.orthogonal_volume(n) / (
+                tf.orthogonal_volume(k) * tf.orthogonal_volume(n - k)) if 0 < k < n else 1.0
+            assert tf.grassmannian_volume(k, n) == pytest.approx(quotient, rel=1e-13)
+
+
 def test_schubert_ratio_values():
     assert tf.schubert_ratio(1, 3).value == pytest.approx(pi / 4, rel=1e-14)
     assert tf.schubert_ratio(0, 1).value == pytest.approx(1 / pi, rel=1e-14)
