@@ -60,9 +60,9 @@ def _partial(coeffs: np.ndarray, exponents: np.ndarray, j: int):
 
 
 def _evaluate(x: np.ndarray, parts) -> np.ndarray:
-    """Values (N, len(parts)) of polynomials given as (coeffs, exponents)."""
+    """Values (len(parts), N) of polynomials given as (coeffs, exponents)."""
     x = np.atleast_2d(x)
-    return np.stack([c @ _monomials(x, e) for c, e in parts], axis=-1)
+    return np.stack([c @ _monomials(x, e) for c, e in parts])
 
 
 @dataclass(frozen=True)
@@ -103,17 +103,19 @@ class HomogeneousPolynomial:
         return int(self.exponents[0].sum())
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        return _evaluate(x, [(self.coeffs, self.exponents)])[:, 0]
+        return _evaluate(x, [(self.coeffs, self.exponents)])[0]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return _evaluate(x, self._gradient)
+        """(N, n+1), a view of a node-last (n+1, N) array."""
+        return _evaluate(x, self._gradient).T
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
+        """(N, n+1, n+1), a view of a node-last (n+1, n+1, N) array."""
         upper = _evaluate(x, self._hessian)
         i, j = np.triu_indices(self.nvars)
-        out = np.empty((upper.shape[0], self.nvars, self.nvars))
-        out[:, i, j] = out[:, j, i] = upper
-        return out
+        out = np.empty((self.nvars, self.nvars, upper.shape[1]))
+        out[i, j] = out[j, i] = upper
+        return out.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ class ConvexBody:
     def surface_gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         if self.matrix is not None:
-            return 2.0 * x @ self.matrix
+            return (2.0 * self.matrix @ x.T).T
         return self.poly.gradient(x)
 
     def surface_hessian(self, x: np.ndarray) -> np.ndarray:

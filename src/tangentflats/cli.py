@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .bodies import BodyError, metric_sphere, parse_body_file
 from .curvature import (NonConvexBodyError, SurfaceDegeneracyError,
-                        surface_grid, tangent_line_volume_rp3,
+                        surface_grid, surface_sample, tangent_line_volume_rp3,
                         tangent_volume_ratio_convex,
                         tangent_volume_ratio_semialgebraic)
 from .intrinsic import (TubeRadiusError, bound_check, compute_profile,
@@ -150,6 +150,7 @@ def cmd_omega(args) -> dict:
     if method == "auto":
         method = "convex" if body.convex else "semialgebraic"
     grid = surface_grid(body.n, args.level)
+    parameters = {"body": args.body, "k": args.k, "level": args.level, "method": method}
     if args.sweep_radius:
         lo, hi, count = args.sweep_radius
         if body.kind != "metric_sphere":
@@ -157,22 +158,23 @@ def cmd_omega(args) -> dict:
         if not (1 <= count <= MAX_SWEEP_RADII and count.is_integer()):
             raise UsageError("--sweep-radius COUNT must be an integer in "
                              f"[1, {MAX_SWEEP_RADII}], got {count}")
-        results = {f"ratio_r_{r:.6f}": tangent_volume_ratio_convex(
-            metric_sphere(body.n, r), args.k, grid) for r in np.linspace(lo, hi, int(count))}
-    elif method == "convex":
-        results = {"tangent_ratio": tangent_volume_ratio_convex(body, args.k, grid)}
+        return {"parameters": parameters, "results": {
+            f"ratio_r_{r:.6f}": tangent_volume_ratio_convex(metric_sphere(body.n, r), args.k, grid)
+            for r in np.linspace(lo, hi, int(count))}}
+    if method == "h-integral" and body.n != 3:
+        raise UsageError("h-integral method needs n = 3")
+    sample = surface_sample(body, grid)
+    if method == "convex":
+        results = {"tangent_ratio": tangent_volume_ratio_convex(body, args.k, grid, sample)}
     elif method == "h-integral":
-        if body.n != 3:
-            raise UsageError("h-integral method needs n = 3")
-        vol = tangent_line_volume_rp3(body, grid)
+        vol = tangent_line_volume_rp3(body, grid, sample)
         results = {"tangent_volume": vol, "tangent_ratio": vol / schubert_volume(1, 3)}
     else:
         est = tangent_volume_ratio_semialgebraic(
-            body, args.k, grid, args.samples, RngStream(args.seed))
+            body, args.k, grid, args.samples, RngStream(args.seed), sample)
         results = {"tangent_ratio": estimate_entry(est)}
-    return {"parameters": {"body": args.body, "k": args.k, "level": args.level,
-                           "method": method},
-            "results": results}
+    return {"parameters": parameters, "results": results,
+            "diagnostics": sample.diagnostics()}
 
 
 def delta_source(text: str) -> str:
@@ -258,7 +260,7 @@ def cmd_intrinsic(args) -> dict:
         results[f"bound_ok_k{k}"] = bound_check(body, k, grid, profile=profile)
     results["tube_volume"] = steiner_tube_volume(body, args.eps, profile)
     return {"parameters": {"body": args.body, "eps": args.eps, "level": args.level},
-            "results": results}
+            "results": results, "diagnostics": profile.diagnostics}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bodies import BodyError, ConvexBody
 from .rng import MCEstimate, RngStream
-from .volumes import sphere_volume
+from .volumes import legendre_rule, sphere_volume
 
 GRID_BUDGET_BASE = 128          # node budget at level 1 is 128, x4 per level
 DEGENERATE_DET_TOL = 1e-12
@@ -54,7 +54,7 @@ class QuadratureGrid:
 
     n: int
     level: int
-    nodes: np.ndarray     # (N, n) unit vectors
+    nodes: np.ndarray     # (N, n) unit vectors, a view of a node-last (n, N) array
     weights: np.ndarray   # (N,) positive, summing to |S^{n-1}|
 
     def __post_init__(self):
@@ -77,11 +77,9 @@ def surface_grid(n: int, level: int) -> QuadratureGrid:
         raise ValueError("level must be >= 1")
     m = n - 1
     P = grid_axis_points(n, level)
-    axes = []
-    for j in range(m - 1):
-        x, w = np.polynomial.legendre.leggauss(P)
-        theta = (x + 1.0) * (pi / 2)
-        axes.append((theta, w * (pi / 2) * np.sin(theta) ** (m - 1 - j)))
+    x, w = legendre_rule(P)
+    theta = (x + 1.0) * (pi / 2)
+    axes = [(theta, w * (pi / 2) * np.sin(theta) ** (m - 1 - j)) for j in range(m - 1)]
     nphi = 2 * P
     phi = np.arange(nphi) * (2 * pi / nphi)
     axes.append((phi, np.full(nphi, 2 * pi / nphi)))
@@ -92,17 +90,16 @@ def surface_grid(n: int, level: int) -> QuadratureGrid:
         weight = weight * wg
 
     shape = angle_grids[0].shape
-    pts = np.empty(shape + (n,))
+    pts = np.empty((n,) + shape)
     s = np.ones(shape)
     for j in range(m):
-        pts[..., j] = s * np.cos(angle_grids[j])
+        pts[j] = s * np.cos(angle_grids[j])
         s = s * np.sin(angle_grids[j])
-    pts[..., m] = s
+    pts[m] = s
 
-    nodes = pts.reshape(-1, n)
     w = weight.ravel()
     w = w * (sphere_volume(n - 1) / w.sum())
-    return QuadratureGrid(n, level, nodes, w)
+    return QuadratureGrid(n, level, pts.reshape(n, -1).T, w)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +120,8 @@ def _radial_roots(body: ConvexBody, omega: np.ndarray):
         q = (omega ** 2) @ lam[1:]
         return np.arctan(np.sqrt(-lam[0] / q)), vec[:, 0], vec[:, 1:]
     c = body.star_center()
-    W = _orthobasis_complement(c[None, :])[0]
-    omt = omega @ W.T
+    W = _orthobasis_complement(c[:, None])[..., 0]
+    omt = W @ omega.T                               # (n+1, N)
     s_in = body.interior_sign()
     if s_in == 0:
         raise SurfaceDegeneracyError("the star center lies on the surface")
@@ -133,7 +130,7 @@ def _radial_roots(body: ConvexBody, omega: np.ndarray):
     V = np.sin(tj)[:, None] ** np.arange(d, -1, -1) * \
         np.cos(tj)[:, None] ** np.arange(d + 1)
     q = np.linalg.solve(V, np.stack([body.surface_value(
-        np.cos(t) * c[None, :] + np.sin(t) * omt) for t in tj]))
+        (np.cos(t) * c[:, None] + np.sin(t) * omt).T) for t in tj]))
     N = omega.shape[0]
     lo, hi, flo, fhi = (np.empty(N) for _ in range(4))
     active, qa, t_prev, f_prev = np.arange(N), q, None, None
@@ -176,33 +173,33 @@ def _radial_roots(body: ConvexBody, omega: np.ndarray):
 
 
 def surface_points(body: ConvexBody, grid: QuadratureGrid, roots=None):
-    """Surface nodes x (N, n+1) and area-element values J (N,).  `roots`
-    reuses the (rho, c, W) that _radial_roots returned for these nodes."""
-    omega = grid.nodes
-    rho, c, W = _radial_roots(body, omega) if roots is None else roots
-    omt = omega @ W.T
-    x = np.cos(rho)[:, None] * c[None, :] + np.sin(rho)[:, None] * omt
+    """Surface nodes x (N, n+1), a view of a node-last (n+1, N) array, and
+    the area element J (N,) and ray cosine |dF/dt| / |grad F| (N,) there.
+    `roots` reuses the (rho, c, W) that _radial_roots returned for grid."""
+    rho, c, W = _radial_roots(body, grid.nodes) if roots is None else roots
+    omt = W @ grid.nodes.T                          # (n+1, N)
+    cos, sin = np.cos(rho), np.sin(rho)
+    x = cos * c[:, None] + sin * omt
 
-    G = body.surface_gradient(x)
-    xt = -np.sin(rho)[:, None] * c[None, :] + np.cos(rho)[:, None] * omt
-    dFdt = np.einsum('ni,ni->n', G, xt)
+    G = body.surface_gradient(x.T).T
+    dFdt = (G * (cos * omt - sin * c[:, None])).sum(0)
     if np.abs(dFdt).min() < 1e-13:
         raise SurfaceDegeneracyError("ray tangent to the surface at a node")
     # |grad rho|^2 from implicit differentiation; angular gradient directions
     # span {c, omega~}-perp
-    g_c = G @ c
-    g_om = np.einsum('ni,ni->n', G, omt)
-    ang2 = np.maximum((G ** 2).sum(1) - g_c ** 2 - g_om ** 2, 0.0)
-    grad_rho2 = np.sin(rho) ** 2 * ang2 / dFdt ** 2
-    J = np.sin(rho) ** (grid.n - 2) * np.sqrt(np.sin(rho) ** 2 + grad_rho2)
-    return x, J
+    G2 = (G ** 2).sum(0)
+    ang2 = np.maximum(G2 - (c @ G) ** 2 - (G * omt).sum(0) ** 2, 0.0)
+    grad_rho2 = sin ** 2 * ang2 / dFdt ** 2
+    J = sin ** (grid.n - 2) * np.sqrt(sin ** 2 + grad_rho2)
+    return x.T, J, np.abs(dFdt) / np.sqrt(G2)
 
 
 @dataclass(frozen=True)
 class SurfaceSample:
     """A body's surface on a quadrature grid, shared by every quadrature over
     it: radial profile rho from the star center (W spans center-perp), nodes
-    x, area element J and descending principal curvatures (N, n-1)."""
+    x, area element J, descending principal curvatures (N, n-1) and ray
+    cosines |dF/dt| / |grad F| at the radial roots."""
 
     rho: np.ndarray
     center: np.ndarray
@@ -210,60 +207,72 @@ class SurfaceSample:
     x: np.ndarray
     J: np.ndarray
     principal: np.ndarray
+    ray_cosine: np.ndarray
+
+    def diagnostics(self) -> dict:
+        """Node count, curvature extremes and smallest ray cosine, for reports."""
+        return {"nodes": len(self.J), "min_principal_curvature": float(self.principal.min()),
+                "max_abs_principal_curvature": float(np.abs(self.principal).max()),
+                "min_ray_cosine": float(self.ray_cosine.min())}
 
 
 def surface_sample(body: ConvexBody, grid: QuadratureGrid) -> SurfaceSample:
     """Radial roots, area element and principal curvatures at every node."""
     roots = _radial_roots(body, grid.nodes)
-    x, J = surface_points(body, grid, roots)
-    return SurfaceSample(*roots, x, J, principal_curvature_arrays(body, x))
+    x, J, ray_cosine = surface_points(body, grid, roots)
+    return SurfaceSample(*roots, x, J, principal_curvature_arrays(body, x), ray_cosine)
 
 
 # ---------------------------------------------------------------------------
 # curvature
 
 def _orthobasis_complement(v: np.ndarray) -> np.ndarray:
-    """Batched orthonormal basis of v-perp via a Householder reflector
-    mapping e_0 to -sign(v_0) v; columns 1..d-1 span v-perp."""
-    N, d = v.shape
-    sign = np.where(v[:, 0] >= 0, 1.0, -1.0)
+    """Orthonormal bases (d, d-1, N) of v-perp for the columns of v (d, N),
+    via a Householder reflector mapping e_0 to -sign(v_0) v."""
+    d = v.shape[0]
     u = v.copy()
-    u[:, 0] += sign
-    u = u / np.linalg.norm(u, axis=1, keepdims=True)
-    return np.eye(d)[:, 1:] - 2.0 * u[:, :, None] * u[:, None, 1:]
+    u[0] += np.where(v[0] >= 0, 1.0, -1.0)
+    u = u / np.linalg.norm(u, axis=0)
+    return np.eye(d)[:, 1:, None] - (2.0 * u)[:, None] * u[None, 1:]
 
 
 def shape_operators(body: ConvexBody, x: np.ndarray):
-    """Restricted shape operator matrices at surface nodes.
+    """Restricted shape operator matrices at surface nodes x (N, n+1).
 
     Returns (S, T, nu): S is (N, n-1, n-1) symmetric with the principal
     curvatures as eigenvalues, T the tangent bases (N, n+1, n-1) and nu the
-    inward unit normals (N, n+1).
+    inward unit normals (N, n+1), each a view of a node-last array.
     """
-    G = body.surface_gradient(x)
-    Gn = np.linalg.norm(G, axis=1)
+    G = body.surface_gradient(x).T
+    Gn = np.linalg.norm(G, axis=0)
     if Gn.min() < 1e-12:
         raise SurfaceDegeneracyError("vanishing gradient on the surface")
-    ghat = G / Gn[:, None]
+    ghat = G / Gn
     s_in = body.interior_sign()
-    nu = s_in * ghat
 
-    B1 = _orthobasis_complement(x)                       # basis of x-perp
-    g_in = np.einsum('ni,nij->nj', ghat, B1)
-    g_in = g_in / np.linalg.norm(g_in, axis=1, keepdims=True)
-    B2 = _orthobasis_complement(g_in)
-    T = B1 @ B2                                          # {x, ghat}-perp
+    B1 = _orthobasis_complement(x.T)                     # basis of x-perp
+    g_in = np.einsum('in,ijn->jn', ghat, B1)
+    B2 = _orthobasis_complement(g_in / np.linalg.norm(g_in, axis=0))
+    T = np.einsum('ijn,jan->ian', B1, B2)                # {x, ghat}-perp
 
-    H = body.surface_hessian(x)
-    S = T.transpose(0, 2, 1) @ (H @ T)
-    S = -s_in * S / Gn[:, None, None]
-    return 0.5 * (S + S.transpose(0, 2, 1)), T, nu
+    if body.matrix is not None:
+        HT = np.tensordot(2.0 * body.matrix, T, 1)
+    else:
+        HT = np.einsum('ijn,jan->ian', body.surface_hessian(x).transpose(1, 2, 0), T)
+    S = -s_in * np.einsum('ian,ibn->abn', T, HT) / Gn
+    S = 0.5 * (S + S.transpose(1, 0, 2))
+    return S.transpose(2, 0, 1), T.transpose(2, 0, 1), (s_in * ghat).T
 
 
 def principal_curvature_arrays(body: ConvexBody, x: np.ndarray) -> np.ndarray:
-    """Principal curvatures at surface nodes, sorted descending, (N, n-1)."""
-    S, _, _ = shape_operators(body, x)
-    return np.linalg.eigvalsh(S)[:, ::-1]
+    """Principal curvatures at surface nodes, sorted descending, (N, n-1):
+    for n = 3 in closed form, m +- hypot((a - c)/2, b) of each [[a, b], [b, c]]."""
+    S = shape_operators(body, x)[0]
+    if S.shape[1] != 2:
+        return np.linalg.eigvalsh(S)[:, ::-1]
+    a, b, c = S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]
+    m, r = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    return np.array([m + r, m - r]).T
 
 
 def elementary_symmetric(values: np.ndarray, k: int) -> np.ndarray:
@@ -332,13 +341,13 @@ def tangent_volume_ratio_profile(body: ConvexBody, grid: QuadratureGrid,
     return np.array([_ratio_prefactor(k, n) * integrals[k] for k in range(n)])
 
 
-def tangent_volume_ratio_convex(body: ConvexBody, k: int,
-                                grid: QuadratureGrid) -> float:
+def tangent_volume_ratio_convex(body: ConvexBody, k: int, grid: QuadratureGrid,
+                                sample: SurfaceSample | None = None) -> float:
     """Volume ratio of the manifold of tangent k-flats to the Schubert
     hypersurface volume, via the curvature integral (convex bodies)."""
     if not 0 <= k <= body.n - 1:
         raise ValueError("need 0 <= k <= n-1")
-    return float(tangent_volume_ratio_profile(body, grid)[k])
+    return float(tangent_volume_ratio_profile(body, grid, sample)[k])
 
 
 def tangent_volume_ratio_error(body: ConvexBody, k: int, level: int) -> tuple[float, float]:
@@ -372,7 +381,8 @@ def abs_normal_curvature_integral(d1, d2):
     return out if out.shape else float(out)
 
 
-def tangent_line_volume_rp3(body: ConvexBody, grid: QuadratureGrid) -> float:
+def tangent_line_volume_rp3(body: ConvexBody, grid: QuadratureGrid,
+                            sample: SurfaceSample | None = None) -> float:
     """Volume of the manifold of tangent lines of a surface in RP^3 as the
     surface integral of the direction-averaged |normal curvature|.
 
@@ -381,7 +391,7 @@ def tangent_line_volume_rp3(body: ConvexBody, grid: QuadratureGrid) -> float:
     """
     if body.n != 3:
         raise ValueError("this formula is specific to surfaces in RP^3")
-    sample = surface_sample(body, grid)
+    sample = sample or surface_sample(body, grid)
     d = sample.principal
     h = abs_normal_curvature_integral(d[:, 0], d[:, 1])
     return float(np.sum(grid.weights * sample.J * h))
@@ -389,8 +399,8 @@ def tangent_line_volume_rp3(body: ConvexBody, grid: QuadratureGrid) -> float:
 
 def tangent_volume_ratio_semialgebraic(body: ConvexBody, k: int,
                                        grid: QuadratureGrid,
-                                       mc_samples: int,
-                                       rng: RngStream) -> MCEstimate:
+                                       mc_samples: int, rng: RngStream,
+                                       sample: SurfaceSample | None = None) -> MCEstimate:
     """Tangent volume ratio by the general (possibly non-convex) formula:
     nested surface quadrature with Monte Carlo over tangent k-planes of
     |det| of the restricted second fundamental form.
@@ -401,7 +411,7 @@ def tangent_volume_ratio_semialgebraic(body: ConvexBody, k: int,
     n = body.n
     if not 0 <= k <= n - 1:
         raise ValueError("need 0 <= k <= n-1")
-    sample = surface_sample(body, grid)
+    sample = sample or surface_sample(body, grid)
     pref = comb(n - 1, k) * _ratio_prefactor(k, n)
     wj = grid.weights * sample.J * pref
     if k == 0:
@@ -417,8 +427,7 @@ def tangent_volume_ratio_semialgebraic(body: ConvexBody, k: int,
 
 def surface_area(body: ConvexBody, grid: QuadratureGrid) -> float:
     """Riemannian surface volume of the body's boundary."""
-    _, J = surface_points(body, grid)
-    return float(np.sum(grid.weights * J))
+    return float(np.sum(grid.weights * surface_points(body, grid)[1]))
 
 
 def min_curvature_radius(body: ConvexBody, grid: QuadratureGrid,

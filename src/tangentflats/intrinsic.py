@@ -80,7 +80,8 @@ def polar_volume(body: ConvexBody, grid: QuadratureGrid) -> float:
 @dataclass(frozen=True)
 class IntrinsicProfile:
     """Intrinsic volumes V_0..V_{n-1} of a convex body together with the
-    region volume, polar volume, and a conservative reach estimate."""
+    region volume, polar volume, a conservative reach estimate, and the
+    surface sample's diagnostics with the reach's source."""
 
     body: ConvexBody
     values: np.ndarray          # (n,) intrinsic volumes V_j
@@ -88,6 +89,7 @@ class IntrinsicProfile:
     volume: float
     polar: float
     reach: float
+    diagnostics: dict
 
     def __post_init__(self):
         if (np.asarray(self.values) < -1e-12).any():
@@ -103,11 +105,11 @@ def compute_profile(body: ConvexBody, grid: QuadratureGrid) -> IntrinsicProfile:
     ratios = tangent_volume_ratio_profile(body, grid, sample)
     values = ratios[::-1] / 4.0                       # V_j = ratio_{n-1-j} / 4
     if body.kind == "metric_sphere":
-        reach = pi / 2 - body.radius
+        reach, source = pi / 2 - body.radius, "radius"
     else:
-        reach = min_curvature_radius(body, grid, sample)
-    return IntrinsicProfile(body, values, ratios,
-                            body_volume(body, grid, sample), polar, reach)
+        reach, source = min_curvature_radius(body, grid, sample), "curvature"
+    return IntrinsicProfile(body, values, ratios, body_volume(body, grid, sample), polar,
+                            reach, {**sample.diagnostics(), "reach_source": source})
 
 
 def intrinsic_volume(body: ConvexBody, j: int, grid: QuadratureGrid) -> float:

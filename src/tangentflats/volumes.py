@@ -105,15 +105,15 @@ def steiner_coefficient(k: int, n: int, eps: float) -> float:
         raise ValueError("eps must lie in [0, pi/2]")
     if eps == 0.0:
         return 0.0
-    t, w = eps * _unit_legendre_rule()
-    return float(w @ (np.cos(t) ** k * np.sin(t) ** (n - 1 - k)))
+    x, w = legendre_rule(64)
+    t = 0.5 * eps * (x + 1.0)
+    return float(0.5 * eps * w @ (np.cos(t) ** k * np.sin(t) ** (n - 1 - k)))
 
 
 @functools.cache
-def _unit_legendre_rule() -> np.ndarray:
-    """Read-only (nodes, weights) of the 64-node Gauss-Legendre rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(64)
-    rule = np.array([x + 1.0, w]) / 2.0
+def legendre_rule(points: int) -> np.ndarray:
+    """Read-only (nodes, weights) of the Gauss-Legendre rule on [-1, 1]."""
+    rule = np.array(np.polynomial.legendre.leggauss(points))
     rule.flags.writeable = False        # built on first use, shared by every call
     return rule
 

@@ -58,7 +58,7 @@ def test_rotate_body_membership_convention():
     moved = tf.rotate_body(body, g)
     # x on moved body iff g^T x on the original
     from tangentflats.curvature import surface_points, surface_grid
-    x, _ = surface_points(body, surface_grid(3, 2))
+    x = surface_points(body, surface_grid(3, 2))[0]
     assert np.abs(moved.surface_value(x @ g.T)).max() < 1e-10
 
 

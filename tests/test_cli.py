@@ -428,20 +428,23 @@ def test_tau_counts_path_failures_apart_from_degenerate(capsys, tmp_path,
 
 # Reports of `intrinsic --eps 0.05`, re-recorded when the cap volumes became
 # closed-form and the shape operators batched matmuls; those moved the
-# volumes, the tube volume and some V_j by at most 1.2e-15 relative.  A change
-# that moves any field again must name it and re-record it.
+# volumes, the tube volume and some V_j by at most 1.2e-15 relative.  The
+# node-last arrays and closed-form 2 x 2 curvatures moved V_0 of the first
+# ellipsoid and V_1 of the second by one ulp, and the second's residual from
+# 3.55e-15 to 2.66e-15.  A change that moves any field again must name it and
+# re-record it.
 INTRINSIC_REPORTS = {
     "semiaxes = 1.0 0.8 0.5": {
-        "V_0": 0.3210937776567673, "V_1": 0.3144556848254653,
+        "V_0": 0.3210937776567672, "V_1": 0.3144556848254653,
         "V_2": 0.1789062223432333, "polar_volume": 2.7196867257298107,
         "reach_estimate": 0.2500001073552304,
         "sum_identity_residual": 1.7763568394002505e-15,
         "tube_volume": 1.1832851059963287, "volume": 0.9428112535575849},
     "semiaxes = 1.4 0.7 1.1": {
-        "V_0": 0.2431092224825186, "V_1": 0.3282585283615821,
+        "V_0": 0.2431092224825186, "V_1": 0.32825852836158204,
         "V_2": 0.2568907775174814, "polar_volume": 1.6204062837909567,
         "reach_estimate": 0.3500001563298924,
-        "sum_identity_residual": 3.552713678800501e-15,
+        "sum_identity_residual": 2.6645352591003757e-15,
         "tube_volume": 2.1086239463354595, "volume": 1.769634484873245},
     f"radius = {pi / 6!r}": {
         "V_0": 0.37500000000000977, "V_1": 0.2756644477108886,
@@ -464,26 +467,49 @@ def test_intrinsic_reports_match_recorded_values(capsys, tmp_path, line):
     assert json.loads(out)["results"] == expected
 
 
-def test_intrinsic_samples_the_surface_once(capsys, tmp_path, monkeypatch):
-    from tangentflats import curvature, intrinsic
-    calls = {"surface_points": 0, "_radial_roots": 0}
+# Calls one command makes to the curvature functions the benchmark's tracer
+# times, as recorded before the surface arrays went node-last: one surface
+# sample per body (intrinsic's second radial-root call is the polar body's).
+# A path that bypasses one of these functions leaves its timing reading 0.
+HOOK_CALLS = {
+    "intrinsic": {"surface_grid": 1, "_radial_roots": 2, "surface_points": 1,
+                  "shape_operators": 1},
+    "omega": {"surface_grid": 1, "_radial_roots": 1, "surface_points": 1,
+              "shape_operators": 1},
+}
 
-    def counted(fn):
+
+@pytest.mark.parametrize("command", sorted(HOOK_CALLS))
+def test_surface_commands_call_each_traced_function_as_recorded(
+        capsys, tmp_path, monkeypatch, command):
+    import sys
+    from tangentflats import curvature
+    calls = dict.fromkeys(HOOK_CALLS[command], 0)
+
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[fn.__name__] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((curvature, "surface_points"),
-                         (curvature, "_radial_roots"),
-                         (intrinsic, "_radial_roots")):
-        monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    body = tmp_path / "e.body"
-    body.write_text("kind = ellipsoid\nn = 3\nsemiaxes = 1.0 0.8 0.5\n")
-    code, _, _ = run_cli(capsys, "intrinsic", str(body), "--eps", "0.05")
+    # in every module that imported the name, as the tracer patches it
+    modules = [m for key, m in sys.modules.items() if key.startswith("tangentflats")]
+    for name in calls:
+        original = getattr(curvature, name)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted(name, original))
+    body = tmp_path / "b.body"
+    if command == "intrinsic":
+        body.write_text("kind = ellipsoid\nn = 3\nsemiaxes = 1.0 0.8 0.5\n")
+        argv = ("intrinsic", str(body), "--eps", "0.05")
+    else:
+        body.write_text(IMPLICIT_BODY)
+        argv = ("omega", str(body), "--k", "1")
+    code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert calls["surface_points"] == 1
-    assert calls["_radial_roots"] <= 2             # the body and its polar
+    assert calls == HOOK_CALLS[command]
 
 
 @st.composite
@@ -720,16 +746,20 @@ def test_delta_refuses_more_than_five_percent_degenerate_draws(capsys, monkeypat
 
 REPORT_KEYS = {"command", "parameters", "seed", "wall_time_s", "results",
                "degenerate_counts", "version"}
+SURFACE_DIAGNOSTICS = {"nodes", "min_principal_curvature",
+                       "max_abs_principal_curvature", "min_ray_cosine"}
 
 
 @pytest.mark.parametrize("argv", [
     ("volumes", "1", "3"),
     ("delta", "1", "3", "--samples", "2000"),
     ("omega", "SPHERE"),
+    ("omega", "SPHERE", "--sweep-radius", "0.3", "1.2", "2"),
     ("tau", *["SPHERE"] * 4),
     ("tau", *["SPHERE"] * 4, "--mode", "empirical", "--trials", "2"),
     ("intrinsic", "SPHERE"),
-], ids=["volumes", "delta", "omega", "tau-formula", "tau-empirical", "intrinsic"])
+], ids=["volumes", "delta", "omega", "omega-sweep", "tau-formula", "tau-empirical",
+        "intrinsic"])
 def test_every_report_has_the_same_keys_and_reproduces(capsys, tmp_path, argv):
     argv = [sphere_file(tmp_path) if a == "SPHERE" else a for a in argv]
     reports = []
@@ -737,7 +767,13 @@ def test_every_report_has_the_same_keys_and_reproduces(capsys, tmp_path, argv):
         code, out, err = run_cli(capsys, *argv, "--level", "2", "--workers", "1")
         assert (code, err) == (0, "")
         reports.append(json.loads(out))
-    assert set(reports[0]) == REPORT_KEYS | ({"diagnostics"} if argv[0] == "delta" else set())
+    surface = argv[0] in ("omega", "intrinsic") and "--sweep-radius" not in argv
+    assert set(reports[0]) == REPORT_KEYS | (
+        {"diagnostics"} if surface or argv[0] == "delta" else set())
+    if surface:
+        assert set(reports[0]["diagnostics"]) == SURFACE_DIAGNOSTICS | (
+            {"reach_source"} if argv[0] == "intrinsic" else set())
+        assert reports[0]["diagnostics"]["nodes"] == 512
     assert reports[0]["command"] == argv[0]
     assert all(r.pop("wall_time_s") >= 0 for r in reports)
     assert reports[0] == reports[1]
@@ -772,7 +808,9 @@ def test_command_refusals_exit_2_with_one_error_line(capsys, tmp_path, argv, mes
 
 # Reports recorded before main took over building and emitting them, with
 # wall_time_s dropped: the tangent counts of twenty ellipsoid trials and the
-# h-integral of an implicit quartic must stay the same to the last bit.
+# h-integral of an implicit quartic must stay the same to the last bit.  The
+# node-last surface arrays moved both h-integral fields by one ulp, and added
+# its diagnostics block.
 ELLIPSOID_SEMIAXES = ("1.0 0.8 0.5", "1.4 0.7 1.1", "0.6 0.9 1.2", "1.3 1.0 0.7")
 
 
@@ -808,6 +846,9 @@ def test_omega_h_integral_report_matches_recorded_values(capsys, tmp_path):
     assert report == {
         "command": "omega", "degenerate_counts": {},
         "parameters": {"body": str(body), "k": 1, "level": 4, "method": "h-integral"},
-        "results": {"tangent_ratio": 1.2741399695891822,
-                    "tangent_volume": 19.753168213255492},
+        "results": {"tangent_ratio": 1.274139969589182,
+                    "tangent_volume": 19.75316821325549},
+        "diagnostics": {"max_abs_principal_curvature": 1.4183210043222,
+                        "min_principal_curvature": 0.600000400402014,
+                        "min_ray_cosine": 0.9959619296450472, "nodes": 8192},
         "seed": 0, "version": "0.1.0"}

@@ -1,5 +1,6 @@
 import itertools
 from math import comb, gamma, pi
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 import tangentflats as tf
 from conftest import octahedral_quartic, random_ellipsoid
+from tangentflats import curvature
 from tangentflats.bodies import ConvexBody
 from tangentflats.curvature import (_abs_minors, _orthobasis_complement,
                                     _radial_roots, principal_curvature_arrays,
@@ -73,16 +75,23 @@ def _fd_shape_operator(A, x, eps=1e-6):
 
 
 def test_ellipsoid_curvature_finite_difference_oracle():
-    body = tf.ellipsoid(3, [1.4, 0.8, 0.6])
-    A = body.matrix
-    pts = [np.array([1.0, 1.4, 0.0, 0.0]),           # axis endpoint
-           np.array([1.0, 0.0, 0.8, 0.0]),
-           np.array([1.0, 0.7, 0.35, 0.42])]
-    for raw in pts:
-        x = raw / np.linalg.norm(raw)
-        expected = _fd_shape_operator(A, x)
-        got = principal_curvature_arrays(body, _project_to_surface(A, x)[None])[0]
-        assert np.abs(got - expected).max() < 1e-5
+    # n = 3 takes the closed-form 2 x 2 eigenvalues, n = 4 eigvalsh
+    cases = [(tf.ellipsoid(3, [1.4, 0.8, 0.6]),
+              [[1.0, 1.4, 0.0, 0.0],                    # axis endpoint
+               [1.0, 0.0, 0.8, 0.0],
+               [1.0, 0.7, 0.35, 0.42]]),
+             (tf.ellipsoid(4, [1.4, 0.8, 0.6, 1.1]),
+              [[1.0, 0.0, 0.0, 0.0, 1.1],
+               [1.0, 0.7, 0.35, 0.42, 0.3],
+               [1.0, -0.5, 0.2, 0.1, -0.6]])]
+    for body, pts in cases:
+        A = body.matrix
+        for raw in pts:
+            x = np.array(raw) / np.linalg.norm(raw)
+            expected = _fd_shape_operator(A, x)
+            got = principal_curvature_arrays(body, _project_to_surface(A, x)[None])[0]
+            assert got.shape == (body.n - 1,)
+            assert np.abs(got - expected).max() < 1e-5
 
 
 def _project_to_surface(A, x):
@@ -94,6 +103,27 @@ def _project_to_surface(A, x):
         x = x - val * G / (G @ G)
         x = x / np.linalg.norm(x)
     return x
+
+
+_entry = st.floats(1e-200, 1.0) | st.floats(-1.0, -1e-200) | st.just(0.0)   # no subnormals
+_symmetric_2x2 = st.tuples(_entry, _entry, _entry) | \
+    _entry.map(lambda a: (a, 0.0, a))                  # umbilic: equal values
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_symmetric_2x2, min_size=1, max_size=16),
+       exponent=st.integers(-30, 30))
+def test_closed_form_2x2_curvatures_match_eigvalsh(rows, exponent):
+    a, b, c = np.ldexp(np.array(rows, dtype=float).T, exponent)
+    S = np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+    with mock.patch.object(curvature, "shape_operators",
+                           lambda body, x: (S, None, None)):
+        got = principal_curvature_arrays(None, None)
+    ref = np.linalg.eigvalsh(S)[:, ::-1]
+    scale = np.abs(S).max(axis=(1, 2))[:, None]
+    assert got.shape == ref.shape
+    assert (got[:, 0] >= got[:, 1]).all()
+    assert (np.abs(got - ref) <= 8 * np.finfo(float).eps * scale).all()
 
 
 def test_elementary_symmetric_brute_force():
@@ -256,7 +286,7 @@ def test_ratios_are_invariant_under_generated_rotations(grid3_coarse,
                                   octahedral_quartic(1.2, 1.0, convex=True)],
                          ids=["ellipsoid", "quartic"])
 def test_shape_operators_match_the_three_operand_contraction(grid3, body):
-    x, _ = surface_points(body, grid3)
+    x = surface_points(body, grid3)[0]
     S, T, nu = shape_operators(body, x)
     H = body.surface_hessian(x)
     Gn = np.linalg.norm(body.surface_gradient(x), axis=1)
@@ -368,7 +398,7 @@ def _first_crossing(body, omega, steps=4096):
     """Oracle: first sign change of the true F along the ray omega from the
     star center, by a fine scan and scalar bisection down to adjacent floats."""
     c = body.star_center()
-    w = _orthobasis_complement(c[None, :])[0] @ omega
+    w = _orthobasis_complement(c[:, None])[..., 0] @ omega
     s_in = body.interior_sign()
 
     def inside(t):
