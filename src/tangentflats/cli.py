@@ -244,6 +244,7 @@ def cmd_tau(args) -> dict:
         results["average_tangent_count"] = estimate_entry(est)
         report["degenerate_counts"] = {"discarded_trials": est.degenerate,
                                        "path_failure_trials": est.failed}
+        report["diagnostics"] = est.diagnostics
     return report
 
 

@@ -174,8 +174,9 @@ def _radial_roots(body: ConvexBody, omega: np.ndarray):
 
 def surface_points(body: ConvexBody, grid: QuadratureGrid, roots=None):
     """Surface nodes x (N, n+1), a view of a node-last (n+1, N) array, and
-    the area element J (N,) and ray cosine |dF/dt| / |grad F| (N,) there.
-    `roots` reuses the (rho, c, W) that _radial_roots returned for grid."""
+    the area element J (N,), ray cosine |dF/dt| / |grad F| (N,) and gradient
+    (N, n+1), a node-last view, there.  `roots` reuses the (rho, c, W) that
+    _radial_roots returned for grid."""
     rho, c, W = _radial_roots(body, grid.nodes) if roots is None else roots
     omt = W @ grid.nodes.T                          # (n+1, N)
     cos, sin = np.cos(rho), np.sin(rho)
@@ -191,7 +192,7 @@ def surface_points(body: ConvexBody, grid: QuadratureGrid, roots=None):
     ang2 = np.maximum(G2 - (c @ G) ** 2 - (G * omt).sum(0) ** 2, 0.0)
     grad_rho2 = sin ** 2 * ang2 / dFdt ** 2
     J = sin ** (grid.n - 2) * np.sqrt(sin ** 2 + grad_rho2)
-    return x.T, J, np.abs(dFdt) / np.sqrt(G2)
+    return x.T, J, np.abs(dFdt) / np.sqrt(G2), G.T
 
 
 @dataclass(frozen=True)
@@ -219,8 +220,9 @@ class SurfaceSample:
 def surface_sample(body: ConvexBody, grid: QuadratureGrid) -> SurfaceSample:
     """Radial roots, area element and principal curvatures at every node."""
     roots = _radial_roots(body, grid.nodes)
-    x, J, ray_cosine = surface_points(body, grid, roots)
-    return SurfaceSample(*roots, x, J, principal_curvature_arrays(body, x), ray_cosine)
+    x, J, ray_cosine, gradient = surface_points(body, grid, roots)
+    return SurfaceSample(*roots, x, J, principal_curvature_arrays(body, x, gradient),
+                         ray_cosine)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +238,15 @@ def _orthobasis_complement(v: np.ndarray) -> np.ndarray:
     return np.eye(d)[:, 1:, None] - (2.0 * u)[:, None] * u[None, 1:]
 
 
-def shape_operators(body: ConvexBody, x: np.ndarray):
-    """Restricted shape operator matrices at surface nodes x (N, n+1).
+def shape_operators(body: ConvexBody, x: np.ndarray, gradient=None):
+    """Restricted shape operator matrices at surface nodes x (N, n+1), where
+    `gradient` (N, n+1) reuses the body's gradient at x.
 
     Returns (S, T, nu): S is (N, n-1, n-1) symmetric with the principal
     curvatures as eigenvalues, T the tangent bases (N, n+1, n-1) and nu the
     inward unit normals (N, n+1), each a view of a node-last array.
     """
-    G = body.surface_gradient(x).T
+    G = (body.surface_gradient(x) if gradient is None else gradient).T
     Gn = np.linalg.norm(G, axis=0)
     if Gn.min() < 1e-12:
         raise SurfaceDegeneracyError("vanishing gradient on the surface")
@@ -264,10 +267,12 @@ def shape_operators(body: ConvexBody, x: np.ndarray):
     return S.transpose(2, 0, 1), T.transpose(2, 0, 1), (s_in * ghat).T
 
 
-def principal_curvature_arrays(body: ConvexBody, x: np.ndarray) -> np.ndarray:
+def principal_curvature_arrays(body: ConvexBody, x: np.ndarray,
+                               gradient=None) -> np.ndarray:
     """Principal curvatures at surface nodes, sorted descending, (N, n-1):
-    for n = 3 in closed form, m +- hypot((a - c)/2, b) of each [[a, b], [b, c]]."""
-    S = shape_operators(body, x)[0]
+    for n = 3 in closed form, m +- hypot((a - c)/2, b) of each [[a, b], [b, c]].
+    `gradient` is passed to shape_operators."""
+    S = shape_operators(body, x, gradient)[0]
     if S.shape[1] != 2:
         return np.linalg.eigvalsh(S)[:, ::-1]
     a, b, c = S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]

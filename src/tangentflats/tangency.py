@@ -4,27 +4,26 @@ Tangency of a line to a quadric {x^T A x = 0} is a quadratic condition on
 Pluecker coordinates, given by the second compound matrix of A; together
 with the Pluecker quadric this yields five quadrics in P^5, kept as arrays
 of shape (..., 6, 6).  Each family takes a parameter homotopy (Morgan and
-Sommese, 1989) from a generic complex member whose regular solutions are
-solved once per process, on first use.  One evaluator serves every route:
+Sommese, 1989) along the straight line
 
-    H = gamma (1 - t) p^T M0 p + t p^T M1 p + c(t) p^T M2 p,
-    c = gamma t (1 - t) / (t + gamma (1 - t)),
+    H = gamma (1 - t) p^T M0 p + t p^T M1 p
 
-(t + gamma (1 - t)) times the arc (1 - tau) M0 + tau M1 + tau (1 - tau) M2,
-tau = t / (t + gamma (1 - t)), from the start forms M0 to the target M1,
+from a generic complex member M0 of the family, whose regular solutions are
+solved once per process on first use, to the normalized target forms M1,
 with a random complex gamma so that paths avoid the real discriminant.
 
 - General quadrics, 32 paths: M0 is four random complex symmetric forms and
-  the Pluecker quadric, and there is no M2.  The total-degree start
-  G_s = (a_s p)^2 - (b_s p)^2 of generic linear forms, as M0, serves only to
-  solve the cached starts and to retry lost paths.
-- Four metric spheres, A = I - w w^T with w = sec(r) g e_0, 12 paths: C2(I - X)
-  is affine in X of rank one, so along w = (1 - tau) W0 + tau W the forms
-  are M0 = C2(I - W0 W0^T) of a generic complex member W0,
-  M1 = C2(I - W W^T) and M2 = I - C2(I - D D^T), D = W - W0, the Pluecker
-  quadric in M0 and M1 only.  The other 20 total-degree paths end on the
-  lines in the absolute quadric x.x = 0, tangent to every such sphere, and
-  are not tracked.
+  the Pluecker quadric.  The total-degree start G_s = (a_s p)^2 - (b_s p)^2
+  of generic linear forms, as M0, serves only to solve the cached starts and
+  to retry lost paths.
+- Four metric spheres, A = I - w w^T with w = sec(r) g e_0, 12 paths: M0 is
+  a member of the family F(X) = C2(I - X) - C2(X), one complex symmetric X
+  per body.  F is affine in X and F(w w^T) = C2(I - w w^T), so every target
+  lies in the family, and as a F(X0) + b F(X1) = (a + b) F((a X0 + b X1) /
+  (a + b)), so does every point of the line, after any rescaling of its
+  forms.  A generic member has 12 isolated solutions (Macdonald, Pach and
+  Theobald, 2001); the other 20 total-degree paths end on the lines in the
+  absolute quadric x.x = 0, which solve every member, and are not tracked.
 
 The tracker has an RK4 predictor whose first stage is carried over from the
 step before, a contracting Newton corrector and adaptive steps (6 evaluations
@@ -40,13 +39,15 @@ On the 32-path route they are first polished with guarded Newton steps, and
 paths that stall just short of t = 1 but polish onto the solution set are
 flagged singular rather than lost: they occur for families whose tangency
 quadrics share a positive-dimensional complex solution component, such as
-spheres, and carry no real lines.
+spheres, and carry no real lines.  On the 12-path route a path that ends on
+another's endpoint has jumped, and counts as lost.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,13 +77,33 @@ _DEGENERATE, _PATHS_LOST = -1, -2   # per-trial counts of discarded trials
 MAX_DISCARDED_SHARE = 0.05
 
 
+@dataclass(frozen=True)
+class TrackerWork:
+    """Work of the homotopy tracker over solve attempts: path steps in all
+    and of the longest path, rejected steps, the smallest step tried, and
+    attempts retried.  Adding combines them, so the work of a run does not
+    depend on how its trials were split."""
+
+    path_steps: int = 0
+    max_path_steps: int = 0
+    rejected_steps: int = 0
+    min_dt: float = math.inf
+    retries: int = 0
+
+    def __add__(self, other):
+        return TrackerWork(self.path_steps + other.path_steps,
+                           max(self.max_path_steps, other.max_path_steps),
+                           self.rejected_steps + other.rejected_steps,
+                           min(self.min_dt, other.min_dt), self.retries + other.retries)
+
+
 class PathFailureError(RuntimeError):
     """More than one percent of the homotopy paths were lost; carries the
-    per-path log for diagnosis."""
+    log, a line per lost path, and the tracker work of the attempt."""
 
-    def __init__(self, message, path_log):
+    def __init__(self, message, path_log, work=TrackerWork()):
         super().__init__(message)
-        self.path_log = path_log
+        self.path_log, self.work = path_log, work
 
 
 class DegenerateConfigurationError(RuntimeError):
@@ -129,7 +150,7 @@ class SolutionSet:
     all five equations, unit-normalized in C^6; multiplicities counts the
     paths that merged into each.  real_solutions is the subset that passed
     the reality test.  Path accounting: tracked + singular + failed = 32,
-    or 12 on the sphere route.
+    or 12 on the sphere route.  work is the tracker work of the attempt.
     """
 
     solutions: np.ndarray           # (S, 6) complex
@@ -143,6 +164,7 @@ class SolutionSet:
     borderline: int
     real_singular: int
     nonisolated: int
+    work: TrackerWork = TrackerWork()
 
     @property
     def real_count(self) -> int:
@@ -189,60 +211,47 @@ def solve_tangency_system(quadrics, rng: RngStream) -> SolutionSet:
     return _solve_one(_normalize_forms(quadrics), rng)
 
 
-def _solve_one(forms, rng, W=None, fresh=False):
+def _solve_one(forms, rng, spheres=False, fresh=False):
     """A batch of one of _solve_trials that raises its PathFailureError."""
-    result = _solve_trials(forms[None], [rng], None if W is None else W[None], fresh)[0]
+    result = _solve_trials(forms[None], [rng], spheres, fresh)[0][0]
     if isinstance(result, PathFailureError):
         raise result
     return result
 
 
-def _solve_trials(forms, rngs, W=None, fresh=False):
+def _solve_trials(forms, rngs, spheres=False, fresh=False):
     """_solve_batch with retries: trials whose attempt loses paths go into a
-    later batch with the next substream, general ones from a total-degree start."""
-    results, pending = [None] * len(rngs), list(range(len(rngs)))
+    later batch with the next substream, general ones from a total-degree
+    start.  Returns the results and the tracker work of every attempt."""
+    results, pending, work = [None] * len(rngs), list(range(len(rngs))), TrackerWork()
     for attempt in range(_RETRIES + 1):
         batch = _solve_batch(forms[pending],
                              [rngs[i].substream(attempt) for i in pending],
-                             None if W is None else W[pending], fresh or attempt > 0)
+                             spheres, fresh or attempt > 0)
+        work = sum((r.work for r in batch), work + TrackerWork(retries=attempt and len(pending)))
         for i, result in zip(pending, batch):
             results[i] = result
         pending = [i for i in pending if isinstance(results[i], PathFailureError)]
         if not pending:
             break
-    return results
+    return results, work
 
 
-def _homotopy(M0, M1, M2, gam, p, t):
+def _homotopy(M0, M1, gam, p, t):
     """Values, Jacobians and t-derivatives of H (the module docstring) at the
     rows p, for the start forms M0, shared (5, 6, 6) or per row, and the
-    forms M1 and M2 (R, 5, 6, 6) per row; M2 is None on the 32-path routes."""
+    target forms M1 (R, 5, 6, 6) per row."""
     Y0, Y1 = _products(M0, p), _products(M1, p)
     G, F = (np.matmul(Y, p[:, :, None])[..., 0] for Y in (Y0, Y1))
     g, s = (gam * (1 - t))[:, None], t[:, None]
-    J = 2.0 * (g[..., None] * Y0 + s[..., None] * Y1)
-    H, dH = g * G + s * F, F - gam[:, None] * G
-    if M2 is not None:          # c = g s / u and dc/dt = gam (g (1 - s) - s^2) / u^2
-        Y2, u = _products(M2, p), s + g
-        Q = np.matmul(Y2, p[:, :, None])[..., 0]
-        J += (2.0 * g * s / u)[..., None] * Y2
-        H += g * s / u * Q
-        dH += gam[:, None] * (g * (1 - s) - s * s) / u ** 2 * Q
-    return H, J, dH
+    return (g * G + s * F, 2.0 * (g[..., None] * Y0 + s[..., None] * Y1),
+            F - gam[:, None] * G)
 
 
-def _sphere_forms(W):
-    """The tangency forms C2(I - w w^T) of the vectors W (..., 4, 4) of four
-    metric spheres, and the Pluecker quadric: (..., 5, 6, 6)."""
-    C = second_compound(np.eye(4) - W[..., :, None] * W[..., None, :])
-    pairing = np.broadcast_to(PLUCKER_PAIRING, C.shape[:-3] + (1, 6, 6))
-    return np.concatenate([C, pairing], axis=-3)
-
-
-def _regular_start(start, forms, count):
-    """start, and the count regular solutions (count, 6) of the system forms
-    (5, 6, 6): the endpoints of full bordered rank of its total-degree solve
-    at a fixed seed, checked; both read-only, since every caller shares them."""
+def _regular_start(forms, count):
+    """The system forms (5, 6, 6) and its count regular solutions (count, 6):
+    the endpoints of full bordered rank of its total-degree solve at a fixed
+    seed, checked; both read-only, since every caller shares them."""
     p = _solve_one(forms, RngStream(_START_SEED, 1), fresh=True).solutions
     F, J = _target(np.broadcast_to(forms, (len(p), 5, 6, 6)), p)
     sv = np.linalg.svd(_bordered(J, p), compute_uv=False)
@@ -250,18 +259,21 @@ def _regular_start(start, forms, count):
     if regular.sum() != count or np.abs(F[regular]).max() > 1e-12:
         raise RuntimeError("a cached start system is not regular")
     p = p[regular]
-    start.flags.writeable = p.flags.writeable = False
-    return start, p
+    forms.flags.writeable = p.flags.writeable = False
+    return forms, p
 
 
 @functools.cache
 def _sphere_start():
-    """The vectors W0 (4, 4) of a generic complex member of the sphere
-    family, and its 12 isolated solutions, computed once per process on first
-    use; the other 20 total-degree endpoints lie on the excess component."""
+    """A generic complex member (5, 6, 6) of the sphere family
+    F(X) = C2(I - X) - C2(X), one complex symmetric X per body, and its 12
+    isolated solutions, computed once per process on first use; the other 20
+    total-degree endpoints lie on the lines in x.x = 0."""
     gen = RngStream(_START_SEED).generator()
-    W0 = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-    return _regular_start(W0, _normalize_forms(_sphere_forms(W0)[:4]), _SPHERE_PATHS)
+    X = gen.standard_normal((4, 4, 4)) + 1j * gen.standard_normal((4, 4, 4))
+    X = X + X.transpose(0, 2, 1)
+    return _regular_start(_normalize_forms(
+        second_compound(np.eye(4) - X) - second_compound(X)), _SPHERE_PATHS)
 
 
 @functools.cache
@@ -271,8 +283,7 @@ def _quadric_start():
     of every general trial, computed once per process on first use."""
     gen = RngStream(_START_SEED).generator()
     A = gen.standard_normal((4, 6, 6)) + 1j * gen.standard_normal((4, 6, 6))
-    G = _normalize_forms(A + A.transpose(0, 2, 1))
-    return _regular_start(G, G, _TOTAL_PATHS)
+    return _regular_start(_normalize_forms(A + A.transpose(0, 2, 1)), _TOTAL_PATHS)
 
 
 def _bordered(J, p):
@@ -309,9 +320,12 @@ def _track(evaluate, params, owner, p):
     norm, is the next first stage (that Newton step is below 1e-9); a
     rejected step keeps it.  So a step is 6 evaluations and 6 solves.  Every
     operation acts row by row, so no path depends on the others.  Returns
-    the t each path reached or stalled at."""
+    the t each path reached or stalled at, and its steps, rejected steps and
+    smallest step tried."""
     t, dt, active = np.zeros(len(p)), np.full(len(p), 0.1), np.ones(len(p), dtype=bool)
     steps, idx = np.zeros(owner[-1] + 1, dtype=int), owner[:0]
+    path_steps, rejected = np.zeros((2, len(p)), dtype=int)
+    min_dt = dt.copy()
     _, J, dH = evaluate(*[x if x is None else x[owner] for x in params], p, t)
     K1, OK1 = _newton_steps(J, p, -dH)
     while active.any():
@@ -320,6 +334,8 @@ def _track(evaluate, params, owner, p):
             rows = [x if x is None else x[owner[idx]] for x in params]
             live = np.unique(owner[idx])
         steps[live] += 1
+        path_steps[idx] += 1
+        min_dt[idx] = np.minimum(min_dt[idx], dt[idx])
         pc, tc = p[idx], t[idx]
         t_new = np.minimum(tc + dt[idx], 1.0)
         t_mid, h = tc + 0.5 * (t_new - tc), (t_new - tc)[:, None]
@@ -350,10 +366,12 @@ def _track(evaluate, params, owner, p):
         p[acc], K1[acc] = pn[ok] / scale, kn[0][ok] / scale
         t[acc] = t_new[ok]
         dt[acc] = np.minimum(dt[acc] * 1.5, _MAX_DT)
-        dt[idx[~ok]] *= 0.5
+        rej = idx[~ok]
+        dt[rej] *= 0.5
+        rejected[rej] += 1
         dead = active & ((dt < 1e-9) | (steps[owner] >= _MAX_STEPS))
         active &= ~dead & (t < 1.0)
-    return t
+    return t, path_steps, rejected, min_dt
 
 
 def _products(M, p):
@@ -400,41 +418,34 @@ def _polish(Ms, owner, p):
         polishing &= np.bincount(owner[rows], improved, minlength=T) > 0
 
 
-def _solve_batch(forms, rngs, W=None, fresh=False) -> list:
+def _solve_batch(forms, rngs, spheres=False, fresh=False) -> list:
     """Solve the systems (T, 5, 6, 6) of T trials together, one stream each:
-    on 12 paths along the sphere family from its cached member when W
-    (T, 4, 4) holds each trial's sphere vectors, else on 32 paths from the
-    cached generic system, or, if fresh, from a total-degree start drawn
-    from each stream.
+    on 12 paths from the cached member of the sphere family if spheres (all
+    four bodies metric spheres), else on 32 paths from the cached generic
+    system, or, if fresh, from a total-degree start drawn from each stream.
     Returns, per trial, its SolutionSet or the PathFailureError its attempt
     ended in, the same bit for bit whichever trials share the batch."""
     T, gens = len(rngs), [rng.generator() for rng in rngs]
     gam = np.exp(2j * np.pi * np.array([gen.uniform() for gen in gens]))
-    M1, M2 = forms, None
-    if W is not None:           # C2(I - w w^T) is affine in w w^T: the arc from W0
-        W0, starts = _sphere_start()
-        M0, M1 = _sphere_forms(W0), _sphere_forms(W)
-        M2 = np.eye(6) - _sphere_forms(W - W0)
-        M2[:, 4] = 0.0
-    elif fresh:                 # G_s = (a_s p)^2 - (b_s p)^2, zero on a p = +-b p
+    if spheres or not fresh:    # a cached start, shared by every trial
+        M0, starts = (_sphere_start if spheres else _quadric_start)()
+        evaluate, params = functools.partial(_homotopy, M0), (forms, gam)
+        p = np.tile(starts, (T, 1))
+    else:                       # G_s = (a_s p)^2 - (b_s p)^2, zero on a p = +-b p
         z = np.array([gen.standard_normal((4, 5, 6)) for gen in gens])
         a, b = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
         L = a[:, None] - _SIGNS[:, :, None] * b[:, None]
-        starts = np.linalg.svd(L)[2][..., -1, :].conj().reshape(-1, 6)
+        p = np.linalg.svd(L)[2][..., -1, :].conj().reshape(-1, 6)
         M0 = a[..., :, None] * a[..., None, :] - b[..., :, None] * b[..., None, :]
-    else:
-        M0, starts = _quadric_start()
-    if M0.ndim == 3:            # a cached start, shared by every trial
-        evaluate, params = functools.partial(_homotopy, M0), (M1, M2, gam)
-        p = np.tile(starts, (T, 1))
-    else:
-        evaluate, params, p = _homotopy, (M0, M1, M2, gam), starts
+        evaluate, params = _homotopy, (M0, forms, gam)
     paths = len(p) // T
     owner = np.repeat(np.arange(T), paths)
-    t = _track(evaluate, params, owner, p)
-    reached, near = t >= 1.0, (t < 1.0) & (t >= 1.0 - _STALL_T) & (W is None)
+    t, *per_path = _track(evaluate, params, owner, p)
+    work = [TrackerWork(int(n.sum()), int(n.max()), int(r.sum()), float(d.min()))
+            for n, r, d in zip(*(x.reshape(T, paths) for x in per_path))]
+    reached, near = t >= 1.0, (t < 1.0) & (t >= 1.0 - _STALL_T) & (not spheres)
     Ms = forms[owner]
-    if W is None:
+    if not spheres:
         _polish(Ms, owner, p)
     F, J = _target(Ms, p)
     residuals = np.abs(F).max(axis=1)
@@ -458,7 +469,7 @@ def _solve_batch(forms, rngs, W=None, fresh=False) -> list:
     tracked, singular, nonisolated = (x.reshape(T, -1).sum(axis=1).tolist()
                                       for x in (tracked_clean, near_ok, nonisolated))
     G = good.reshape(T, paths)
-    if W is not None:           # a path that ends on another's endpoint jumped
+    if spheres:                 # a path that ends on another's endpoint jumped
         G = G & ~np.triu(close & G[:, :, None] & G[:, None, :], 1).any(axis=1)
     paired = (close & G[:, :, None] & G[:, None, :]
               & ~np.eye(paths, dtype=bool)).any(axis=(1, 2))
@@ -470,7 +481,8 @@ def _solve_batch(forms, rngs, W=None, fresh=False) -> list:
             results.append(PathFailureError(
                 f"{lost[k]} of {paths} paths lost before t = 1",
                 [f"path {i}: stalled at t = {t[k * paths + i]:.12f}, residual "
-                 f"{residuals[k * paths + i]:.3e}" for i in np.flatnonzero(~G[k])]))
+                 f"{residuals[k * paths + i]:.3e}" for i in np.flatnonzero(~G[k])],
+                work[k]))
             continue
         g = k * paths + np.flatnonzero(G[k])
         order = np.argsort(residuals[g])
@@ -481,7 +493,7 @@ def _solve_batch(forms, rngs, W=None, fresh=False) -> list:
             p[i], residuals[i], mult, points[i][real[i]], tracked=tracked[k],
             singular=singular[k], failed=lost[k], nonisolated=nonisolated[k],
             merged=int((mult > 1).sum()), borderline=int(borderline[i].sum()),
-            real_singular=int(real_singular[i].sum())))
+            real_singular=int(real_singular[i].sum()), work=work[k]))
     return results
 
 
@@ -537,21 +549,16 @@ def _moved_quadrics(bodies, rotations) -> np.ndarray:
     return _normalize_forms(tangency_quadric_of(g @ A @ np.swapaxes(g, -1, -2)))
 
 
-def _sphere_vectors(bodies, rotations):
-    """The vectors w = sec(r) g e_0 of the moved bodies, for which
-    g A g^T = I - w w^T, as (..., 4, 4) for rotations (..., 4, 4, 4); None
-    unless all four bodies are metric spheres."""
-    if any(body.kind != "metric_sphere" for body in bodies):
-        return None
-    return np.asarray(rotations, dtype=float)[..., 0] / np.cos(
-        [body.radius for body in bodies])[:, None]
+def _spheres(bodies) -> bool:
+    """True if the bodies are metric spheres, whose moved systems lie in the
+    12-path sphere family: g A g^T = I - w w^T, w = sec(r) g e_0, up to scale."""
+    return all(body.kind == "metric_sphere" for body in bodies)
 
 
 def count_real_tangent_lines(bodies, rotations, rng: RngStream) -> int:
     """Number of real lines tangent to four rotated quadric bodies in RP^3;
     raises DegenerateConfigurationError for non-isolated or borderline draws."""
-    sols = _solve_one(_moved_quadrics(bodies, rotations), rng,
-                      _sphere_vectors(bodies, rotations))
+    sols = _solve_one(_moved_quadrics(bodies, rotations), rng, _spheres(bodies))
     if sols.degenerate:
         raise DegenerateConfigurationError(
             f"merged endpoints: {sols.merged}, borderline reality: "
@@ -560,20 +567,28 @@ def count_real_tangent_lines(bodies, rotations, rng: RngStream) -> int:
     return sols.real_count
 
 
-def _tau_chunk(args) -> tuple[list[int], list[str]]:
-    """Real tangent counts of a run of trials solved as one batch, and the
-    path log of the first trial that lost paths after every retry (empty if
-    none did); a discarded trial reads _DEGENERATE, or _PATHS_LOST."""
+def _count_chunk(args):
+    """Real tangent counts of a run of trials solved as one batch, the path
+    log of the first trial that lost paths after every retry (empty if none
+    did), the tracker work of every attempt, and the paths regular, singular
+    and lost (3,) of the last attempts; a discarded trial reads _DEGENERATE,
+    or _PATHS_LOST."""
     bodies, seed, trials = args
     streams = [RngStream(seed, trial) for trial in trials]
     gs = np.array([haar_matrices(4, 4, s.generator()) for s in streams])
-    results = _solve_trials(_moved_quadrics(bodies, gs),
-                            [s.substream(1 << 32) for s in streams],
-                            _sphere_vectors(bodies, gs))
+    results, work = _solve_trials(_moved_quadrics(bodies, gs),
+                                  [s.substream(1 << 32) for s in streams], _spheres(bodies))
     log = next(([f"trial {t}: {r}", *r.path_log] for t, r in zip(trials, results)
                 if isinstance(r, PathFailureError)), [])
+    paths = np.array([(0, 0, len(r.path_log)) if isinstance(r, PathFailureError)
+                      else (r.tracked, r.singular, r.failed) for r in results]).sum(axis=0)
     return [_PATHS_LOST if isinstance(r, PathFailureError) else
-            _DEGENERATE if r.degenerate else r.real_count for r in results], log
+            _DEGENERATE if r.degenerate else r.real_count for r in results], log, work, paths
+
+
+def _tau_chunk(args) -> tuple[list[int], list[str]]:
+    """The counts and path log of _count_chunk."""
+    return _count_chunk(args)[:2]
 
 
 # One trial and one attempt as batches of one; perfbench/tracer.py hooks both.
@@ -596,17 +611,21 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
     Trials are solved in chunks of at most _CHUNK_ROWS path rows, and
     workers > 1 spreads whole chunks over a process pool; no count depends
     on the chunking.  Degenerate draws are discarded and reported; more than
-    MAX_DISCARDED_SHARE of them raises a diagnostic error.
+    MAX_DISCARDED_SHARE of them raises a diagnostic error.  The diagnostics
+    hold the chunks, the paths regular, singular and lost of each trial's
+    last attempt, and the TrackerWork fields of every attempt, summed over
+    chunks (the longest path maximized, the smallest step minimized), so
+    they are the same for every number of workers.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    spheres = all(body.kind == "metric_sphere" for body in bodies)
+    spheres = _spheres(bodies)
     (_sphere_start if spheres else _quadric_start)()    # once, before a pool forks
     size = _CHUNK_ROWS // (_SPHERE_PATHS if spheres else _TOTAL_PATHS)
     chunks = [((tuple(bodies), seed, range(i, min(i + size, trials))),)
               for i in range(0, trials, size)]
-    parts = parallel_map(_tau_chunk, chunks, workers)
-    counts = np.concatenate([c for c, _ in parts])
+    parts = parallel_map(_count_chunk, chunks, workers)
+    counts = np.concatenate([c for c, *_ in parts])
     ok = counts[counts >= 0]
     degenerate = int((counts < 0).sum())
     failed = int((counts == _PATHS_LOST).sum())
@@ -614,9 +633,12 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
         exc = DegenerateConfigurationError(
             f"{degenerate} of {trials} trials discarded ({degenerate - failed} "
             f"degenerate, {failed} lost paths after every retry)")
-        exc.path_log = next((log for _, log in parts if log), [])
+        exc.path_log = next((log for _, log, *_ in parts if log), [])
         raise exc
     mean = float(ok.mean())
     stderr = float(ok.std(ddof=1) / np.sqrt(ok.size)) if ok.size > 1 else 0.0
+    regular, singular, lost = sum(p for *_, p in parts).tolist()
+    diagnostics = dict(chunks=len(parts), paths_regular=regular, paths_singular=singular,
+                       paths_lost=lost, **asdict(sum((w for *_, w, _ in parts), TrackerWork())))
     return MCEstimate(mean, stderr, int(ok.size), seed, degenerate=degenerate,
-                      failed=failed)
+                      failed=failed, diagnostics=diagnostics)

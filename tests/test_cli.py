@@ -414,8 +414,12 @@ def test_tau_counts_path_failures_apart_from_degenerate(capsys, tmp_path,
     _lose_paths(monkeypatch, {0, 1, 2})
     code, out, _ = run_cli(capsys, *argv, "--trials", "20")
     assert code == 0
-    assert json.loads(out)["degenerate_counts"] == {
+    report = json.loads(out)
+    assert report["degenerate_counts"] == {
         "discarded_trials": 1, "path_failure_trials": 1}
+    # three trials retried on the second attempt and two on the third; the
+    # lost trial's one-line path log is its one lost path
+    assert (report["diagnostics"]["retries"], report["diagnostics"]["paths_lost"]) == (5, 1)
     # both of two trials lost: refused, naming both counts
     _lose_paths(monkeypatch, {0, 1, 2, 3})
     code, _, err = run_cli(capsys, *argv, "--trials", "2")
@@ -465,6 +469,35 @@ def test_intrinsic_reports_match_recorded_values(capsys, tmp_path, line):
     expected = dict(INTRINSIC_REPORTS[line],
                     **{f"bound_ok_k{k}": True for k in range(3)})
     assert json.loads(out)["results"] == expected
+
+
+def test_omega_evaluates_the_gradient_once_per_surface_sample(capsys, tmp_path,
+                                                              monkeypatch):
+    # surface_points hands its gradient to shape_operators, which used to
+    # evaluate it again at the same nodes; the report is the one recorded
+    # before, bit for bit
+    from tangentflats.bodies import ConvexBody
+    body = tmp_path / "quartic.body"
+    body.write_text(IMPLICIT_BODY)
+    calls, gradient = [], ConvexBody.surface_gradient
+
+    def counted(self, x):
+        calls.append(len(x))
+        return gradient(self, x)
+
+    monkeypatch.setattr(ConvexBody, "surface_gradient", counted)
+    code, out, _ = run_cli(capsys, "omega", str(body), "--k", "1")
+    assert code == 0 and calls == [8192]
+    report = json.loads(out)
+    report.pop("wall_time_s")
+    assert report == {
+        "command": "omega", "degenerate_counts": {},
+        "parameters": {"body": str(body), "k": 1, "level": 4, "method": "convex"},
+        "results": {"tangent_ratio": 1.2741399695891786},
+        "diagnostics": {"max_abs_principal_curvature": 1.4183210043222,
+                        "min_principal_curvature": 0.600000400402014,
+                        "min_ray_cosine": 0.9959619296450472, "nodes": 8192},
+        "seed": 0, "version": "0.1.0"}
 
 
 # Calls one command makes to the curvature functions the benchmark's tracer
@@ -748,6 +781,8 @@ REPORT_KEYS = {"command", "parameters", "seed", "wall_time_s", "results",
                "degenerate_counts", "version"}
 SURFACE_DIAGNOSTICS = {"nodes", "min_principal_curvature",
                        "max_abs_principal_curvature", "min_ray_cosine"}
+TAU_DIAGNOSTICS = {"chunks", "paths_regular", "paths_singular", "paths_lost", "retries",
+                   "path_steps", "max_path_steps", "rejected_steps", "min_dt"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -768,8 +803,12 @@ def test_every_report_has_the_same_keys_and_reproduces(capsys, tmp_path, argv):
         assert (code, err) == (0, "")
         reports.append(json.loads(out))
     surface = argv[0] in ("omega", "intrinsic") and "--sweep-radius" not in argv
+    empirical = "empirical" in argv
     assert set(reports[0]) == REPORT_KEYS | (
-        {"diagnostics"} if surface or argv[0] == "delta" else set())
+        {"diagnostics"} if surface or empirical or argv[0] == "delta" else set())
+    if empirical:
+        assert set(reports[0]["diagnostics"]) == TAU_DIAGNOSTICS
+        assert reports[0]["diagnostics"]["paths_regular"] == 2 * 12
     if surface:
         assert set(reports[0]["diagnostics"]) == SURFACE_DIAGNOSTICS | (
             {"reach_source"} if argv[0] == "intrinsic" else set())
@@ -810,7 +849,7 @@ def test_command_refusals_exit_2_with_one_error_line(capsys, tmp_path, argv, mes
 # wall_time_s dropped: the tangent counts of twenty ellipsoid trials and the
 # h-integral of an implicit quartic must stay the same to the last bit.  The
 # node-last surface arrays moved both h-integral fields by one ulp, and added
-# its diagnostics block.
+# its diagnostics block; the tau report's diagnostics block came later.
 ELLIPSOID_SEMIAXES = ("1.0 0.8 0.5", "1.4 0.7 1.1", "0.6 0.9 1.2", "1.3 1.0 0.7")
 
 
@@ -833,7 +872,34 @@ def test_tau_empirical_ellipsoid_report_matches_recorded_values(capsys, tmp_path
         "results": {"average_tangent_count": {"degenerate": 0, "mean": 4.2, "samples": 20,
                                               "stderr": 0.4328607409463598},
                     "expected_degree": 1.7262},
+        "diagnostics": {"chunks": 1, "paths_regular": 640, "paths_singular": 0,
+                        "paths_lost": 0, "retries": 0, "path_steps": 11944,
+                        "max_path_steps": 58, "rejected_steps": 3853,
+                        "min_dt": 0.0003128528594970703},
         "seed": 4, "version": "0.1.0"}
+
+
+# The diagnostics block of 60 trials on the main theorem's spheres, two
+# chunks (53 and 7 trials) on the 12-path route, recorded when it was added.
+# Chunk totals are combined by sum, max and min, so --workers moves nothing.
+SPHERE_TAU_DIAGNOSTICS = {
+    "chunks": 2, "paths_regular": 720, "paths_singular": 0, "paths_lost": 0,
+    "retries": 0, "path_steps": 15216, "max_path_steps": 63, "rejected_steps": 5022,
+    "min_dt": 0.00035195946693420413}
+
+
+def test_tau_sphere_diagnostics_match_recorded_values_for_any_workers(capsys, tmp_path):
+    bodies = [sphere_file(tmp_path, r, f"s{i}.body")
+              for i, r in enumerate((pi / 6, pi / 4, pi / 3, pi / 4))]
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(capsys, "tau", *bodies, "--mode", "empirical", "--trials",
+                               "60", "--seed", "5", "--workers", workers)
+        assert code == 0
+        report = json.loads(out)
+        assert report["diagnostics"] == SPHERE_TAU_DIAGNOSTICS
+        assert report["results"]["average_tangent_count"] == {
+            "degenerate": 0, "mean": 3.1666666666666665, "samples": 60,
+            "stderr": 0.25285563048540816}
 
 
 def test_omega_h_integral_report_matches_recorded_values(capsys, tmp_path):

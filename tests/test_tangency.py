@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import tangentflats as tf
 from conftest import random_ellipsoid
@@ -21,10 +21,6 @@ def moved_quadrics(bodies, stream):
     gs = haar_matrices(4, 4, stream.generator())
     return [tf.tangency_quadric_of(g @ b.defining_matrix() @ g.T)
             for b, g in zip(bodies, gs)]
-
-
-def sphere_vectors(bodies, stream):
-    return tangency._sphere_vectors(bodies, haar_matrices(4, 4, stream.generator()))
 
 
 def random_symmetric(gen, scale=1.0):
@@ -105,69 +101,80 @@ def test_stacked_compounds_are_c_ordered():
     assert tf.tangency_quadric_of(A + np.swapaxes(A, -1, -2)).flags.c_contiguous
 
 
-complex_vectors = st.lists(st.complex_numbers(max_magnitude=3.0), min_size=4,
-                           max_size=4).map(np.array)
+complex_numbers = st.complex_numbers(max_magnitude=3.0)
+complex_vectors = st.lists(complex_numbers, min_size=4, max_size=4).map(np.array)
+UPPER = np.triu_indices(4)
+
+
+def symmetric_from_upper(values):
+    X = np.zeros((4, 4), dtype=complex)
+    X[UPPER] = values
+    return X + np.triu(X, 1).T
+
+
+complex_symmetric = st.lists(complex_numbers, min_size=10, max_size=10).map(
+    symmetric_from_upper)
 
 
 PAIRS = np.array(list(itertools.combinations(range(4), 2))).T
 
 
-def sphere_form(w):
-    return tf.second_compound(np.eye(4) - np.outer(w, w))
+def sphere_family(X):
+    """F(X) = C2(I - X) - C2(X), the family of the 12-path sphere route."""
+    return tf.second_compound(np.eye(4) - X) - tf.second_compound(X)
 
 
-def sphere_form_bound(w):
-    """|A_ik A_jl| + |A_il A_jk| with A = I + |w| |w|^T: the sums of absolute
-    terms that bound the rounding error of sphere_form(w)."""
-    A, (I, J), ix = np.eye(4) + np.outer(abs(w), abs(w)), PAIRS, np.ix_
+def compound_bound(A):
+    """|A_ik A_jl| + |A_il A_jk|: the sum of absolute terms of C2(A), which
+    bounds its rounding error."""
+    A, (I, J), ix = np.abs(A), PAIRS, np.ix_
     return A[ix(I, I)] * A[ix(J, J)] + A[ix(I, J)] * A[ix(J, I)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(complex_vectors, complex_vectors, st.complex_numbers(max_magnitude=3.0))
-def test_sphere_forms_are_an_arc_in_tau(w0, w1, tau):
-    # C2(I - X) is affine in X of rank one, so along w = (1 - tau) w0 + tau w1
-    # the form is quadratic in tau, with the tau (1 - tau) coefficient
-    # I - C2(I - d d^T), d = w1 - w0
-    w, d = (1 - tau) * w0 + tau * w1, w1 - w0
-    coefficients = (1 - tau, tau, tau * (1 - tau))
-    terms = (sphere_form(w0), sphere_form(w1), np.eye(6) - sphere_form(d))
-    error = sum(c * x for c, x in zip(coefficients, terms)) - sphere_form(w)
-    # relative to the sum of absolute terms, plus the underflow threshold,
-    # below which rounding errors are absolute
-    scale = sphere_form_bound(w) + abs(coefficients[2]) * np.eye(6) + sum(
-        abs(c) * sphere_form_bound(x) for c, x in zip(coefficients, (w0, w1, d)))
-    assert np.all(np.abs(error) <= 1e-12 * scale + np.finfo(float).tiny)
+def family_bound(X):
+    return compound_bound(np.eye(4) + np.abs(X)) + compound_bound(X)
 
 
-def sphere_family(W):
-    """The forms M0, M1 and M2 of the sphere route for sphere vectors W
-    (R, 4, 4), as _solve_batch builds them."""
-    W0, _ = tangency._sphere_start()
-    M2 = np.eye(6) - tangency._sphere_forms(W - W0)
-    M2[:, 4] = 0.0
-    return tangency._sphere_forms(W0), tangency._sphere_forms(W), M2
+@settings(max_examples=100, deadline=None)
+@given(complex_vectors, complex_symmetric, complex_symmetric, complex_numbers,
+       complex_numbers)
+def test_sphere_family_is_affine_and_holds_every_sphere(w, X0, X1, a, b):
+    # C2(w w^T) = 0, so F(w w^T) is the sphere form C2(I - w w^T); and F is
+    # affine, so a scaled combination of two members is a member.  Errors
+    # are relative to the sums of absolute terms, plus the underflow
+    # threshold, below which rounding errors are absolute
+    tiny = np.finfo(float).tiny
+    X = np.outer(w, w)
+    error = sphere_family(X) - tf.second_compound(np.eye(4) - X)
+    assert np.all(np.abs(error) <= 1e-12 * family_bound(X) + tiny)
+    assume(abs(a + b) > 1e-3 * (abs(a) + abs(b)))
+    Y = (a * X0 + b * X1) / (a + b)
+    error = a * sphere_family(X0) + b * sphere_family(X1) - (a + b) * sphere_family(Y)
+    scale = abs(a) * family_bound(X0) + abs(b) * family_bound(X1) \
+        + abs(a + b) * family_bound(Y)
+    assert np.all(np.abs(error) <= 1e-12 * scale + tiny)
 
 
-def test_sphere_homotopy_is_the_scaled_arc_with_its_t_derivative():
+@pytest.mark.parametrize("start", ["shared", "per-row"])
+def test_homotopy_is_the_straight_line_with_its_t_derivative(start):
     gen, R = tf.RngStream(43).generator(), 12
     p = gen.standard_normal((R, 6)) + 1j * gen.standard_normal((R, 6))
     t, gam = gen.uniform(0.05, 0.95, R), np.exp(2j * np.pi * gen.uniform(size=R))
-    W = gen.standard_normal((R, 4, 4))
-    evaluate = functools.partial(tangency._homotopy, *sphere_family(W), gam)
+    M0 = tangency._sphere_start()[0] if start == "shared" else \
+        tangency._normalize_forms(random_complex_forms(gen, (R, 4)))
+    M1 = tangency._normalize_forms(tf.tangency_quadric_of(
+        np.array([random_symmetric(gen) for _ in range(4 * R)])).reshape(R, 4, 6, 6))
+    evaluate = functools.partial(tangency._homotopy, M0, M1, gam)
     H, J, dH = evaluate(p, t)
-    # H is (t + gam (1 - t)) times the sphere forms at w(tau) and the
-    # Pluecker quadric, tau = t / (t + gam (1 - t))
-    s = (t + gam * (1 - t))[:, None, None, None]
-    W0 = tangency._sphere_start()[0]
-    M = s * tangency._sphere_forms(W0 + t[:, None, None] / s[..., 0] * (W - W0))
+    # H is p^T M p and J = 2 M p for M = gam (1 - t) M0 + t M1
+    M = (gam * (1 - t))[:, None, None, None] * M0 + t[:, None, None, None] * M1
     assert np.abs(H - np.einsum("ri,rkij,rj->rk", p, M, p)).max() <= 1e-12 * np.abs(H).max()
     assert np.abs(J - 2.0 * np.einsum("rkij,rj->rki", M, p)).max() <= 1e-12 * np.abs(J).max()
-    # central differences in t: the error is O(h^2) times the third
-    # derivative, far below the tolerance at h = 1e-5
+    # central differences in t: H is linear in t, so they are exact up to
+    # rounding, far below the tolerance at h = 1e-5
     h = 1e-5
     central = (evaluate(p, t + h)[0] - evaluate(p, t - h)[0]) / (2 * h)
-    assert np.abs(dH - central).max() <= 1e-7 * np.abs(dH).max()
+    assert np.abs(dH - central).max() <= 1e-8 * np.abs(dH).max()
 
 
 def test_solver_generic_quadrics():
@@ -260,15 +267,14 @@ def test_trial_result_independent_of_chunk_companions():
     forms = {name: np.array([tangency._normalize_forms(
         moved_quadrics(bodies, tf.RngStream(31, k))) for k in range(8)])
         for name, bodies in (("spheres", spheres), ("ellipsoids", ellipsoids))}
-    vectors = np.array([sphere_vectors(spheres, tf.RngStream(31, k)) for k in range(8)])
     rngs = [tf.RngStream(32, k) for k in range(8)]
     # the sphere draws from a total-degree start, requested explicitly, and on
     # the sphere route; the ellipsoid draws from the cached generic start
-    for name, W, fresh in (("spheres", None, True), ("spheres", vectors, False),
-                           ("ellipsoids", None, False)):
+    for name, on_spheres, fresh in (("spheres", False, True), ("spheres", True, False),
+                                    ("ellipsoids", False, False)):
         def solve(rows):
             return tangency._solve_batch(forms[name][rows], [rngs[k] for k in rows],
-                                         None if W is None else W[rows], fresh)
+                                         on_spheres, fresh)
 
         together = solve(list(range(8)))
         for k in range(8):
@@ -278,6 +284,7 @@ def test_trial_result_independent_of_chunk_companions():
                                             alone.failed, alone.real_count)
             assert np.array_equal(chunked.residuals, alone.residuals)
             assert np.array_equal(chunked.solutions, alone.solutions)
+            assert chunked.work == alone.work
 
 
 def random_complex_forms(gen, shape):
@@ -297,13 +304,15 @@ def test_carried_first_stage_is_the_tangent_at_the_renormalized_point(family):
         tf.tangency_quadric_of(np.array([random_symmetric(gen) for _ in range(4 * R)])
                                ).reshape(R, 4, 6, 6))
     if family == "shared start":
-        M0, M1, M2 = tangency._quadric_start()[0], forms, None
+        M0 = tangency._quadric_start()[0]
     elif family == "per-row start":
         M0 = tangency._normalize_forms(random_complex_forms(gen, (R, 4)))
-        M1, M2 = forms, None
-    else:
-        M0, M1, M2 = sphere_family(gen.standard_normal((R, 4, 4)))
-    evaluate = functools.partial(tangency._homotopy, M0, M1, M2, gam)
+    else:                                           # the sphere route's start
+        M0 = tangency._sphere_start()[0]
+        X = haar_matrices(4, 4 * R, gen)[:, :, 0] / np.cos(gen.uniform(0.1, 1.5, (4 * R, 1)))
+        forms = tangency._normalize_forms(tf.tangency_quadric_of(
+            np.eye(4) - X[:, :, None] * X[:, None, :]).reshape(R, 4, 6, 6))
+    evaluate = functools.partial(tangency._homotopy, M0, forms, gam)
     H, J, dH = evaluate(p, t)
     _, tangent, ok = tangency._newton_steps(J, p, -H, -dH)
     scale = np.linalg.norm(p, axis=1, keepdims=True)
@@ -416,18 +425,22 @@ def test_batched_classification_matches_the_scalar_reference():
 
 
 def test_sphere_start_data():
-    W0, starts = tangency._sphere_start()
-    assert W0.shape == (4, 4) and starts.shape == (12, 6)
-    assert not W0.flags.writeable and not starts.flags.writeable
-    # at t = 0 the homotopy is the start member's sphere forms
-    M0 = tangency._sphere_forms(W0)
-    F, J, _ = tangency._homotopy(M0, np.broadcast_to(M0, (12, 5, 6, 6)), None,
-                                 np.ones(12), starts, np.zeros(12))
-    assert np.abs(F).max() < 1e-12
+    G, starts = tangency._sphere_start()
+    assert G.shape == (5, 6, 6) and starts.shape == (12, 6)
+    assert not G.flags.writeable and not starts.flags.writeable
+    assert np.abs(G[:4] - G[:4].transpose(0, 2, 1)).max() <= 1e-15
+    F, J = tangency._target(np.broadcast_to(G, (12, 5, 6, 6)), starts)
+    assert np.abs(F).max() <= 1e-12
     sv = np.linalg.svd(tangency._bordered(J, starts), compute_uv=False)
     assert (sv[:, -1] > 1e-7 * sv[:, 0]).all()
+    # a line in the absolute quadric x.x = 0, and its rotations, solve the
+    # start member, as they solve every member of the family
+    u, v = np.array([1, 1j, 0, 0]), np.array([0, 0, 1, 1j])
+    for g in [np.eye(4), *haar_matrices(4, 3, tf.RngStream(44).generator())]:
+        p = wedge(g @ u, g @ v)
+        assert np.abs(np.einsum("i,kij,j->k", p, G, p)).max() <= 1e-12 * np.vdot(p, p).real
     again = tangency._sphere_start.__wrapped__()
-    assert np.array_equal(again[0], W0) and np.array_equal(again[1], starts)
+    assert np.array_equal(again[0], G) and np.array_equal(again[1], starts)
 
 
 def test_quadric_start_data():
@@ -455,9 +468,25 @@ def test_main_theorem_spheres_have_twelve_isolated_solutions():
         assert sols.real_count <= 12
         # the sphere route tracks the 12 isolated solutions alone
         spheres = tangency._solve_one(tangency._normalize_forms(
-            moved_quadrics(bodies, stream)), stream.substream(1 << 32),
-            sphere_vectors(bodies, stream))
+            moved_quadrics(bodies, stream)), stream.substream(1 << 32), True)
         assert (spheres.tracked, spheres.singular, spheres.failed) == (12, 0, 0)
+        assert spheres.real_count == sols.real_count
+
+
+@pytest.mark.parametrize("radii", [(0.1,) * 4, (1.2, 1.3, 1.4, 1.5), (0.1, 1.5, 0.1, 1.3)],
+                         ids=["small", "near-pi/2", "mixed"])
+def test_sphere_route_matches_the_32_path_route_at_extreme_radii(radii):
+    # the 12-path route and the 32-path solve count the same real lines,
+    # beyond the main theorem's radii too
+    bodies = [tf.metric_sphere(3, r) for r in radii]
+    for trial in range(4):
+        stream = tf.RngStream(22, trial)
+        quadrics = moved_quadrics(bodies, stream)
+        sols = tf.solve_tangency_system(quadrics, stream.substream(1 << 32))
+        spheres = tangency._solve_one(tangency._normalize_forms(quadrics),
+                                      stream.substream(1 << 32), True)
+        assert (spheres.tracked, spheres.singular, spheres.failed) == (12, 0, 0)
+        assert sols.tracked == 12 and not sols.degenerate and not spheres.degenerate
         assert spheres.real_count == sols.real_count
 
 
