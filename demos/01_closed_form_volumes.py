@@ -21,12 +21,12 @@ print("  (k, n)   |Gr(k+1,n+1)|   |Sch|/|Gr|      dim")
 for n in range(2, 6):
     for k in range(n):
         vol = tf.projective_grassmannian_volume(k, n)
-        ratio = tf.schubert_ratio(k, n).value
+        ratio = tf.schubert_ratio(k, n)
         d = tf.grassmannian_dimension(k, n)
         print(f"  ({k}, {n})   {vol:12.6f}    {ratio:.8f}   {d}")
 
 # the ratio is symmetric in k <-> n-1-k; lines in RP^3 give pi/4
-print(f"\nlines in RP^3: ratio = {tf.schubert_ratio(1, 3).value:.10f}"
+print(f"\nlines in RP^3: ratio = {tf.schubert_ratio(1, 3):.10f}"
       f"  (pi/4 = {np.pi / 4:.10f})")
 print(f"|Sch(1,3)| = {tf.schubert_volume(1, 3):.10f}"
       f"  (pi^3/2 = {np.pi ** 3 / 2:.10f})")

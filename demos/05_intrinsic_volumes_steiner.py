@@ -20,8 +20,8 @@ print(f"  |C| = {profile.volume:.8f}   |polar| = {profile.polar:.8f}"
       f"   reach estimate = {profile.reach:.6f}")
 
 eps = 0.1
-tube = tf.steiner_tube_volume(body, eps, profile)
-cap = tf.body_volume(tf.metric_sphere(3, np.pi / 6 + eps), grid)
+tube = tf.steiner_tube_volume(profile, eps)
+cap = tf.body_volume(tf.surface_sample(tf.metric_sphere(3, np.pi / 6 + eps), grid))
 print(f"  Steiner tube at eps={eps}: {tube:.10f}")
 print(f"  cap of radius r+eps:       {cap:.10f}")
 
@@ -30,12 +30,12 @@ print(f"  direct Monte Carlo tube:   {mc.mean:.6f} +- {mc.stderr:.6f}")
 
 print("\nsum identity 4|C|/|S^3| + 4|C*|/|S^3| + sum_k ratio_k = 4:")
 for r in (np.pi / 6, np.pi / 4, np.pi / 3):
-    res = tf.sum_identity_residual(tf.metric_sphere(3, r), grid)
+    res = tf.sum_identity_residual(tf.compute_profile(tf.metric_sphere(3, r), grid))
     print(f"  cap r={r:.4f}: residual {res:+.2e}")
 gen = tf.RngStream(33).generator()
 for _ in range(3):
     axes = np.exp(gen.uniform(np.log(0.6), np.log(1.8), size=3))
-    res = tf.sum_identity_residual(tf.ellipsoid(3, axes), grid)
+    res = tf.sum_identity_residual(tf.compute_profile(tf.ellipsoid(3, axes), grid))
     print(f"  ellipsoid {np.round(axes, 3)}: residual {res:+.2e}")
 
 print("\nintrinsic-volume trade-off for growing caps:")

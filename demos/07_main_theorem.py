@@ -31,7 +31,8 @@ print("\nmixing body kinds (an ellipsoid among spheres):")
 grid = tf.surface_grid(3, 4)
 mixed = [tf.metric_sphere(3, np.pi / 4), tf.ellipsoid(3, [1.3, 0.9, 0.7]),
          tf.metric_sphere(3, np.pi / 3), tf.affine_sphere(3, [0.2, 0.0, -0.1], 0.6)]
-ratios = tuple(tf.tangent_volume_ratio_convex(b, 1, grid) for b in mixed)
+ratios = tuple(tf.tangent_volume_ratio_convex(tf.surface_sample(b, grid), 1)
+               for b in mixed)
 formula = tf.average_tangent_count(
     tf.TangentCountInputs(1, 3, ratios, tf.EXPECTED_DEGREE_LINES_RP3))
 print(f"  ratios: {np.round(ratios, 6)}")

@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 from .rng import MCEstimate, RngStream
 from .projective import (PLUCKER_PAIRING, haar_matrices, lines_to_plucker,
                          plucker_embed, uniform_flat_frames)
-from .volumes import (SchubertRatio, TangentCountInputs,
-                      average_scaling_factor, average_tangent_count,
-                      expected_degree_lines_asymptotic,
+from .volumes import (TangentCountInputs, average_scaling_factor,
+                      average_tangent_count, expected_degree_lines_asymptotic,
                       grassmannian_dimension, grassmannian_volume,
                       max_sphere_line_tangent_ratio, orthogonal_volume,
                       projective_grassmannian_volume, schubert_ratio,
@@ -28,17 +27,17 @@ from .bodies import (BodyError, BodyFileError, ConvexBody,
                      format_body, implicit_surface, metric_sphere,
                      parse_body_file, parse_body_text, quadric, rotate_body)
 from .curvature import (NonConvexBodyError, QuadratureGrid,
-                        SurfaceDegeneracyError, abs_normal_curvature_integral,
-                        elementary_symmetric, min_curvature_radius,
-                        principal_curvature_arrays, surface_area, surface_grid,
-                        tangent_line_volume_rp3, tangent_volume_ratio_convex,
-                        tangent_volume_ratio_error,
+                        SurfaceDegeneracyError, SurfaceSample,
+                        abs_normal_curvature_integral, elementary_symmetric,
+                        min_curvature_radius, principal_curvature_arrays,
+                        surface_grid, surface_sample, tangent_line_volume_rp3,
+                        tangent_volume_ratio_convex,
                         tangent_volume_ratio_profile,
                         tangent_volume_ratio_semialgebraic)
 from .intrinsic import (IntrinsicProfile, TubeRadiusError, body_volume,
-                        bound_check, compute_profile, intrinsic_volume,
-                        mc_tube_volume, polar_body, polar_volume,
-                        steiner_tube_volume, sum_identity_residual)
+                        bound_check, compute_profile, mc_tube_volume,
+                        polar_body, polar_volume, steiner_tube_volume,
+                        sum_identity_residual)
 from .schubert import (EXPECTED_DEGREE_LINES_RP3, TransversalCount,
                        UnsupportedIndicesError, count_line_transversals,
                        estimate_expected_degree, line_meet_form)

@@ -121,7 +121,7 @@ def cmd_volumes(args) -> dict:
             "sphere_volume": sphere_volume(n),
             "orthogonal_volume": orthogonal_volume(n + 1),
             "grassmannian_volume": projective_grassmannian_volume(k, n),
-            "schubert_ratio": schubert_ratio(k, n).value,
+            "schubert_ratio": schubert_ratio(k, n),
             "schubert_volume": schubert_volume(k, n),
             "dimension": grassmannian_dimension(k, n),
         }
@@ -155,23 +155,26 @@ def cmd_omega(args) -> dict:
         lo, hi, count = args.sweep_radius
         if body.kind != "metric_sphere":
             raise UsageError("--sweep-radius needs a metric sphere body")
+        if method != "convex":
+            raise UsageError(f"--sweep-radius takes the convex method, got {method}")
         if not (1 <= count <= MAX_SWEEP_RADII and count.is_integer()):
             raise UsageError("--sweep-radius COUNT must be an integer in "
                              f"[1, {MAX_SWEEP_RADII}], got {count}")
         return {"parameters": parameters, "results": {
-            f"ratio_r_{r:.6f}": tangent_volume_ratio_convex(metric_sphere(body.n, r), args.k, grid)
+            f"ratio_r_{r:.6f}": tangent_volume_ratio_convex(
+                surface_sample(metric_sphere(body.n, r), grid), args.k)
             for r in np.linspace(lo, hi, int(count))}}
     if method == "h-integral" and body.n != 3:
         raise UsageError("h-integral method needs n = 3")
     sample = surface_sample(body, grid)
     if method == "convex":
-        results = {"tangent_ratio": tangent_volume_ratio_convex(body, args.k, grid, sample)}
+        results = {"tangent_ratio": tangent_volume_ratio_convex(sample, args.k)}
     elif method == "h-integral":
-        vol = tangent_line_volume_rp3(body, grid, sample)
+        vol = tangent_line_volume_rp3(sample)
         results = {"tangent_volume": vol, "tangent_ratio": vol / schubert_volume(1, 3)}
     else:
-        est = tangent_volume_ratio_semialgebraic(
-            body, args.k, grid, args.samples, RngStream(args.seed), sample)
+        est = tangent_volume_ratio_semialgebraic(sample, args.k, args.samples,
+                                                 RngStream(args.seed))
         results = {"tangent_ratio": estimate_entry(est)}
     return {"parameters": parameters, "results": results,
             "diagnostics": sample.diagnostics()}
@@ -230,7 +233,7 @@ def cmd_tau(args) -> dict:
               "results": results}
     if args.mode == "formula":
         grid = surface_grid(n, args.level)
-        ratios = [tangent_volume_ratio_convex(b, k, grid) for b in bodies]
+        ratios = [tangent_volume_ratio_convex(surface_sample(b, grid), k) for b in bodies]
         tau = average_tangent_count(TangentCountInputs(k, n, tuple(ratios), delta))
         for i, r in enumerate(ratios):
             results[f"ratio_{i}"] = r
@@ -256,10 +259,10 @@ def cmd_intrinsic(args) -> dict:
     results["volume"] = profile.volume
     results["polar_volume"] = profile.polar
     results["reach_estimate"] = profile.reach
-    results["sum_identity_residual"] = sum_identity_residual(body, grid, profile)
+    results["sum_identity_residual"] = sum_identity_residual(profile)
     for k in range(body.n):
-        results[f"bound_ok_k{k}"] = bound_check(body, k, grid, profile=profile)
-    results["tube_volume"] = steiner_tube_volume(body, args.eps, profile)
+        results[f"bound_ok_k{k}"] = bound_check(profile, k)
+    results["tube_volume"] = steiner_tube_volume(profile, args.eps)
     return {"parameters": {"body": args.body, "eps": args.eps, "level": args.level},
             "results": results, "diagnostics": profile.diagnostics}
 
@@ -304,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"tangent-plane Monte Carlo samples per node, at most {MAX_PLANE_SAMPLES}")
     p.add_argument("--sweep-radius", nargs=3, type=float, default=None,
                    metavar=("LO", "HI", "COUNT"),
-                   help=f"metric spheres only: a sweep of COUNT <= {MAX_SWEEP_RADII} radii")
+                   help=f"metric spheres, convex method: COUNT <= {MAX_SWEEP_RADII} radii")
     common(p)
     p.set_defaults(func=cmd_omega)
 

@@ -1,6 +1,11 @@
 """Second fundamental form, principal curvatures, and quadrature of the
 tangent-flat volume of a hypersurface.
 
+A body is sampled once per grid: `surface_sample(body, grid)` solves the
+radial roots, area element and principal curvatures at every node, and
+every quadrature and check then reads that SurfaceSample, which carries its
+body and grid.
+
 All geometry happens on the double cover S^n.  A body's surface is
 parametrized radially from an interior star center c:
 
@@ -172,12 +177,12 @@ def _radial_roots(body: ConvexBody, omega: np.ndarray):
     return 0.5 * (lo + hi), c, W
 
 
-def surface_points(body: ConvexBody, grid: QuadratureGrid, roots=None):
+def surface_points(body: ConvexBody, grid: QuadratureGrid, roots):
     """Surface nodes x (N, n+1), a view of a node-last (n+1, N) array, and
     the area element J (N,), ray cosine |dF/dt| / |grad F| (N,) and gradient
-    (N, n+1), a node-last view, there.  `roots` reuses the (rho, c, W) that
+    (N, n+1), a node-last view, there, from the (rho, c, W) that
     _radial_roots returned for grid."""
-    rho, c, W = _radial_roots(body, grid.nodes) if roots is None else roots
+    rho, c, W = roots
     omt = W @ grid.nodes.T                          # (n+1, N)
     cos, sin = np.cos(rho), np.sin(rho)
     x = cos * c[:, None] + sin * omt
@@ -197,11 +202,14 @@ def surface_points(body: ConvexBody, grid: QuadratureGrid, roots=None):
 
 @dataclass(frozen=True)
 class SurfaceSample:
-    """A body's surface on a quadrature grid, shared by every quadrature over
-    it: radial profile rho from the star center (W spans center-perp), nodes
-    x, area element J, descending principal curvatures (N, n-1) and ray
-    cosines |dF/dt| / |grad F| at the radial roots."""
+    """A body's surface on a quadrature grid, the one input of every
+    quadrature over it: the body and grid, radial profile rho from the star
+    center (W spans center-perp), nodes x, area element J, descending
+    principal curvatures (N, n-1) and ray cosines |dF/dt| / |grad F| at the
+    radial roots."""
 
+    body: ConvexBody
+    grid: QuadratureGrid
     rho: np.ndarray
     center: np.ndarray
     W: np.ndarray
@@ -219,10 +227,12 @@ class SurfaceSample:
 
 def surface_sample(body: ConvexBody, grid: QuadratureGrid) -> SurfaceSample:
     """Radial roots, area element and principal curvatures at every node."""
+    if grid.n != body.n:
+        raise ValueError("grid dimension does not match the body")
     roots = _radial_roots(body, grid.nodes)
     x, J, ray_cosine, gradient = surface_points(body, grid, roots)
-    return SurfaceSample(*roots, x, J, principal_curvature_arrays(body, x, gradient),
-                         ray_cosine)
+    return SurfaceSample(body, grid, *roots, x, J,
+                         principal_curvature_arrays(body, x, gradient), ray_cosine)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +248,15 @@ def _orthobasis_complement(v: np.ndarray) -> np.ndarray:
     return np.eye(d)[:, 1:, None] - (2.0 * u)[:, None] * u[None, 1:]
 
 
-def shape_operators(body: ConvexBody, x: np.ndarray, gradient=None):
-    """Restricted shape operator matrices at surface nodes x (N, n+1), where
-    `gradient` (N, n+1) reuses the body's gradient at x.
+def shape_operators(body: ConvexBody, x: np.ndarray, gradient: np.ndarray):
+    """Restricted shape operator matrices at surface nodes x (N, n+1), given
+    the body's gradient (N, n+1) there.
 
     Returns (S, T, nu): S is (N, n-1, n-1) symmetric with the principal
     curvatures as eigenvalues, T the tangent bases (N, n+1, n-1) and nu the
     inward unit normals (N, n+1), each a view of a node-last array.
     """
-    G = (body.surface_gradient(x) if gradient is None else gradient).T
+    G = gradient.T
     Gn = np.linalg.norm(G, axis=0)
     if Gn.min() < 1e-12:
         raise SurfaceDegeneracyError("vanishing gradient on the surface")
@@ -268,10 +278,10 @@ def shape_operators(body: ConvexBody, x: np.ndarray, gradient=None):
 
 
 def principal_curvature_arrays(body: ConvexBody, x: np.ndarray,
-                               gradient=None) -> np.ndarray:
-    """Principal curvatures at surface nodes, sorted descending, (N, n-1):
-    for n = 3 in closed form, m +- hypot((a - c)/2, b) of each [[a, b], [b, c]].
-    `gradient` is passed to shape_operators."""
+                               gradient: np.ndarray) -> np.ndarray:
+    """Principal curvatures at surface nodes x with the body's gradient
+    there, sorted descending, (N, n-1): for n = 3 in closed form,
+    m +- hypot((a - c)/2, b) of each [[a, b], [b, c]]."""
     S = shape_operators(body, x, gradient)[0]
     if S.shape[1] != 2:
         return np.linalg.eigvalsh(S)[:, ::-1]
@@ -320,47 +330,34 @@ def _ratio_prefactor(k: int, n: int) -> float:
     return gamma((k + 1) / 2) * gamma((n - k) / 2) / pi ** ((n + 1) / 2)
 
 
-def tangent_volume_ratio_profile(body: ConvexBody, grid: QuadratureGrid,
-                                 sample: SurfaceSample | None = None) -> np.ndarray:
+def tangent_volume_ratio_profile(sample: SurfaceSample) -> np.ndarray:
     """Tangent volume ratios for every k = 0..n-1 at once (convex bodies).
 
     Entry k is Gamma((k+1)/2)Gamma((n-k)/2) / pi^{(n+1)/2} times the surface
     integral of the k-th elementary symmetric polynomial of the principal
-    curvatures, from `sample` (the body's surface_sample on grid) if given.
+    curvatures.
     """
-    if not body.convex:
+    if not sample.body.convex:
         raise NonConvexBodyError("tangent volume ratios by curvature integral "
                                  "require a convex body")
-    n = body.n
-    if grid.n != n:
-        raise ValueError("grid dimension does not match the body")
-    sample = sample or surface_sample(body, grid)
+    n = sample.body.n
     d = sample.principal
     if d.min() <= 0.0 or np.abs(d).prod(axis=1).min() < DEGENERATE_DET_TOL:
         raise NonConvexBodyError(
             "non-positive principal curvature at a quadrature node of a "
             "body declared convex")
     sig = _elementary_symmetric_all(d)              # (N, n)
-    wj = grid.weights * sample.J
+    wj = sample.grid.weights * sample.J
     integrals = wj @ sig[:, :n]
     return np.array([_ratio_prefactor(k, n) * integrals[k] for k in range(n)])
 
 
-def tangent_volume_ratio_convex(body: ConvexBody, k: int, grid: QuadratureGrid,
-                                sample: SurfaceSample | None = None) -> float:
+def tangent_volume_ratio_convex(sample: SurfaceSample, k: int) -> float:
     """Volume ratio of the manifold of tangent k-flats to the Schubert
     hypersurface volume, via the curvature integral (convex bodies)."""
-    if not 0 <= k <= body.n - 1:
+    if not 0 <= k <= sample.body.n - 1:
         raise ValueError("need 0 <= k <= n-1")
-    return float(tangent_volume_ratio_profile(body, grid, sample)[k])
-
-
-def tangent_volume_ratio_error(body: ConvexBody, k: int, level: int) -> tuple[float, float]:
-    """Ratio at the given level plus a truncation estimate from the
-    difference against the previous refinement level."""
-    hi = tangent_volume_ratio_convex(body, k, surface_grid(body.n, level))
-    lo = tangent_volume_ratio_convex(body, k, surface_grid(body.n, max(1, level - 1)))
-    return hi, abs(hi - lo)
+    return float(tangent_volume_ratio_profile(sample)[k])
 
 
 def abs_normal_curvature_integral(d1, d2):
@@ -386,26 +383,22 @@ def abs_normal_curvature_integral(d1, d2):
     return out if out.shape else float(out)
 
 
-def tangent_line_volume_rp3(body: ConvexBody, grid: QuadratureGrid,
-                            sample: SurfaceSample | None = None) -> float:
+def tangent_line_volume_rp3(sample: SurfaceSample) -> float:
     """Volume of the manifold of tangent lines of a surface in RP^3 as the
     surface integral of the direction-averaged |normal curvature|.
 
     Valid for surfaces with mixed curvature signs, unlike the elementary
     symmetric route.
     """
-    if body.n != 3:
+    if sample.body.n != 3:
         raise ValueError("this formula is specific to surfaces in RP^3")
-    sample = sample or surface_sample(body, grid)
     d = sample.principal
     h = abs_normal_curvature_integral(d[:, 0], d[:, 1])
-    return float(np.sum(grid.weights * sample.J * h))
+    return float(np.sum(sample.grid.weights * sample.J * h))
 
 
-def tangent_volume_ratio_semialgebraic(body: ConvexBody, k: int,
-                                       grid: QuadratureGrid,
-                                       mc_samples: int, rng: RngStream,
-                                       sample: SurfaceSample | None = None) -> MCEstimate:
+def tangent_volume_ratio_semialgebraic(sample: SurfaceSample, k: int,
+                                       mc_samples: int, rng: RngStream) -> MCEstimate:
     """Tangent volume ratio by the general (possibly non-convex) formula:
     nested surface quadrature with Monte Carlo over tangent k-planes of
     |det| of the restricted second fundamental form.
@@ -413,12 +406,11 @@ def tangent_volume_ratio_semialgebraic(body: ConvexBody, k: int,
     The reported standard error covers the Monte Carlo part; quadrature
     truncation is separate and controlled by the grid level.
     """
-    n = body.n
+    n = sample.body.n
     if not 0 <= k <= n - 1:
         raise ValueError("need 0 <= k <= n-1")
-    sample = sample or surface_sample(body, grid)
     pref = comb(n - 1, k) * _ratio_prefactor(k, n)
-    wj = grid.weights * sample.J * pref
+    wj = sample.grid.weights * sample.J * pref
     if k == 0:
         return MCEstimate(float(wj.sum()), 0.0, mc_samples, rng.seed)
 
@@ -430,15 +422,7 @@ def tangent_volume_ratio_semialgebraic(body: ConvexBody, k: int,
     return MCEstimate(total, stderr, mc_samples, rng.seed)
 
 
-def surface_area(body: ConvexBody, grid: QuadratureGrid) -> float:
-    """Riemannian surface volume of the body's boundary."""
-    return float(np.sum(grid.weights * surface_points(body, grid)[1]))
-
-
-def min_curvature_radius(body: ConvexBody, grid: QuadratureGrid,
-                         sample: SurfaceSample | None = None) -> float:
-    """Conservative reach proxy: min over nodes of 1/max|d_i|, capped at pi/4,
-    from `sample` (the body's surface_sample on grid) if given."""
-    d = (sample or surface_sample(body, grid)).principal
-    dmax = np.abs(d).max(axis=1)
+def min_curvature_radius(sample: SurfaceSample) -> float:
+    """Conservative reach proxy: min over nodes of 1/max|d_i|, capped at pi/4."""
+    dmax = np.abs(sample.principal).max(axis=1)
     return float(min(pi / 4, 1.0 / dmax.max()))

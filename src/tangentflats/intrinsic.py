@@ -9,6 +9,10 @@ collection satisfies
     4|C|/|S^n| + 4|C*|/|S^n| + sum_k ratio_k = 4,
 
 where C* is the polar body of the lifted cone.
+
+`compute_profile(body, grid)` samples the body once and builds its
+IntrinsicProfile; the region volume reads the SurfaceSample, and the sum
+identity, bound check and Steiner tube volume read the profile.
 """
 from __future__ import annotations
 
@@ -49,15 +53,13 @@ def _cap_profile_volume(rho: np.ndarray, weights: np.ndarray, n: int) -> float:
     return float(weights @ inner)
 
 
-def body_volume(body: ConvexBody, grid: QuadratureGrid,
-                sample: SurfaceSample | None = None) -> float:
-    """Volume of the convex region bounded by the body, computed on one
-    lifted component (equal to the projective volume), from the radial
-    profile of `sample` (the body's surface_sample on grid) if given."""
-    if not body.convex:
+def body_volume(sample: SurfaceSample) -> float:
+    """Volume of the convex region bounded by the sample's body, computed on
+    one lifted component (equal to the projective volume), from its radial
+    profile."""
+    if not sample.body.convex:
         raise NonConvexBodyError("volume of the bounded region needs a convex body")
-    rho = sample.rho if sample else _radial_roots(body, grid.nodes)[0]
-    return _cap_profile_volume(rho, grid.weights, body.n)
+    return _cap_profile_volume(sample.rho, sample.grid.weights, sample.body.n)
 
 
 def polar_body(body: ConvexBody) -> ConvexBody:
@@ -73,8 +75,10 @@ def polar_body(body: ConvexBody) -> ConvexBody:
 
 
 def polar_volume(body: ConvexBody, grid: QuadratureGrid) -> float:
-    """Volume of the polar of the lifted convex region."""
-    return body_volume(polar_body(body), grid)
+    """Volume of the polar of the lifted convex region, from the polar
+    body's radial roots alone."""
+    rho = _radial_roots(polar_body(body), grid.nodes)[0]
+    return _cap_profile_volume(rho, grid.weights, body.n)
 
 
 @dataclass(frozen=True)
@@ -102,27 +106,17 @@ def compute_profile(body: ConvexBody, grid: QuadratureGrid) -> IntrinsicProfile:
     reach and region volume then come from one surface sample."""
     polar = polar_volume(body, grid)
     sample = surface_sample(body, grid)
-    ratios = tangent_volume_ratio_profile(body, grid, sample)
+    ratios = tangent_volume_ratio_profile(sample)
     values = ratios[::-1] / 4.0                       # V_j = ratio_{n-1-j} / 4
     if body.kind == "metric_sphere":
         reach, source = pi / 2 - body.radius, "radius"
     else:
-        reach, source = min_curvature_radius(body, grid, sample), "curvature"
-    return IntrinsicProfile(body, values, ratios, body_volume(body, grid, sample), polar,
+        reach, source = min_curvature_radius(sample), "curvature"
+    return IntrinsicProfile(body, values, ratios, body_volume(sample), polar,
                             reach, {**sample.diagnostics(), "reach_source": source})
 
 
-def intrinsic_volume(body: ConvexBody, j: int, grid: QuadratureGrid) -> float:
-    """The j-th intrinsic volume: one quarter of the tangent volume ratio
-    at k = n-1-j."""
-    if not 0 <= j <= body.n - 1:
-        raise ValueError("need 0 <= j <= n-1")
-    ratios = tangent_volume_ratio_profile(body, grid)
-    return float(ratios[body.n - 1 - j] / 4.0)
-
-
-def steiner_tube_volume(body: ConvexBody, eps: float,
-                        profile: IntrinsicProfile) -> float:
+def steiner_tube_volume(profile: IntrinsicProfile, eps: float) -> float:
     """Volume of the eps-neighborhood by the tube expansion
 
         |C| + sum_k f_k(eps) |S^k| |S^{n-k-1}| V_k(C).
@@ -136,7 +130,7 @@ def steiner_tube_volume(body: ConvexBody, eps: float,
         raise TubeRadiusError(
             f"tube radius {eps:.6g} exceeds the validity estimate "
             f"{profile.reach:.6g}")
-    n = body.n
+    n = profile.body.n
     total = profile.volume
     for k in range(n):
         total += steiner_coefficient(k, n, eps) * sphere_volume(k) * \
@@ -168,21 +162,13 @@ def mc_tube_volume(body: ConvexBody, eps: float, samples: int,
     return MCEstimate(float(mean), float(stderr), samples, rng.seed)
 
 
-def sum_identity_residual(body: ConvexBody, grid: QuadratureGrid,
-                          profile: IntrinsicProfile | None = None) -> float:
-    """Deviation of 4|C|/|S^n| + 4|C*|/|S^n| + sum_k ratio_k from 4, from
-    `profile` (the body's compute_profile on grid) if given."""
-    profile = profile or compute_profile(body, grid)
-    sn = sphere_volume(body.n)
+def sum_identity_residual(profile: IntrinsicProfile) -> float:
+    """Deviation of 4|C|/|S^n| + 4|C*|/|S^n| + sum_k ratio_k from 4."""
+    sn = sphere_volume(profile.body.n)
     lhs = 4.0 * profile.volume / sn + 4.0 * profile.polar / sn + profile.ratios.sum()
     return float(lhs - 4.0)
 
 
-def bound_check(body: ConvexBody, k: int, grid: QuadratureGrid,
-                slack: float = 1e-6,
-                profile: IntrinsicProfile | None = None) -> bool:
-    """True iff the tangent volume ratio respects the universal bound of 4;
-    the ratio is read from `profile` when given."""
-    ratio = (profile.ratios if profile else
-             tangent_volume_ratio_profile(body, grid))[k]
-    return bool(ratio <= 4.0 + slack)
+def bound_check(profile: IntrinsicProfile, k: int, slack: float = 1e-6) -> bool:
+    """True iff the tangent volume ratio at k respects the universal bound of 4."""
+    return bool(profile.ratios[k] <= 4.0 + slack)

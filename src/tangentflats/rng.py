@@ -45,10 +45,6 @@ class MCEstimate:
     failed: int = 0             # of those, lost to a numerical failure
     diagnostics: dict = field(default_factory=dict)     # deterministic run counters
 
-    def within(self, target: float, nsigma: float) -> bool:
-        """True if `target` lies within nsigma standard errors of the mean."""
-        return abs(self.mean - target) <= nsigma * self.stderr
-
 
 def parallel_map(fn, tasks, workers: int = 1) -> list:
     """[fn(*task) for task in tasks], in order, spread over a pool of at most

@@ -586,14 +586,9 @@ def _count_chunk(args):
             _DEGENERATE if r.degenerate else r.real_count for r in results], log, work, paths
 
 
-def _tau_chunk(args) -> tuple[list[int], list[str]]:
-    """The counts and path log of _count_chunk."""
-    return _count_chunk(args)[:2]
-
-
 # One trial and one attempt as batches of one; perfbench/tracer.py hooks both.
 def _tau_trial(args) -> int:
-    return _tau_chunk((*args[:2], [args[2]]))[0][0]
+    return _count_chunk((*args[:2], [args[2]]))[0][0]
 
 
 def _solve_once(quadrics, rng: RngStream) -> SolutionSet:

@@ -59,38 +59,22 @@ def projective_grassmannian_volume(k: int, n: int) -> float:
     return grassmannian_volume(k + 1, n + 1)
 
 
-@dataclass(frozen=True)
-class SchubertRatio:
+def schubert_ratio(k: int, n: int) -> float:
     """The Gamma-factor ratio |Sch(k,n)| / |Gr(k+1,n+1)| for the special
-    Schubert hypersurface of k-flats meeting a fixed (n-k-1)-flat."""
-
-    value: float
-    k: int
-    n: int
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("ratio must be positive")
-
-
-def schubert_ratio(k: int, n: int) -> SchubertRatio:
-    """Gamma((k+2)/2)Gamma((n-k+1)/2) / (Gamma((k+1)/2)Gamma((n-k)/2)).
+    Schubert hypersurface of k-flats meeting a fixed (n-k-1)-flat:
+    Gamma((k+2)/2)Gamma((n-k+1)/2) / (Gamma((k+1)/2)Gamma((n-k)/2)).
 
     Symmetric under k -> n-1-k.
     """
     if not 0 <= k <= n - 1:
         raise ValueError("need 0 <= k <= n-1")
-    value = (gamma((k + 2) / 2) / gamma((k + 1) / 2)) * \
-            (gamma((n - k + 1) / 2) / gamma((n - k) / 2))
-    return SchubertRatio(value, k, n)
+    return (gamma((k + 2) / 2) / gamma((k + 1) / 2)) * \
+        (gamma((n - k + 1) / 2) / gamma((n - k) / 2))
 
 
 def schubert_volume(k: int, n: int) -> float:
     """Volume of the special Schubert hypersurface in the k-flat Grassmannian."""
-    return projective_grassmannian_volume(k, n) * schubert_ratio(k, n).value
+    return projective_grassmannian_volume(k, n) * schubert_ratio(k, n)
 
 
 def steiner_coefficient(k: int, n: int, eps: float) -> float:
@@ -173,7 +157,7 @@ def average_scaling_factor(k: int, n: int, expected_degree: float) -> float:
         raise ValueError("expected degree must be nonnegative")
     d = grassmannian_dimension(k, n)
     return expected_degree / (projective_grassmannian_volume(k, n) *
-                              schubert_ratio(k, n).value ** d)
+                              schubert_ratio(k, n) ** d)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,8 @@ def test_criterion_2_sphere_tangent_volume_oracle():
     for n in range(3, 7):
         grid = tf.surface_grid(n, 4)
         for r in (pi / 6, pi / 4, pi / 3):
-            prof = tf.tangent_volume_ratio_profile(tf.metric_sphere(n, r), grid)
+            prof = tf.tangent_volume_ratio_profile(
+                tf.surface_sample(tf.metric_sphere(n, r), grid))
             for k in range(n):
                 expect = tf.sphere_tangent_ratio(k, n, r)
                 rel = abs(prof[k] - expect) / expect
@@ -129,7 +130,8 @@ def test_criterion_5_affine_sphere_bound():
 def test_criterion_6_sum_identity(ellipsoid_suite):
     grid, bodies, profiles = ellipsoid_suite
     sn = tf.sphere_volume(3)
-    worst_sphere = max(abs(tf.sum_identity_residual(tf.metric_sphere(3, r), grid))
+    worst_sphere = max(abs(tf.sum_identity_residual(
+        tf.compute_profile(tf.metric_sphere(3, r), grid)))
                        for r in (pi / 6, pi / 4, pi / 3))
     worst_ell = max(abs(4 * p.volume / sn + 4 * p.polar / sn + p.ratios.sum() - 4)
                     for p in profiles)
@@ -146,13 +148,14 @@ def test_criterion_7_universal_bound(ellipsoid_suite):
         worst = max(worst, p.ratios.max())
     for r in (0.15, pi / 6, pi / 4, pi / 3, 1.4):
         worst = max(worst, tf.tangent_volume_ratio_profile(
-            tf.metric_sphere(3, r), grid).max())
+            tf.surface_sample(tf.metric_sphere(3, r), grid)).max())
     needle = tf.ellipsoid(3, [1.0, 0.01, 0.01])
-    worst = max(worst, tf.tangent_volume_ratio_profile(needle, grid).max())
+    worst = max(worst, tf.tangent_volume_ratio_profile(
+        tf.surface_sample(needle, grid)).max())
     for n in (4, 5):
         gridn = tf.surface_grid(n, 3)
         worst = max(worst, tf.tangent_volume_ratio_profile(
-            tf.metric_sphere(n, pi / 4), gridn).max())
+            tf.surface_sample(tf.metric_sphere(n, pi / 4), gridn)).max())
     ok = worst <= 4.0 + 1e-6
     assert _report(7, ok, f"largest tangent volume ratio over all convex "
                           f"test bodies and all k: {worst:.8f} (bound 4)")
@@ -164,7 +167,7 @@ def test_criterion_8_steiner_formula():
     grid = tf.surface_grid(3, 4)
     body = tf.metric_sphere(3, r)
     profile = tf.compute_profile(body, grid)
-    tube = tf.steiner_tube_volume(body, eps, profile)
+    tube = tf.steiner_tube_volume(profile, eps)
     cap = tf.sphere_volume(2) * quad(lambda t: np.sin(t) ** 2, 0, r + eps,
                                      epsabs=1e-14)[0]
     err = abs(tube - cap)
@@ -217,13 +220,13 @@ def test_criterion_10_line_volume_formulas_agree(ellipsoid_suite):
     sch = tf.schubert_volume(1, 3)
     worst = 0.0
     for body, p in zip(bodies, profiles):
-        via_h = tf.tangent_line_volume_rp3(body, grid)
+        via_h = tf.tangent_line_volume_rp3(tf.surface_sample(body, grid))
         via_sigma = p.ratios[1] * sch
         worst = max(worst, abs(via_h - via_sigma) / via_sigma)
     for r in (pi / 6, pi / 4, pi / 3):
-        body = tf.metric_sphere(3, r)
-        via_h = tf.tangent_line_volume_rp3(body, grid)
-        via_sigma = tf.tangent_volume_ratio_convex(body, 1, grid) * sch
+        sample = tf.surface_sample(tf.metric_sphere(3, r), grid)
+        via_h = tf.tangent_line_volume_rp3(sample)
+        via_sigma = tf.tangent_volume_ratio_convex(sample, 1) * sch
         worst = max(worst, abs(via_h - via_sigma) / via_sigma)
     ok = worst < 1e-6
     assert _report(10, ok,

@@ -57,8 +57,7 @@ def test_rotate_body_membership_convention():
     g = tf.haar_matrices(4, 1, tf.RngStream(4).generator())[0]
     moved = tf.rotate_body(body, g)
     # x on moved body iff g^T x on the original
-    from tangentflats.curvature import surface_points, surface_grid
-    x = surface_points(body, surface_grid(3, 2))[0]
+    x = tf.surface_sample(body, tf.surface_grid(3, 2)).x
     assert np.abs(moved.surface_value(x @ g.T)).max() < 1e-10
 
 

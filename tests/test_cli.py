@@ -827,6 +827,10 @@ def test_every_report_has_the_same_keys_and_reproduces(capsys, tmp_path, argv):
      "--sweep-radius needs a metric sphere body"),
     (("omega", "SPHERE", "--sweep-radius", "0.3", "1.2", "0"),
      f"--sweep-radius COUNT must be an integer in [1, {MAX_SWEEP_RADII}], got 0.0"),
+    (("omega", "SPHERE", "--method", "h-integral", "--sweep-radius", "0.2", "1.2", "2"),
+     "--sweep-radius takes the convex method, got h-integral"),
+    (("omega", "SPHERE", "--method", "semialgebraic", "--sweep-radius", "0.2", "1.2", "2"),
+     "--sweep-radius takes the convex method, got semialgebraic"),
     (("omega", "SPHERE4", "--method", "h-integral"), "h-integral method needs n = 3"),
     (("tau", *["SPHERE"] * 4, "--k", "3"), "need 0 <= k <= n-1, got (k, n) = (3, 3)"),
     (("tau", *["SPHERE"] * 3), "(k, n) = (1, 3) needs 4 body files, got 3"),
@@ -834,7 +838,8 @@ def test_every_report_has_the_same_keys_and_reproduces(capsys, tmp_path, argv):
     (("tau", *["SPHERE"] * 3, "QUARTIC", "--mode", "empirical"),
      "empirical mode counts tangent lines to quadrics in RP^3 only"),
 ], ids=["volumes-k", "volumes-precision", "omega-k", "sweep-body", "sweep-count",
-        "h-integral-n", "tau-k", "tau-body-count", "tau-dimensions", "tau-empirical-kind"])
+        "sweep-h-integral", "sweep-semialgebraic", "h-integral-n", "tau-k",
+        "tau-body-count", "tau-dimensions", "tau-empirical-kind"])
 def test_command_refusals_exit_2_with_one_error_line(capsys, tmp_path, argv, message):
     quartic, sphere4 = tmp_path / "quartic.body", tmp_path / "sphere4.body"
     quartic.write_text(IMPLICIT_BODY)

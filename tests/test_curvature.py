@@ -13,15 +13,20 @@ from tangentflats import curvature
 from tangentflats.bodies import ConvexBody
 from tangentflats.curvature import (_abs_minors, _orthobasis_complement,
                                     _radial_roots, principal_curvature_arrays,
-                                    shape_operators, surface_points)
+                                    shape_operators)
+
+
+def curvatures(body, x):
+    """Principal curvatures at surface points x, with the body's gradient."""
+    return principal_curvature_arrays(body, x, body.surface_gradient(x))
 
 
 def test_sphere_principal_curvatures():
     body = tf.metric_sphere(3, pi / 4)
     x = np.array([[np.cos(pi / 4), 0.0, np.sin(pi / 4), 0.0]])
-    assert np.abs(principal_curvature_arrays(body, x) - 1.0).max() < 1e-9   # cot(pi/4)
+    assert np.abs(curvatures(body, x) - 1.0).max() < 1e-9   # cot(pi/4)
     # tangent basis and normal invariants
-    _, T, nu = shape_operators(body, x)
+    _, T, nu = shape_operators(body, x, body.surface_gradient(x))
     T, nu = T[0], nu[0]
     assert abs(x[0] @ nu) < 1e-12
     assert abs(np.linalg.norm(nu) - 1.0) < 1e-12
@@ -34,7 +39,7 @@ def test_sphere_flat_limit():
     r = pi / 2 - 1e-4
     body = tf.metric_sphere(3, r)
     x = np.array([[np.cos(r), np.sin(r), 0.0, 0.0]])
-    assert np.abs(principal_curvature_arrays(body, x)).max() < 2e-4   # cot r -> 0
+    assert np.abs(curvatures(body, x)).max() < 2e-4   # cot r -> 0
 
 
 def _fd_shape_operator(A, x, eps=1e-6):
@@ -89,7 +94,7 @@ def test_ellipsoid_curvature_finite_difference_oracle():
         for raw in pts:
             x = np.array(raw) / np.linalg.norm(raw)
             expected = _fd_shape_operator(A, x)
-            got = principal_curvature_arrays(body, _project_to_surface(A, x)[None])[0]
+            got = curvatures(body, _project_to_surface(A, x)[None])[0]
             assert got.shape == (body.n - 1,)
             assert np.abs(got - expected).max() < 1e-5
 
@@ -118,7 +123,7 @@ def test_closed_form_2x2_curvatures_match_eigvalsh(rows, exponent):
     S = np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
     with mock.patch.object(curvature, "shape_operators",
                            lambda *args: (S, None, None)):
-        got = principal_curvature_arrays(None, None)
+        got = principal_curvature_arrays(None, None, None)
     ref = np.linalg.eigvalsh(S)[:, ::-1]
     scale = np.abs(S).max(axis=(1, 2))[:, None]
     assert got.shape == ref.shape
@@ -142,7 +147,7 @@ def test_sigma_of_sphere_frames():
     body = tf.metric_sphere(n, r)
     x = np.zeros((1, n + 1))
     x[0, 0], x[0, 1] = np.cos(r), np.sin(r)
-    d = principal_curvature_arrays(body, x)
+    d = curvatures(body, x)
     assert tf.elementary_symmetric(d, 0)[0] == 1.0
     for k in range(n):
         expect = comb(n - 1, k) * (1 / np.tan(r)) ** k
@@ -162,17 +167,17 @@ def mean_abs_minor(d, k, samples, seed):
 def test_mean_abs_minor_positive_definite(grid3_coarse):
     body = tf.ellipsoid(3, [1.2, 0.9, 0.7])
     x = _project_to_surface(body.matrix, np.array([1.0, 0.5, 0.4, -0.3]))
-    d = principal_curvature_arrays(body, x[None])
+    d = curvatures(body, x[None])
     for k in (1, 2):
         mean, stderr = mean_abs_minor(d[0], k, 40_000, 7)
         expect = tf.elementary_symmetric(d, k)[0] / comb(2, k)
         assert abs(mean - expect) < 4 * max(stderr, 1e-12)
     # at k = 0 the restricted determinant is 1: no Monte Carlo error
-    est0 = tf.tangent_volume_ratio_semialgebraic(body, 0, grid3_coarse, 10,
-                                                 tf.RngStream(8))
+    sample = tf.surface_sample(body, grid3_coarse)
+    est0 = tf.tangent_volume_ratio_semialgebraic(sample, 0, 10, tf.RngStream(8))
     assert est0.stderr == 0.0
     assert est0.mean == pytest.approx(
-        tf.tangent_volume_ratio_profile(body, grid3_coarse)[0], rel=1e-12)
+        tf.tangent_volume_ratio_profile(sample)[0], rel=1e-12)
 
 
 def test_mean_abs_minor_flat_and_saddle():
@@ -222,7 +227,7 @@ def test_sphere_quadrature_oracle_small():
         grid = tf.surface_grid(n, 3)
         for r in (pi / 6, pi / 3):
             body = tf.metric_sphere(n, r)
-            prof = tf.tangent_volume_ratio_profile(body, grid)
+            prof = tf.tangent_volume_ratio_profile(tf.surface_sample(body, grid))
             for k in range(n):
                 expect = tf.sphere_tangent_ratio(k, n, r)
                 assert abs(prof[k] - expect) / expect < 1e-6
@@ -230,33 +235,34 @@ def test_sphere_quadrature_oracle_small():
 
 def test_quadrature_error_decreases_for_ellipsoid():
     body = tf.ellipsoid(3, [1.6, 0.9, 0.5])
-    ref = tf.tangent_volume_ratio_convex(body, 1, tf.surface_grid(3, 5))
-    errs = [abs(tf.tangent_volume_ratio_convex(body, 1, tf.surface_grid(3, lv)) - ref)
-            for lv in (1, 2, 3)]
+    ratio = {lv: tf.tangent_volume_ratio_convex(
+        tf.surface_sample(body, tf.surface_grid(3, lv)), 1) for lv in (1, 2, 3, 5)}
+    errs = [abs(ratio[lv] - ratio[5]) for lv in (1, 2, 3)]
     assert errs[1] < errs[0] and errs[2] <= errs[1]
-    # the reported estimate (difference against the coarser level) bounds the
-    # true truncation error of the finer level
-    hi, est = tf.tangent_volume_ratio_error(body, 1, 3)
-    assert est < 1e-4 and abs(hi - ref) <= est
+    # the difference against the coarser level bounds the true truncation
+    # error of the finer level
+    est = abs(ratio[3] - ratio[2])
+    assert est < 1e-4 and errs[2] <= est
 
 
 def test_ratio_k0_is_area_constant(grid3):
     # ratio at k = 0 is Gamma(1/2)Gamma(n/2)/pi^{(n+1)/2} times the area
     body = tf.ellipsoid(3, [1.3, 0.8, 1.0])
-    area = tf.surface_area(body, grid3)
+    sample = tf.surface_sample(body, grid3)
+    area = grid3.weights @ sample.J
     const = gamma(0.5) * gamma(1.5) / pi ** 2
-    assert tf.tangent_volume_ratio_convex(body, 0, grid3) == pytest.approx(
+    assert tf.tangent_volume_ratio_convex(sample, 0) == pytest.approx(
         const * area, rel=1e-12)
-    sphere = tf.metric_sphere(3, 0.8)
-    assert tf.tangent_volume_ratio_convex(sphere, 0, grid3) == pytest.approx(
+    sphere = tf.surface_sample(tf.metric_sphere(3, 0.8), grid3)
+    assert tf.tangent_volume_ratio_convex(sphere, 0) == pytest.approx(
         2 * np.sin(0.8) ** 2, rel=1e-9)
 
 
 def test_sphere_duality_pairs(grid3):
     r = pi / 6
     n = 3
-    p1 = tf.tangent_volume_ratio_profile(tf.metric_sphere(n, r), grid3)
-    p2 = tf.tangent_volume_ratio_profile(tf.metric_sphere(n, pi / 2 - r), grid3)
+    p1, p2 = (tf.tangent_volume_ratio_profile(tf.surface_sample(tf.metric_sphere(n, a), grid3))
+              for a in (r, pi / 2 - r))
     for k in range(n):
         assert p1[k] == pytest.approx(p2[n - 1 - k], rel=1e-9)
 
@@ -265,8 +271,8 @@ def test_rotation_invariance_of_ratio(grid3):
     body = tf.ellipsoid(3, [1.5, 0.8, 1.1])
     g = tf.haar_matrices(4, 1, tf.RngStream(13).generator())[0]
     moved = tf.rotate_body(body, g)
-    p1 = tf.tangent_volume_ratio_profile(body, grid3)
-    p2 = tf.tangent_volume_ratio_profile(moved, grid3)
+    p1 = tf.tangent_volume_ratio_profile(tf.surface_sample(body, grid3))
+    p2 = tf.tangent_volume_ratio_profile(tf.surface_sample(moved, grid3))
     assert np.abs(p1 - p2).max() < 1e-8
 
 
@@ -277,8 +283,9 @@ def test_ratios_are_invariant_under_generated_rotations(grid3_coarse,
                                                         log_axes, seed):
     body = tf.ellipsoid(3, np.exp(log_axes))
     g = tf.haar_matrices(4, 1, tf.RngStream(seed).generator())[0]
-    p1 = tf.tangent_volume_ratio_profile(body, grid3_coarse)
-    p2 = tf.tangent_volume_ratio_profile(tf.rotate_body(body, g), grid3_coarse)
+    p1 = tf.tangent_volume_ratio_profile(tf.surface_sample(body, grid3_coarse))
+    p2 = tf.tangent_volume_ratio_profile(
+        tf.surface_sample(tf.rotate_body(body, g), grid3_coarse))
     assert np.abs(p1 - p2).max() < 1e-10
 
 
@@ -286,10 +293,11 @@ def test_ratios_are_invariant_under_generated_rotations(grid3_coarse,
                                   octahedral_quartic(1.2, 1.0, convex=True)],
                          ids=["ellipsoid", "quartic"])
 def test_shape_operators_match_the_three_operand_contraction(grid3, body):
-    x = surface_points(body, grid3)[0]
-    S, T, nu = shape_operators(body, x)
+    x = tf.surface_sample(body, grid3).x
+    G = body.surface_gradient(x)
+    S, T, nu = shape_operators(body, x, G)
     H = body.surface_hessian(x)
-    Gn = np.linalg.norm(body.surface_gradient(x), axis=1)
+    Gn = np.linalg.norm(G, axis=1)
     ref = np.einsum('nia,nij,njb->nab', T, H, T)
     ref = -body.interior_sign() * ref / Gn[:, None, None]
     ref = 0.5 * (ref + ref.transpose(0, 2, 1))
@@ -320,20 +328,20 @@ def test_abs_minors_match_the_three_operand_contraction():
 def test_nonconvex_body_rejected(grid3_coarse):
     bumpy = octahedral_quartic(-0.9, 0.3, convex=True)    # wrongly declared
     with pytest.raises(tf.NonConvexBodyError):
-        tf.tangent_volume_ratio_profile(bumpy, grid3_coarse)
+        tf.tangent_volume_ratio_profile(tf.surface_sample(bumpy, grid3_coarse))
     with pytest.raises(tf.NonConvexBodyError):
-        tf.tangent_volume_ratio_profile(octahedral_quartic(-0.9, 0.3, False),
-                                        grid3_coarse)
+        tf.tangent_volume_ratio_profile(
+            tf.surface_sample(octahedral_quartic(-0.9, 0.3, False), grid3_coarse))
 
 
 def test_tangent_line_volume_sphere(grid3):
     body = tf.metric_sphere(3, pi / 4)
     # h is constant pi on this sphere, so the volume is pi * |surface|
     area = tf.sphere_volume(2) * np.sin(pi / 4) ** 2
-    assert tf.tangent_line_volume_rp3(body, grid3) == pytest.approx(
+    assert tf.tangent_line_volume_rp3(tf.surface_sample(body, grid3)) == pytest.approx(
         pi * area, rel=1e-9)
     # the volume vanishes with the radius (area wins over the growing h)
-    vols = [tf.tangent_line_volume_rp3(tf.metric_sphere(3, r), grid3)
+    vols = [tf.tangent_line_volume_rp3(tf.surface_sample(tf.metric_sphere(3, r), grid3))
             for r in (1e-2, 1e-3, 1e-4)]
     assert vols[0] > vols[1] > vols[2] and vols[2] < 5e-3
 
@@ -342,18 +350,19 @@ def test_two_line_volume_formulas_agree(grid3):
     gen = tf.RngStream(17).generator()
     for _ in range(3):
         body = random_ellipsoid(gen)
-        via_h = tf.tangent_line_volume_rp3(body, grid3)
-        via_sigma = tf.tangent_volume_ratio_convex(body, 1, grid3) * \
-            tf.schubert_volume(1, 3)
+        sample = tf.surface_sample(body, grid3)
+        via_h = tf.tangent_line_volume_rp3(sample)
+        via_sigma = tf.tangent_volume_ratio_convex(sample, 1) * tf.schubert_volume(1, 3)
         assert abs(via_h - via_sigma) / via_sigma < 1e-6
 
 
 def test_semialgebraic_matches_convex(grid3_coarse):
     body = tf.ellipsoid(3, [1.2, 0.9, 0.8])
-    exact = tf.tangent_volume_ratio_profile(body, grid3_coarse)
+    sample = tf.surface_sample(body, grid3_coarse)
+    exact = tf.tangent_volume_ratio_profile(sample)
     for k in (1, 2):
-        est = tf.tangent_volume_ratio_semialgebraic(body, k, grid3_coarse,
-                                                    64, tf.RngStream(19, k))
+        est = tf.tangent_volume_ratio_semialgebraic(sample, k, 64,
+                                                    tf.RngStream(19, k))
         # at k = n-1 the sampled plane is the whole tangent space, so the MC
         # variance vanishes; keep a rounding floor in the band
         assert abs(est.mean - exact[k]) < 4 * est.stderr + 1e-12
@@ -361,9 +370,9 @@ def test_semialgebraic_matches_convex(grid3_coarse):
 
 def test_semialgebraic_matches_h_integral_nonconvex(grid3_coarse):
     body = octahedral_quartic(-0.9, 0.3, convex=False)
-    via_h = tf.tangent_line_volume_rp3(body, grid3_coarse) / tf.schubert_volume(1, 3)
-    est = tf.tangent_volume_ratio_semialgebraic(body, 1, grid3_coarse,
-                                                96, tf.RngStream(23))
+    sample = tf.surface_sample(body, grid3_coarse)
+    via_h = tf.tangent_line_volume_rp3(sample) / tf.schubert_volume(1, 3)
+    est = tf.tangent_volume_ratio_semialgebraic(sample, 1, 96, tf.RngStream(23))
     assert abs(est.mean - via_h) < 4 * est.stderr
 
 
@@ -376,6 +385,9 @@ def test_grid_invariants():
     assert np.abs(np.linalg.norm(g2.nodes, axis=1) - 1).max() < 1e-12
     # node count is a deterministic function of the level
     assert tf.surface_grid(3, 2).nodes.shape == g2.nodes.shape
+    # a sample needs a grid on the body's direction sphere
+    with pytest.raises(ValueError, match="grid dimension does not match"):
+        tf.surface_sample(tf.metric_sphere(4, 0.5), g2)
 
 
 @pytest.mark.parametrize("a, convex, expected", [
@@ -387,10 +399,11 @@ def test_octahedral_quartic_ratios_match_recorded_values(grid3, a, convex,
     """Ratios recorded with bisection roots and float-pow monomials; root
     finding and polynomial evaluation may move only the last bits."""
     body = octahedral_quartic(a, 1.0, convex)
+    sample = tf.surface_sample(body, grid3)
     if convex:
-        ratio = tf.tangent_volume_ratio_convex(body, 1, grid3)
+        ratio = tf.tangent_volume_ratio_convex(sample, 1)
     else:
-        ratio = tf.tangent_line_volume_rp3(body, grid3) / tf.schubert_volume(1, 3)
+        ratio = tf.tangent_line_volume_rp3(sample) / tf.schubert_volume(1, 3)
     assert ratio == pytest.approx(expected, rel=1e-12, abs=0)
 
 
@@ -436,8 +449,8 @@ def test_degree_two_implicit_matches_the_ellipsoid(grid3_coarse):
     assert np.abs(rho_i - rho_q).max() <= 4 * np.spacing(rho_q).max()
     # with equal frames both bodies put their nodes at the same points
     assert np.allclose(s * c_q, c_i) and np.allclose(s * W_q, W_i)
-    got = tf.tangent_volume_ratio_profile(implicit, grid3_coarse)
-    ref = tf.tangent_volume_ratio_profile(ell, grid3_coarse)
+    got = tf.tangent_volume_ratio_profile(tf.surface_sample(implicit, grid3_coarse))
+    ref = tf.tangent_volume_ratio_profile(tf.surface_sample(ell, grid3_coarse))
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -481,7 +494,7 @@ def test_body_not_star_shaped_is_refused(grid3_coarse):
                                   [0, 0, 0, 2]], convex=True)
     with pytest.raises(tf.curvature.SurfaceDegeneracyError,
                        match="not star-shaped"):
-        tf.tangent_volume_ratio_profile(saddle, grid3_coarse)
+        tf.tangent_volume_ratio_profile(tf.surface_sample(saddle, grid3_coarse))
     # F(e_0) = 0: the default center is on the surface, not inside it
     rim = tf.implicit_surface(3, [1.0, 1.0, 1.0, -1.0],
                               [[0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4],

@@ -15,10 +15,14 @@ def cap_volume_oracle(n, r):
         lambda t: np.sin(t) ** (n - 1), 0.0, r, epsabs=1e-14)[0]
 
 
+def cap_volume(r, grid):
+    """Region volume of the metric sphere of radius r in RP^3."""
+    return tf.body_volume(tf.surface_sample(tf.metric_sphere(3, r), grid))
+
+
 def test_body_volume_against_cap_oracle(grid3):
     for r in (0.3, pi / 4, 1.1):
-        body = tf.metric_sphere(3, r)
-        assert abs(tf.body_volume(body, grid3) - cap_volume_oracle(3, r)) < 1e-8
+        assert abs(cap_volume(r, grid3) - cap_volume_oracle(3, r)) < 1e-8
 
 
 @pytest.mark.parametrize("r", [0.2, 0.3, pi / 6, pi / 4, 1.1, 1.35])
@@ -28,10 +32,9 @@ def test_cap_volumes_match_the_closed_form(grid3, r):
     def cap(a):
         return 2 * pi * (a - np.sin(a) * np.cos(a))
 
-    body = tf.metric_sphere(3, r)
-    assert tf.body_volume(body, grid3) == pytest.approx(cap(r), rel=1e-13, abs=0)
-    assert tf.polar_volume(body, grid3) == pytest.approx(cap(pi / 2 - r),
-                                                         rel=1e-13, abs=0)
+    assert cap_volume(r, grid3) == pytest.approx(cap(r), rel=1e-13, abs=0)
+    polar = tf.polar_volume(tf.metric_sphere(3, r), grid3)
+    assert polar == pytest.approx(cap(pi / 2 - r), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -59,9 +62,8 @@ def test_polar_of_cap_is_dual_cap(grid3):
     body = tf.metric_sphere(3, r)
     assert abs(tf.polar_volume(body, grid3) - cap_volume_oracle(3, pi / 2 - r)) < 1e-8
     # self-dual radius
-    body = tf.metric_sphere(3, pi / 4)
-    assert tf.body_volume(body, grid3) == pytest.approx(
-        tf.polar_volume(body, grid3), rel=1e-10)
+    assert cap_volume(pi / 4, grid3) == pytest.approx(
+        tf.polar_volume(tf.metric_sphere(3, pi / 4), grid3), rel=1e-10)
 
 
 def test_polar_of_ellipsoid_inverts_semiaxes(grid3):
@@ -79,41 +81,38 @@ def test_polar_of_ellipsoid_inverts_semiaxes(grid3):
 
 def test_intrinsic_volume_sphere_closed_forms(grid3):
     r = 0.7
-    body = tf.metric_sphere(3, r)
+    values = tf.compute_profile(tf.metric_sphere(3, r), grid3).values
     # j = 1 in RP^3 comes from k = 1
-    assert tf.intrinsic_volume(body, 1, grid3) == pytest.approx(
-        (2 / pi) * np.cos(r) * np.sin(r), rel=1e-9)
+    assert values[1] == pytest.approx((2 / pi) * np.cos(r) * np.sin(r), rel=1e-9)
     # j = n-1 comes from k = 0
-    assert tf.intrinsic_volume(body, 2, grid3) == pytest.approx(
-        np.sin(r) ** 2 / 2, rel=1e-9)
+    assert values[2] == pytest.approx(np.sin(r) ** 2 / 2, rel=1e-9)
 
 
 def test_intrinsic_volume_near_hemisphere_limit():
     grid = tf.surface_grid(3, 3)
     body = tf.metric_sphere(3, pi / 2 - 1e-5)
-    assert tf.intrinsic_volume(body, 2, grid) == pytest.approx(0.5, abs=1e-4)
+    assert tf.compute_profile(body, grid).values[2] == pytest.approx(0.5, abs=1e-4)
 
 
 def test_profile_identity_with_ratios(grid3):
     body = tf.ellipsoid(3, [1.1, 0.9, 0.75])
     profile = tf.compute_profile(body, grid3)
-    ratios = tf.tangent_volume_ratio_profile(body, grid3)
+    ratios = tf.tangent_volume_ratio_profile(tf.surface_sample(body, grid3))
     for j in range(3):
         assert profile.values[j] == ratios[2 - j] / 4.0
-        assert tf.intrinsic_volume(body, j, grid3) == ratios[2 - j] / 4.0
 
 
 def test_steiner_zero_eps_is_volume(grid3):
     body = tf.metric_sphere(3, 0.5)
     profile = tf.compute_profile(body, grid3)
-    assert tf.steiner_tube_volume(body, 0.0, profile) == profile.volume
+    assert tf.steiner_tube_volume(profile, 0.0) == profile.volume
 
 
 def test_steiner_cap_tube_matches_cap_oracle(grid3):
     r, eps = pi / 6, 0.1
     body = tf.metric_sphere(3, r)
     profile = tf.compute_profile(body, grid3)
-    tube = tf.steiner_tube_volume(body, eps, profile)
+    tube = tf.steiner_tube_volume(profile, eps)
     assert abs(tube - cap_volume_oracle(3, r + eps)) < 1e-8
 
 
@@ -123,14 +122,14 @@ def test_steiner_refuses_eps_beyond_reach(grid3):
     profile = tf.compute_profile(body, grid3)
     assert profile.reach == pytest.approx(pi / 2 - r, rel=1e-12)
     with pytest.raises(tf.TubeRadiusError):
-        tf.steiner_tube_volume(body, pi / 2 - r + 0.01, profile)
+        tf.steiner_tube_volume(profile, pi / 2 - r + 0.01)
 
 
 def test_steiner_against_mc_tube(grid3):
     r, eps = pi / 6, 0.1
     body = tf.metric_sphere(3, r)
     profile = tf.compute_profile(body, grid3)
-    tube = tf.steiner_tube_volume(body, eps, profile)
+    tube = tf.steiner_tube_volume(profile, eps)
     est = tf.mc_tube_volume(body, eps, 200_000, tf.RngStream(31))
     assert abs(est.mean - tube) < 4 * est.stderr
     with pytest.raises(tf.BodyError):
@@ -139,30 +138,29 @@ def test_steiner_against_mc_tube(grid3):
 
 def test_sum_identity_spheres(grid3):
     for r in (pi / 6, pi / 4, pi / 3):
-        res = tf.sum_identity_residual(tf.metric_sphere(3, r), grid3)
+        res = tf.sum_identity_residual(tf.compute_profile(tf.metric_sphere(3, r), grid3))
         assert abs(res) < 1e-5
 
 
 def test_sum_identity_ellipsoids(grid3):
     gen = tf.RngStream(33).generator()
     for _ in range(3):
-        res = tf.sum_identity_residual(random_ellipsoid(gen), grid3)
+        res = tf.sum_identity_residual(tf.compute_profile(random_ellipsoid(gen), grid3))
         assert abs(res) < 1e-4
 
 
 def test_bound_check_bodies(grid3):
-    for r in (0.2, pi / 4, 1.4):
-        body = tf.metric_sphere(3, r)
+    bodies = [tf.metric_sphere(3, r) for r in (0.2, pi / 4, 1.4)]
+    for body in [*bodies, tf.ellipsoid(3, [1.0, 0.01, 0.01])]:      # a needle last
+        profile = tf.compute_profile(body, grid3)
         for k in range(3):
-            assert tf.bound_check(body, k, grid3)
-    needle = tf.ellipsoid(3, [1.0, 0.01, 0.01])
-    for k in range(3):
-        assert tf.bound_check(needle, k, grid3)
+            assert tf.bound_check(profile, k)
     # k = 0: the ratio is 4 V_{n-1} <= 4 directly
     gen = tf.RngStream(35).generator()
     body = random_ellipsoid(gen)
-    ratio0 = tf.tangent_volume_ratio_convex(body, 0, grid3)
-    assert ratio0 == pytest.approx(4 * tf.intrinsic_volume(body, 2, grid3), rel=1e-12)
+    ratio0 = tf.tangent_volume_ratio_convex(tf.surface_sample(body, grid3), 0)
+    assert ratio0 == pytest.approx(4 * tf.compute_profile(body, grid3).values[2],
+                                   rel=1e-12)
     assert ratio0 <= 4.0
 
 
@@ -185,7 +183,6 @@ def test_cap_intrinsic_volume_profile_in_radius():
 def test_cap_volume_derivative_is_area():
     grid = tf.surface_grid(3, 3)
     r, h = 0.8, 1e-5
-    dv = (tf.body_volume(tf.metric_sphere(3, r + h), grid)
-          - tf.body_volume(tf.metric_sphere(3, r - h), grid)) / (2 * h)
-    area = tf.surface_area(tf.metric_sphere(3, r), grid)
+    dv = (cap_volume(r + h, grid) - cap_volume(r - h, grid)) / (2 * h)
+    area = grid.weights @ tf.surface_sample(tf.metric_sphere(3, r), grid).J
     assert abs(dv - area) < 1e-6 * max(1.0, area)

@@ -107,3 +107,14 @@ def test_cli_refusals_and_reports_go_through_main():
                        for node in ast.walk(fn) if isinstance(node, ast.Call)
                        and ast.unparse(node.func) == "emit"})
     assert emitters == ["main"], f"emit called from {emitters}"
+
+
+def test_no_quadrature_or_check_takes_an_optional_none_argument():
+    # every quadrature and check reads one SurfaceSample or IntrinsicProfile;
+    # a None default would bring back a second path that samples again
+    found = [f"{name}:{default.lineno}" for name in ("curvature.py", "intrinsic.py")
+             for node in ast.walk(ast.parse((SRC / name).read_text()))
+             if isinstance(node, ast.arguments)
+             for default in node.defaults + node.kw_defaults
+             if isinstance(default, ast.Constant) and default.value is None]
+    assert not found, f"parameters defaulting to None at {found}"

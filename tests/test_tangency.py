@@ -510,7 +510,7 @@ def test_criterion_3_trial_260_has_four_real_lines():
     # the 32-path tracker with an Euler predictor lost paths on this draw of
     # the equal-radii run on every retry; both routes now count 4
     bodies = [tf.metric_sphere(3, np.pi / 4)] * 4
-    assert tangency._tau_chunk((bodies, 20240801, [260])) == ([4], [])
+    assert tangency._count_chunk((bodies, 20240801, [260]))[:2] == ([4], [])
     stream = tf.RngStream(20240801, 260)
     sols = tf.solve_tangency_system(moved_quadrics(bodies, stream),
                                     stream.substream(1 << 32))
@@ -535,7 +535,7 @@ def test_mixed_family_counts_match_recorded_values():
     bodies = [tf.metric_sphere(3, 0.5), tf.ellipsoid(3, [0.7, 1.3, 1.1]),
               tf.ellipsoid(3, [1.6, 0.8, 0.9]),
               tf.affine_sphere(3, [0.1, 0.2, 0.0], 0.6)]
-    counts, log = tangency._tau_chunk((bodies, 777, range(24)))
+    counts, log = tangency._count_chunk((bodies, 777, range(24)))[:2]
     assert counts == [0, 2, 6, 4, 2, 4, 0, 2, 4, 4, 2, 4,
                       6, 2, 4, 4, 2, 4, 4, 0, 2, 4, 4, 4]
     assert log == []
@@ -543,7 +543,7 @@ def test_mixed_family_counts_match_recorded_values():
 
 def test_sphere_counts_match_recorded_values():
     # the 12-path route; recorded when it had an evaluator of its own
-    counts, log = tangency._tau_chunk((main_theorem_spheres(), 777, range(24)))
+    counts, log = tangency._count_chunk((main_theorem_spheres(), 777, range(24)))[:2]
     assert counts == [8, 4, 2, 0, 4, 4, 0, 4, 4, 4, 2, 4,
                       6, 4, 2, 4, 4, 2, 2, 0, 4, 0, 4, 4]
     assert log == []
@@ -553,7 +553,7 @@ def test_ellipsoid_counts_match_recorded_values():
     # recorded when every general trial started from a total-degree system
     gen = tf.RngStream(12).generator()
     bodies = [random_ellipsoid(gen) for _ in range(4)]
-    counts, log = tangency._tau_chunk((bodies, 888, range(24)))
+    counts, log = tangency._count_chunk((bodies, 888, range(24)))[:2]
     assert counts == [6, 6, 4, 6, 4, 4, 2, 8, 12, 8, 6, 6,
                       2, 4, 8, 4, 4, 6, 4, 2, 6, 4, 6, 4]
     assert log == []
