@@ -20,7 +20,7 @@ for _ in range(4):
     quadrics.append(tf.tangency_quadric_of(0.5 * (A + A.T)))
 sols = tf.solve_tangency_system(quadrics, tf.RngStream(1))
 print(f"  tracked {sols.tracked}, singular {sols.singular}, failed {sols.failed}")
-print(f"  finite solutions with multiplicity: {sols.finite_with_multiplicity}")
+print(f"  finite solutions: {len(sols.solutions)}")
 print(f"  worst residual: {sols.residuals.max():.2e}")
 print(f"  real tangent lines: {sols.real_count}")
 

@@ -215,6 +215,8 @@ def affine_sphere(n: int, center, radius: float, chart: int = 0) -> ConvexBody:
         raise BodyError(f"center must have {n} chart coordinates")
     if radius <= 0:
         raise BodyError("radius must be positive")
+    if not 0 <= chart <= n:
+        raise BodyError(f"chart must be one of 0..{n}, got {chart}")
     A = np.zeros((n + 1, n + 1))
     rest = [j for j in range(n + 1) if j != chart]
     A[rest, rest] = 1.0
@@ -231,6 +233,8 @@ def ellipsoid(n: int, semiaxes, chart: int = 0) -> ConvexBody:
     semiaxes = np.asarray(semiaxes, dtype=float)
     if semiaxes.shape != (n,) or not (semiaxes > 0).all():
         raise BodyError(f"need {n} positive semiaxes")
+    if not 0 <= chart <= n:
+        raise BodyError(f"chart must be one of 0..{n}, got {chart}")
     diag = np.empty(n + 1)
     rest = [j for j in range(n + 1) if j != chart]
     diag[chart] = -1.0

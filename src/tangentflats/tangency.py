@@ -15,7 +15,7 @@ with a random complex gamma so that paths avoid the real discriminant.
 - General quadrics, 32 paths: M0 is four random complex symmetric forms and
   the Pluecker quadric.  The total-degree start G_s = (a_s p)^2 - (b_s p)^2
   of generic linear forms, as M0, serves only to solve the cached starts and
-  to retry lost paths.
+  to retry trials that lost paths, on either route.
 - Four metric spheres, A = I - w w^T with w = sec(r) g e_0, 12 paths: M0 is
   a member of the family F(X) = C2(I - X) - C2(X), one complex symmetric X
   per body.  F is affine in X and F(w w^T) = C2(I - w w^T), so every target
@@ -32,14 +32,14 @@ after every step (the patch row of the bordered Jacobian is the conjugate of
 the current point).  The paths of several trials are tracked together as
 rows of one array, each with its own t and step.
 
-Endpoints are checked on the normalized target system, deduplicated, and
-classified real when, after phase alignment and a real Newton polish, the
-imaginary part is negligible, each stage in one array pass over the batch.
-On the 32-path route they are first polished with guarded Newton steps, and
-paths that stall just short of t = 1 but polish onto the solution set are
-flagged singular rather than lost: they occur for families whose tangency
-quadrics share a positive-dimensional complex solution component, such as
-spheres, and carry no real lines.  On the 12-path route a path that ends on
+The routes differ only in their start; the endgame is the same.  Endpoints
+are polished with guarded Newton steps, checked on the normalized target
+system, and classified real when, after phase alignment and a real Newton
+polish, the imaginary part is negligible, each stage in one array pass over
+the batch.  Paths that stall just short of t = 1 but polish onto the solution
+set are flagged singular rather than lost: they occur for families whose
+tangency quadrics share a positive-dimensional complex solution component,
+such as spheres on 32 paths, and carry no real lines.  A path that ends on
 another's endpoint has jumped, and counts as lost.
 """
 from __future__ import annotations
@@ -55,8 +55,6 @@ from .bodies import BodyError
 from .projective import PLUCKER_PAIRING, haar_matrices, plucker_index_pairs
 from .rng import MCEstimate, RngStream, parallel_map
 
-_TOTAL_PATHS = 32
-_SPHERE_PATHS = 12              # isolated solutions of the sphere family
 _SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=5)))
 _MAX_STEPS = 4000
 _MAX_DT = 0.25
@@ -68,7 +66,6 @@ _CHUNK_ROWS = 640
 _START_SEED = 1989              # the cached generic start systems and their solves
 _STALL_T = 1e-4                 # paths stalling past 1 - _STALL_T may still polish
 _RESIDUAL_TOL = 1e-10
-_DEDUP_TOL = 1e-8
 _REAL_RATIO = 1e-6
 _BORDERLINE_RATIO = 1e-4
 _DEGENERATE, _PATHS_LOST = -1, -2   # per-trial counts of discarded trials
@@ -98,8 +95,8 @@ class TrackerWork:
 
 
 class PathFailureError(RuntimeError):
-    """More than one percent of the homotopy paths were lost; carries the
-    log, a line per lost path, and the tracker work of the attempt."""
+    """A solve attempt lost homotopy paths; carries the log, a line per lost
+    path, and the tracker work of the attempt."""
 
     def __init__(self, message, path_log, work=TrackerWork()):
         super().__init__(message)
@@ -146,21 +143,19 @@ def tangency_quadric_of(A: np.ndarray) -> np.ndarray:
 class SolutionSet:
     """Result of one tangency solve.
 
-    solutions holds the polished endpoints with residual below tolerance on
-    all five equations, unit-normalized in C^6; multiplicities counts the
-    paths that merged into each.  real_solutions is the subset that passed
-    the reality test.  Path accounting: tracked + singular + failed = 32,
-    or 12 on the sphere route.  work is the tracker work of the attempt.
+    solutions holds the polished endpoints, one per path in path order, with
+    residual below tolerance on all five equations, unit-normalized in C^6
+    and pairwise distinct.  real_solutions is the subset that passed the
+    reality test.  Path accounting: tracked + singular + failed = 32, or 12
+    on the sphere route.  work is the tracker work of the attempt.
     """
 
     solutions: np.ndarray           # (S, 6) complex
     residuals: np.ndarray           # (S,)
-    multiplicities: np.ndarray      # (S,) int
     real_solutions: np.ndarray      # (R, 6) float
     tracked: int
     singular: int
     failed: int
-    merged: int
     borderline: int
     real_singular: int
     nonisolated: int
@@ -171,20 +166,15 @@ class SolutionSet:
         return self.real_solutions.shape[0]
 
     @property
-    def finite_with_multiplicity(self) -> int:
-        return int(self.multiplicities.sum())
-
-    @property
     def degenerate(self) -> bool:
         """Non-isolated behavior that makes the real count unreliable:
-        merged endpoints, borderline reality, a real solution with
-        rank-deficient Jacobian, or clean tracks onto a rank-deficient
-        endpoint (a positive-dimensional solution set, as for a repeated
-        quadric).  Paths that stall just before t = 1 and polish onto such an
-        endpoint are NOT flagged: they mark a complex excess component (as
+        borderline reality, a real solution with rank-deficient Jacobian, or
+        clean tracks onto a rank-deficient endpoint (a positive-dimensional
+        solution set, as for a repeated quadric).  Paths that stall just
+        before t = 1 and polish onto such an endpoint are NOT flagged: they mark a complex excess component (as
         for four spheres) with no countable real lines, and count in
         `singular` instead."""
-        return any((self.merged, self.borderline, self.real_singular, self.nonisolated))
+        return any((self.borderline, self.real_singular, self.nonisolated))
 
 
 def _normalize_forms(forms) -> np.ndarray:
@@ -208,26 +198,26 @@ def solve_tangency_system(quadrics, rng: RngStream) -> SolutionSet:
     """
     if len(quadrics) != 4:
         raise ValueError("need exactly four tangency quadrics")
-    return _solve_one(_normalize_forms(quadrics), rng)
+    return _solve_one(_normalize_forms(quadrics), rng, _quadric_start())
 
 
-def _solve_one(forms, rng, spheres=False, fresh=False):
+def _solve_one(forms, rng, start):
     """A batch of one of _solve_trials that raises its PathFailureError."""
-    result = _solve_trials(forms[None], [rng], spheres, fresh)[0][0]
+    result = _solve_trials(forms[None], [rng], start)[0][0]
     if isinstance(result, PathFailureError):
         raise result
     return result
 
 
-def _solve_trials(forms, rngs, spheres=False, fresh=False):
+def _solve_trials(forms, rngs, start):
     """_solve_batch with retries: trials whose attempt loses paths go into a
-    later batch with the next substream, general ones from a total-degree
-    start.  Returns the results and the tracker work of every attempt."""
+    later batch with the next substream, from a total-degree start.  Returns
+    the results and the tracker work of every attempt."""
     results, pending, work = [None] * len(rngs), list(range(len(rngs))), TrackerWork()
     for attempt in range(_RETRIES + 1):
         batch = _solve_batch(forms[pending],
                              [rngs[i].substream(attempt) for i in pending],
-                             spheres, fresh or attempt > 0)
+                             None if attempt else start)
         work = sum((r.work for r in batch), work + TrackerWork(retries=attempt and len(pending)))
         for i, result in zip(pending, batch):
             results[i] = result
@@ -252,7 +242,7 @@ def _regular_start(forms, count):
     """The system forms (5, 6, 6) and its count regular solutions (count, 6):
     the endpoints of full bordered rank of its total-degree solve at a fixed
     seed, checked; both read-only, since every caller shares them."""
-    p = _solve_one(forms, RngStream(_START_SEED, 1), fresh=True).solutions
+    p = _solve_one(forms, RngStream(_START_SEED, 1), None).solutions
     F, J = _target(np.broadcast_to(forms, (len(p), 5, 6, 6)), p)
     sv = np.linalg.svd(_bordered(J, p), compute_uv=False)
     regular = sv[:, -1] > 1e-7 * sv[:, 0]
@@ -273,7 +263,7 @@ def _sphere_start():
     X = gen.standard_normal((4, 4, 4)) + 1j * gen.standard_normal((4, 4, 4))
     X = X + X.transpose(0, 2, 1)
     return _regular_start(_normalize_forms(
-        second_compound(np.eye(4) - X) - second_compound(X)), _SPHERE_PATHS)
+        second_compound(np.eye(4) - X) - second_compound(X)), 12)
 
 
 @functools.cache
@@ -283,7 +273,7 @@ def _quadric_start():
     of every general trial, computed once per process on first use."""
     gen = RngStream(_START_SEED).generator()
     A = gen.standard_normal((4, 6, 6)) + 1j * gen.standard_normal((4, 6, 6))
-    return _regular_start(_normalize_forms(A + A.transpose(0, 2, 1)), _TOTAL_PATHS)
+    return _regular_start(_normalize_forms(A + A.transpose(0, 2, 1)), 32)
 
 
 def _bordered(J, p):
@@ -311,9 +301,9 @@ def _newton_steps(J, p, *rhs):
 
 def _track(evaluate, params, owner, p):
     """Predictor-corrector continuation of the paths p (rows of the trials
-    `owner`) from t = 0 to 1, in place, each with its own t and step dt; a
-    trial stops after _MAX_STEPS steps.  evaluate(*rows, p, t) gives H, dH/dp
-    and dH/dt, where rows are the per-trial params taken at each path.  The
+    `owner`) from t = 0 to 1, in place, each with its own t, step dt and
+    budget of _MAX_STEPS steps.  evaluate(*rows, p, t) gives H, dH/dp and
+    dH/dt, where rows are the per-trial params taken at each path.  The
     predictor is classical RK4 on the path's tangent in the chart through
     the current point.  As H is homogeneous of degree 2 in p, the tangent
     that the last corrector solve also gives, over the corrected point's
@@ -323,17 +313,14 @@ def _track(evaluate, params, owner, p):
     the t each path reached or stalled at, and its steps, rejected steps and
     smallest step tried."""
     t, dt, active = np.zeros(len(p)), np.full(len(p), 0.1), np.ones(len(p), dtype=bool)
-    steps, idx = np.zeros(owner[-1] + 1, dtype=int), owner[:0]
     path_steps, rejected = np.zeros((2, len(p)), dtype=int)
-    min_dt = dt.copy()
+    idx, min_dt = owner[:0], dt.copy()
     _, J, dH = evaluate(*[x if x is None else x[owner] for x in params], p, t)
     K1, OK1 = _newton_steps(J, p, -dH)
     while active.any():
         if active.sum() != len(idx):        # paths only ever leave the set
             idx = np.flatnonzero(active)
             rows = [x if x is None else x[owner[idx]] for x in params]
-            live = np.unique(owner[idx])
-        steps[live] += 1
         path_steps[idx] += 1
         min_dt[idx] = np.minimum(min_dt[idx], dt[idx])
         pc, tc = p[idx], t[idx]
@@ -369,7 +356,7 @@ def _track(evaluate, params, owner, p):
         rej = idx[~ok]
         dt[rej] *= 0.5
         rejected[rej] += 1
-        dead = active & ((dt < 1e-9) | (steps[owner] >= _MAX_STEPS))
+        dead = active & ((dt < 1e-9) | (path_steps >= _MAX_STEPS))
         active &= ~dead & (t < 1.0)
     return t, path_steps, rejected, min_dt
 
@@ -418,17 +405,17 @@ def _polish(Ms, owner, p):
         polishing &= np.bincount(owner[rows], improved, minlength=T) > 0
 
 
-def _solve_batch(forms, rngs, spheres=False, fresh=False) -> list:
-    """Solve the systems (T, 5, 6, 6) of T trials together, one stream each:
-    on 12 paths from the cached member of the sphere family if spheres (all
-    four bodies metric spheres), else on 32 paths from the cached generic
-    system, or, if fresh, from a total-degree start drawn from each stream.
-    Returns, per trial, its SolutionSet or the PathFailureError its attempt
-    ended in, the same bit for bit whichever trials share the batch."""
+def _solve_batch(forms, rngs, start) -> list:
+    """Solve the systems (T, 5, 6, 6) of T trials together, one stream each,
+    from start: a cached pair (M0, p0) of a generic member of the targets'
+    family and its regular solutions, shared by every trial, or None for a
+    total-degree start on 32 paths drawn from each stream.  Returns, per
+    trial, its SolutionSet or the PathFailureError its attempt ended in, the
+    same bit for bit whichever trials share the batch."""
     T, gens = len(rngs), [rng.generator() for rng in rngs]
     gam = np.exp(2j * np.pi * np.array([gen.uniform() for gen in gens]))
-    if spheres or not fresh:    # a cached start, shared by every trial
-        M0, starts = (_sphere_start if spheres else _quadric_start)()
+    if start is not None:       # a cached start, shared by every trial
+        M0, starts = start
         evaluate, params = functools.partial(_homotopy, M0), (forms, gam)
         p = np.tile(starts, (T, 1))
     else:                       # G_s = (a_s p)^2 - (b_s p)^2, zero on a p = +-b p
@@ -443,10 +430,9 @@ def _solve_batch(forms, rngs, spheres=False, fresh=False) -> list:
     t, *per_path = _track(evaluate, params, owner, p)
     work = [TrackerWork(int(n.sum()), int(n.max()), int(r.sum()), float(d.min()))
             for n, r, d in zip(*(x.reshape(T, paths) for x in per_path))]
-    reached, near = t >= 1.0, (t < 1.0) & (t >= 1.0 - _STALL_T) & (not spheres)
+    reached, near = t >= 1.0, (t < 1.0) & (t >= 1.0 - _STALL_T)
     Ms = forms[owner]
-    if not spheres:
-        _polish(Ms, owner, p)
+    _polish(Ms, owner, p)
     F, J = _target(Ms, p)
     residuals = np.abs(F).max(axis=1)
     small = residuals < _RESIDUAL_TOL
@@ -460,58 +446,37 @@ def _solve_batch(forms, rngs, spheres=False, fresh=False) -> list:
     nonisolated[good] &= sv[:, -1] < 1e-7 * sv[:, 0]
 
     # squared phase-aligned distances |x|^2 + |y|^2 - 2 |<x, y>|, good to about
-    # 1e-15: pairs above 1e-12 are certainly further apart than _DEDUP_TOL
+    # 1e-15: a good path i < j with an endpoint this close means j jumped onto i
     P = p.reshape(T, paths, 6)
     sq = (P.real ** 2 + P.imag ** 2).sum(axis=2)
     gram = np.abs(np.matmul(P.conj(), P.transpose(0, 2, 1)))
-    close = sq[:, :, None] + sq[:, None, :] - 2.0 * gram < 1e-12
+    G = good.reshape(T, paths)
+    jumped = np.triu(sq[:, :, None] + sq[:, None, :] - 2.0 * gram < 1e-12, 1) \
+        & G[:, :, None] & G[:, None, :]
+    onto, hit = jumped.argmax(axis=1), jumped.any(axis=1)
+    G = G & ~hit
 
     tracked, singular, nonisolated = (x.reshape(T, -1).sum(axis=1).tolist()
                                       for x in (tracked_clean, near_ok, nonisolated))
-    G = good.reshape(T, paths)
-    if spheres:                 # a path that ends on another's endpoint jumped
-        G = G & ~np.triu(close & G[:, :, None] & G[:, None, :], 1).any(axis=1)
-    paired = (close & G[:, :, None] & G[:, None, :]
-              & ~np.eye(paths, dtype=bool)).any(axis=(1, 2))
     lost = (paths - G.sum(axis=1)).tolist()
     points, real, borderline, real_singular = _classify(Ms, p, G.ravel())
     results = []
     for k in range(T):
-        if lost[k] > 0.01 * paths:
+        if lost[k] > 0:
             results.append(PathFailureError(
-                f"{lost[k]} of {paths} paths lost before t = 1",
-                [f"path {i}: stalled at t = {t[k * paths + i]:.12f}, residual "
+                f"{lost[k]} of {paths} paths lost",
+                [f"path {i}: jumped onto path {onto[k, i]}'s endpoint" if hit[k, i] else
+                 f"path {i}: stalled at t = {t[k * paths + i]:.12f}, residual "
                  f"{residuals[k * paths + i]:.3e}" for i in np.flatnonzero(~G[k])],
                 work[k]))
             continue
-        g = k * paths + np.flatnonzero(G[k])
-        order = np.argsort(residuals[g])
-        kept, mult = _merge(p[g], order) if paired[k] else \
-            (order, np.ones(len(order), dtype=int))
-        i = g[kept]
+        i = slice(k * paths, (k + 1) * paths)
         results.append(SolutionSet(
-            p[i], residuals[i], mult, points[i][real[i]], tracked=tracked[k],
-            singular=singular[k], failed=lost[k], nonisolated=nonisolated[k],
-            merged=int((mult > 1).sum()), borderline=int(borderline[i].sum()),
+            p[i], residuals[i], points[i][real[i]], tracked=tracked[k],
+            singular=singular[k], failed=0, nonisolated=nonisolated[k],
+            borderline=int(borderline[i].sum()),
             real_singular=int(real_singular[i].sum()), work=work[k]))
     return results
-
-
-def _merge(sols, order):
-    """Greedy merge, in residual order, of endpoints closer than _DEDUP_TOL
-    after phase alignment; returns the kept indices and multiplicities."""
-    kept, mult = [], []
-    for i in order:
-        for j, kdx in enumerate(kept):
-            ov = np.vdot(sols[kdx], sols[i])
-            if abs(ov) > 0 and np.linalg.norm(
-                    sols[i] * np.exp(-1j * np.angle(ov)) - sols[kdx]) < _DEDUP_TOL:
-                mult[j] += 1
-                break
-        else:
-            kept.append(i)
-            mult.append(1)
-    return np.array(kept, dtype=int), np.array(mult, dtype=int)
 
 
 def _classify(Ms, p, good):
@@ -549,20 +514,21 @@ def _moved_quadrics(bodies, rotations) -> np.ndarray:
     return _normalize_forms(tangency_quadric_of(g @ A @ np.swapaxes(g, -1, -2)))
 
 
-def _spheres(bodies) -> bool:
-    """True if the bodies are metric spheres, whose moved systems lie in the
-    12-path sphere family: g A g^T = I - w w^T, w = sec(r) g e_0, up to scale."""
-    return all(body.kind == "metric_sphere" for body in bodies)
+def _start(bodies):
+    """The cached start of the bodies' family: the 12-path sphere start if all
+    are metric spheres, whose moved systems lie in the sphere family (g A g^T =
+    I - w w^T, w = sec(r) g e_0, up to scale), else the 32-path generic one."""
+    spheres = all(body.kind == "metric_sphere" for body in bodies)
+    return _sphere_start() if spheres else _quadric_start()
 
 
 def count_real_tangent_lines(bodies, rotations, rng: RngStream) -> int:
     """Number of real lines tangent to four rotated quadric bodies in RP^3;
     raises DegenerateConfigurationError for non-isolated or borderline draws."""
-    sols = _solve_one(_moved_quadrics(bodies, rotations), rng, _spheres(bodies))
+    sols = _solve_one(_moved_quadrics(bodies, rotations), rng, _start(bodies))
     if sols.degenerate:
         raise DegenerateConfigurationError(
-            f"merged endpoints: {sols.merged}, borderline reality: "
-            f"{sols.borderline}, singular real solutions: "
+            f"borderline reality: {sols.borderline}, singular real solutions: "
             f"{sols.real_singular}, non-isolated endpoints: {sols.nonisolated}")
     return sols.real_count
 
@@ -577,7 +543,7 @@ def _count_chunk(args):
     streams = [RngStream(seed, trial) for trial in trials]
     gs = np.array([haar_matrices(4, 4, s.generator()) for s in streams])
     results, work = _solve_trials(_moved_quadrics(bodies, gs),
-                                  [s.substream(1 << 32) for s in streams], _spheres(bodies))
+                                  [s.substream(1 << 32) for s in streams], _start(bodies))
     log = next(([f"trial {t}: {r}", *r.path_log] for t, r in zip(trials, results)
                 if isinstance(r, PathFailureError)), [])
     paths = np.array([(0, 0, len(r.path_log)) if isinstance(r, PathFailureError)
@@ -592,7 +558,8 @@ def _tau_trial(args) -> int:
 
 
 def _solve_once(quadrics, rng: RngStream) -> SolutionSet:
-    result = _solve_batch(_normalize_forms(quadrics)[None], [rng.substream(0)])[0]
+    result = _solve_batch(_normalize_forms(quadrics)[None], [rng.substream(0)],
+                          _quadric_start())[0]
     if isinstance(result, PathFailureError):
         raise result
     return result
@@ -614,9 +581,7 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    spheres = _spheres(bodies)
-    (_sphere_start if spheres else _quadric_start)()    # once, before a pool forks
-    size = _CHUNK_ROWS // (_SPHERE_PATHS if spheres else _TOTAL_PATHS)
+    size = _CHUNK_ROWS // len(_start(bodies)[1])       # solved before a pool forks
     chunks = [((tuple(bodies), seed, range(i, min(i + size, trials))),)
               for i in range(0, trials, size)]
     parts = parallel_map(_count_chunk, chunks, workers)

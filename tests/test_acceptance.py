@@ -96,7 +96,7 @@ def test_criterion_4_complex_count():
             quadrics.append(tf.tangency_quadric_of(0.5 * (A + A.T)))
         sols = tf.solve_tangency_system(quadrics, tf.RngStream(SEED, 401 + trial))
         all_accounted &= (sols.tracked + sols.singular + sols.failed == 32)
-        if sols.finite_with_multiplicity == 32 and sols.residuals.max() < 1e-10:
+        if len(sols.solutions) == 32 and sols.residuals.max() < 1e-10:
             clean32 += 1
         residual_ok &= sols.residuals.max() < 1e-10
         parity_ok &= sols.real_count % 2 == 0

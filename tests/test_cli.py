@@ -599,7 +599,8 @@ def body_floats(lo, hi):
 def quadric_body_texts(draw):
     """Ellipsoid, affine-sphere and quadric body files in RP^3 whose numbers
     are mostly in range; a quadric is a symmetric perturbation of
-    diag(-1, 1, 1, 1), the unit ball."""
+    diag(-1, 1, 1, 1), the unit ball, and the others sometimes name a chart
+    from -1 to 4, of which 0 to 3 exist."""
     kind = draw(st.sampled_from(["ellipsoid", "affine_sphere", "quadric"]))
 
     def numbers(count, lo, hi):
@@ -615,6 +616,8 @@ def quadric_body_texts(draw):
             for j in range(i, 4):
                 A[i][j] = A[j][i] = A[i][j] + draw(body_floats(-0.3, 0.3))
         lines = ["row = " + " ".join(map(repr, row)) for row in A]
+    if kind != "quadric" and draw(st.booleans()):
+        lines.append(f"chart = {draw(st.integers(-1, 4))}")
     return "\n".join([f"kind = {kind}", "n = 3", *lines]) + "\n"
 
 
@@ -660,6 +663,8 @@ def test_small_dimension_body_files_are_usage_errors(capsys, tmp_path, command, 
      "term = -1 0 0 2 0\nterm = -1 0 0 0 2\ncenter = 1 0\n",
      "center must have 4 homogeneous coordinates"),
     ("kind = dodecahedron\nn = 3\n", "unknown body kind 'dodecahedron'"),
+    ("kind = ellipsoid\nn = 3\nsemiaxes = 1 0.8 0.5\nchart = 7\n",
+     "chart must be one of 0..3, got 7"),
 ])
 def test_whole_file_body_errors_name_no_line(capsys, tmp_path, text, message):
     body = tmp_path / "q.body"

@@ -118,3 +118,14 @@ def test_no_quadrature_or_check_takes_an_optional_none_argument():
              for default in node.defaults + node.kw_defaults
              if isinstance(default, ast.Constant) and default.value is None]
     assert not found, f"parameters defaulting to None at {found}"
+
+
+def test_no_tangency_function_takes_a_bool_default():
+    # the homotopy routes differ only in the start a solve is given; a bool
+    # default would bring back a route flag
+    found = [f"tangency.py:{default.lineno}"
+             for node in ast.walk(ast.parse((SRC / "tangency.py").read_text()))
+             if isinstance(node, ast.arguments)
+             for default in node.defaults + node.kw_defaults
+             if isinstance(default, ast.Constant) and isinstance(default.value, bool)]
+    assert not found, f"parameters defaulting to a bool at {found}"

@@ -183,7 +183,7 @@ def test_solver_generic_quadrics():
         quadrics = [tf.tangency_quadric_of(random_symmetric(gen)) for _ in range(4)]
         sols = tf.solve_tangency_system(quadrics, tf.RngStream(50, trial))
         assert sols.tracked + sols.singular + sols.failed == 32
-        assert sols.finite_with_multiplicity == 32
+        assert len(sols.solutions) == 32
         assert sols.residuals.max() < 1e-10
         assert sols.real_count % 2 == 0
         assert not sols.degenerate
@@ -268,13 +268,13 @@ def test_trial_result_independent_of_chunk_companions():
         moved_quadrics(bodies, tf.RngStream(31, k))) for k in range(8)])
         for name, bodies in (("spheres", spheres), ("ellipsoids", ellipsoids))}
     rngs = [tf.RngStream(32, k) for k in range(8)]
-    # the sphere draws from a total-degree start, requested explicitly, and on
-    # the sphere route; the ellipsoid draws from the cached generic start
-    for name, on_spheres, fresh in (("spheres", False, True), ("spheres", True, False),
-                                    ("ellipsoids", False, False)):
+    # the sphere draws from a total-degree start and on the sphere route; the
+    # ellipsoid draws from the cached generic start
+    for name, start in (("spheres", None), ("spheres", tangency._sphere_start()),
+                        ("ellipsoids", tangency._quadric_start())):
         def solve(rows):
             return tangency._solve_batch(forms[name][rows], [rngs[k] for k in rows],
-                                         on_spheres, fresh)
+                                         start)
 
         together = solve(list(range(8)))
         for k in range(8):
@@ -330,7 +330,7 @@ def test_a_tracker_step_makes_six_solves(monkeypatch):
     gen = tf.RngStream(12).generator()
     bodies = [random_ellipsoid(gen) for _ in range(4)]
     forms = tangency._moved_quadrics(bodies, haar_matrices(4, 4, tf.RngStream(5).generator()))
-    tangency._quadric_start()
+    start = tangency._quadric_start()
     calls = []
     solve = tangency._newton_steps
 
@@ -339,11 +339,40 @@ def test_a_tracker_step_makes_six_solves(monkeypatch):
         return solve(J, p, *rhs)
 
     monkeypatch.setattr(tangency, "_newton_steps", counted)
-    sols = tangency._solve_batch(forms[None], [tf.RngStream(6)])[0]
+    sols = tangency._solve_batch(forms[None], [tf.RngStream(6)], start)[0]
     assert sols.tracked == 32
     passes = sum(columns == 2 for _, columns in calls)
     assert calls[0] == (32, 1) and passes > 0
     assert len(calls) == 1 + 6 * passes
+
+
+def test_each_path_has_its_own_step_budget(monkeypatch):
+    # three steps reach t = 0.1 + 0.15 + 0.225 at most, so every path stalls
+    monkeypatch.setattr(tangency, "_MAX_STEPS", 3)
+    forms = tangency._moved_quadrics(main_theorem_spheres(),
+                                     haar_matrices(4, 4, tf.RngStream(5).generator()))
+    result = tangency._solve_batch(forms[None], [tf.RngStream(6)],
+                                   tangency._sphere_start())[0]
+    assert isinstance(result, tf.PathFailureError)
+    assert (result.work.max_path_steps, result.work.path_steps) == (3, 3 * 12)
+    assert len(result.path_log) == 12
+    assert all("stalled at t = 0." in line for line in result.path_log)
+
+
+@pytest.mark.parametrize("route", ["spheres", "quadrics"])
+def test_a_path_that_ends_on_another_paths_endpoint_is_lost(route):
+    # a start whose row 1 repeats row 0 tracks path 1 onto path 0's endpoint
+    M0, starts = tangency._sphere_start() if route == "spheres" else tangency._quadric_start()
+    starts = starts.copy()
+    starts[1] = starts[0]
+    gen = tf.RngStream(34).generator()
+    bodies = main_theorem_spheres() if route == "spheres" else \
+        [random_ellipsoid(gen) for _ in range(4)]
+    forms = tangency._moved_quadrics(bodies, haar_matrices(4, 4, gen))
+    result = tangency._solve_batch(forms[None], [tf.RngStream(35)], (M0, starts))[0]
+    assert isinstance(result, tf.PathFailureError)
+    assert str(result) == f"1 of {len(starts)} paths lost"
+    assert result.path_log == ["path 1: jumped onto path 0's endpoint"]
 
 
 @st.composite
@@ -406,7 +435,7 @@ def test_batched_classification_matches_the_scalar_reference():
     gen = tf.RngStream(42).generator()
     Ms, points = [], []
     for M, sols in zip(forms, tangency._solve_batch(forms, [
-            tf.RngStream(43, k) for k in range(4)])):
+            tf.RngStream(43, k) for k in range(4)], tangency._quadric_start())):
         # the endpoints, and real solutions given a phase and an imaginary
         # part that makes them real, borderline, or not candidates at all
         noisy = [x * np.exp(2j * np.pi * gen.uniform())
@@ -468,7 +497,8 @@ def test_main_theorem_spheres_have_twelve_isolated_solutions():
         assert sols.real_count <= 12
         # the sphere route tracks the 12 isolated solutions alone
         spheres = tangency._solve_one(tangency._normalize_forms(
-            moved_quadrics(bodies, stream)), stream.substream(1 << 32), True)
+            moved_quadrics(bodies, stream)), stream.substream(1 << 32),
+            tangency._sphere_start())
         assert (spheres.tracked, spheres.singular, spheres.failed) == (12, 0, 0)
         assert spheres.real_count == sols.real_count
 
@@ -484,7 +514,7 @@ def test_sphere_route_matches_the_32_path_route_at_extreme_radii(radii):
         quadrics = moved_quadrics(bodies, stream)
         sols = tf.solve_tangency_system(quadrics, stream.substream(1 << 32))
         spheres = tangency._solve_one(tangency._normalize_forms(quadrics),
-                                      stream.substream(1 << 32), True)
+                                      stream.substream(1 << 32), tangency._sphere_start())
         assert (spheres.tracked, spheres.singular, spheres.failed) == (12, 0, 0)
         assert sols.tracked == 12 and not sols.degenerate and not spheres.degenerate
         assert spheres.real_count == sols.real_count
@@ -500,7 +530,8 @@ def test_sphere_draws_that_lose_paths_recover_from_a_total_degree_start():
         stream = tf.RngStream(21, trial)
         rng = stream.substream(1 << 32)
         forms = tangency._normalize_forms(moved_quadrics(bodies, stream))
-        first = tangency._solve_batch(forms[None], [rng.substream(0)])[0]
+        first = tangency._solve_batch(forms[None], [rng.substream(0)],
+                                      tangency._quadric_start())[0]
         assert isinstance(first, tf.PathFailureError) == (trial == 11)
         sols = tf.solve_tangency_system(moved_quadrics(bodies, stream), rng)
         assert (sols.tracked, sols.singular, sols.failed) == (12, 20, 0)
