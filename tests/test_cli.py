@@ -787,7 +787,7 @@ REPORT_KEYS = {"command", "parameters", "seed", "wall_time_s", "results",
 SURFACE_DIAGNOSTICS = {"nodes", "min_principal_curvature",
                        "max_abs_principal_curvature", "min_ray_cosine"}
 TAU_DIAGNOSTICS = {"chunks", "paths_regular", "paths_singular", "paths_lost", "retries",
-                   "path_steps", "max_path_steps", "rejected_steps", "min_dt"}
+                   "path_steps", "max_path_steps", "rejected_steps", "min_dt", "solves"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -859,7 +859,9 @@ def test_command_refusals_exit_2_with_one_error_line(capsys, tmp_path, argv, mes
 # wall_time_s dropped: the tangent counts of twenty ellipsoid trials and the
 # h-integral of an implicit quartic must stay the same to the last bit.  The
 # node-last surface arrays moved both h-integral fields by one ulp, and added
-# its diagnostics block; the tau report's diagnostics block came later.
+# its diagnostics block; the tau report's diagnostics block came later, and
+# its tracker work was recorded again when the corrector began to stop at
+# convergence.
 ELLIPSOID_SEMIAXES = ("1.0 0.8 0.5", "1.4 0.7 1.1", "0.6 0.9 1.2", "1.3 1.0 0.7")
 
 
@@ -883,19 +885,20 @@ def test_tau_empirical_ellipsoid_report_matches_recorded_values(capsys, tmp_path
                                               "stderr": 0.4328607409463598},
                     "expected_degree": 1.7262},
         "diagnostics": {"chunks": 1, "paths_regular": 640, "paths_singular": 0,
-                        "paths_lost": 0, "retries": 0, "path_steps": 11944,
-                        "max_path_steps": 58, "rejected_steps": 3853,
-                        "min_dt": 0.0003128528594970703},
+                        "paths_lost": 0, "retries": 0, "path_steps": 9676,
+                        "max_path_steps": 48, "rejected_steps": 2898,
+                        "min_dt": 0.0008342742919921876, "solves": 53163},
         "seed": 4, "version": "0.1.0"}
 
 
 # The diagnostics block of 60 trials on the main theorem's spheres, two
-# chunks (53 and 7 trials) on the 12-path route, recorded when it was added.
+# chunks (53 and 7 trials) on the 12-path route, recorded when the corrector
+# began to stop at convergence.
 # Chunk totals are combined by sum, max and min, so --workers moves nothing.
 SPHERE_TAU_DIAGNOSTICS = {
     "chunks": 2, "paths_regular": 720, "paths_singular": 0, "paths_lost": 0,
-    "retries": 0, "path_steps": 15216, "max_path_steps": 63, "rejected_steps": 5022,
-    "min_dt": 0.00035195946693420413}
+    "retries": 0, "path_steps": 12416, "max_path_steps": 50, "rejected_steps": 3883,
+    "min_dt": 0.0005939316004514695, "solves": 68420}
 
 
 def test_tau_sphere_diagnostics_match_recorded_values_for_any_workers(capsys, tmp_path):

@@ -323,27 +323,62 @@ def test_carried_first_stage_is_the_tangent_at_the_renormalized_point(family):
     assert (error <= 1e-12 * np.linalg.norm(k1, axis=1)).all(), error.max()
 
 
-def test_a_tracker_step_makes_six_solves(monkeypatch):
-    # one solve per row at t = 0 seeds the first RK4 stage; then each loop pass
-    # makes three predictor solves and three corrector solves, the last with
-    # the tangent as a second right-hand side
-    gen = tf.RngStream(12).generator()
-    bodies = [random_ellipsoid(gen) for _ in range(4)]
-    forms = tangency._moved_quadrics(bodies, haar_matrices(4, 4, tf.RngStream(5).generator()))
-    start = tangency._quadric_start()
-    calls = []
-    solve = tangency._newton_steps
+def counted_solves(monkeypatch):
+    """The (rows, right-hand sides) of every bordered solve, in call order."""
+    calls, solve = [], tangency._newton_steps
 
     def counted(J, p, *rhs):
         calls.append((len(p), len(rhs)))
         return solve(J, p, *rhs)
 
     monkeypatch.setattr(tangency, "_newton_steps", counted)
-    sols = tangency._solve_batch(forms[None], [tf.RngStream(6)], start)[0]
-    assert sols.tracked == 32
-    passes = sum(columns == 2 for _, columns in calls)
-    assert calls[0] == (32, 1) and passes > 0
-    assert len(calls) == 1 + 6 * passes
+    return calls
+
+
+def ellipsoid_forms():
+    gen = tf.RngStream(12).generator()
+    bodies = [random_ellipsoid(gen) for _ in range(4)]
+    return tangency._moved_quadrics(bodies, haar_matrices(4, 4, tf.RngStream(5).generator()))
+
+
+def test_a_tracker_step_solves_until_its_corrector_converges(monkeypatch):
+    # one solve per row at t = 0 seeds the first RK4 stage; then each loop pass
+    # makes three predictor solves and one corrector solve, then at most
+    # three more with the tangent as a second right-hand side, on the rows
+    # that have not yet converged or failed
+    start = tangency._quadric_start()
+    calls = counted_solves(monkeypatch)
+    sols = tangency._solve_batch(ellipsoid_forms()[None], [tf.RngStream(6)], start)[0]
+    assert sols.tracked == 32 and calls[0] == (32, 1)
+    i, passes = 1, 0
+    while i < len(calls):
+        rows = calls[i][0]
+        assert calls[i:i + 4] == [(rows, 1)] * 4
+        i, passes = i + 4, passes + 1
+        for _ in range(3):
+            if i == len(calls) or calls[i][1] == 1:
+                break
+            assert calls[i][1] == 2 and calls[i][0] <= rows
+            rows, i = calls[i][0], i + 1
+    assert passes == sols.work.max_path_steps
+    assert sols.work.solves == sum(rows for rows, _ in calls)
+    assert any(columns == 2 for _, columns in calls)
+
+
+def test_a_large_predictor_error_rejects_the_step_after_one_solve(monkeypatch):
+    # with no predictor error allowed, each pass ends after its first
+    # corrector solve, every step is rejected and the paths stall at t = 0
+    start = tangency._quadric_start()
+    monkeypatch.setattr(tangency, "_MAX_PREDICTOR_ERROR", 0.0)
+    calls = counted_solves(monkeypatch)
+    result = tangency._solve_batch(ellipsoid_forms()[None], [tf.RngStream(6)], start)[0]
+    assert isinstance(result, tf.PathFailureError)
+    assert all(columns == 1 for _, columns in calls)
+    work = result.work
+    assert work.rejected_steps == work.path_steps > 0
+    assert work.solves == sum(rows for rows, _ in calls) == 32 + 4 * work.path_steps
+    assert len(result.path_log) == 32
+    assert all("stalled at t = 0.000000000000" in line for line in result.path_log)
 
 
 def test_each_path_has_its_own_step_budget(monkeypatch):
@@ -520,21 +555,22 @@ def test_sphere_route_matches_the_32_path_route_at_extreme_radii(radii):
         assert spheres.real_count == sols.real_count
 
 
-def test_sphere_draws_that_lose_paths_recover_from_a_total_degree_start():
-    # on the 32-path route two paths of draw 11 stall on the excess component
-    # at 1 - 1.8e-4 and 1 - 3.1e-4, before 1 - _STALL_T, from the generic
-    # start (as does draw 3 of the twelve above, nearer the window); the
-    # total-degree retry tracks them, and draw 1 needs no retry
+def test_sphere_draws_track_every_path_from_the_generic_start():
+    # on the 32-path route from the cached generic start, every draw tracks
+    # its 12 isolated solutions and stalls 20 paths on the excess component
+    # inside the endgame window on the first attempt (draws 3 and 11 lost
+    # paths just outside it with a fixed three-step corrector)
     bodies = main_theorem_spheres()
-    for trial in (1, 11):
+    counts = []
+    for trial in range(12):
         stream = tf.RngStream(21, trial)
         rng = stream.substream(1 << 32)
         forms = tangency._normalize_forms(moved_quadrics(bodies, stream))
         first = tangency._solve_batch(forms[None], [rng.substream(0)],
                                       tangency._quadric_start())[0]
-        assert isinstance(first, tf.PathFailureError) == (trial == 11)
-        sols = tf.solve_tangency_system(moved_quadrics(bodies, stream), rng)
-        assert (sols.tracked, sols.singular, sols.failed) == (12, 20, 0)
+        assert (first.tracked, first.singular, first.failed) == (12, 20, 0), trial
+        counts.append(first.real_count)     # solve_tangency_system's, with no retry
+    assert counts == [0, 4, 4, 4, 4, 4, 6, 4, 8, 4, 8, 4]
 
 
 def test_criterion_3_trial_260_has_four_real_lines():
