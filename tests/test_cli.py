@@ -394,15 +394,15 @@ def test_intrinsic_refuses_implicit_body(capsys, tmp_path):
 def _lose_paths(monkeypatch, offsets):
     """Make every tracker attempt on substream 2^32 + o, o in offsets, lose
     paths.  A trial's attempts use substreams trial + 2^32 + attempt."""
-    from tangentflats import tangency
-    solve = tangency._solve_batch
+    from tangentflats import homotopy
+    solve = homotopy._solve_batch
 
     def losing(forms, rngs, *args):
-        return [tangency.PathFailureError("1 of 32 paths lost", ["path 0"])
+        return [homotopy.PathFailureError("1 of 32 paths lost", ["path 0"])
                 if r.stream_id - (1 << 32) in offsets else result
                 for result, r in zip(solve(forms, rngs, *args), rngs)]
 
-    monkeypatch.setattr(tangency, "_solve_batch", losing)
+    monkeypatch.setattr(homotopy, "_solve_batch", losing)
 
 
 def test_tau_counts_path_failures_apart_from_degenerate(capsys, tmp_path,

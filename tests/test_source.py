@@ -122,10 +122,24 @@ def test_no_quadrature_or_check_takes_an_optional_none_argument():
 
 def test_no_tangency_function_takes_a_bool_default():
     # the homotopy routes differ only in the start a solve is given; a bool
-    # default would bring back a route flag
-    found = [f"tangency.py:{default.lineno}"
-             for node in ast.walk(ast.parse((SRC / "tangency.py").read_text()))
+    # default would bring back a route flag, in the tracker or its callers
+    found = [f"{name}:{default.lineno}" for name in ("tangency.py", "homotopy.py")
+             for node in ast.walk(ast.parse((SRC / name).read_text()))
              if isinstance(node, ast.arguments)
              for default in node.defaults + node.kw_defaults
              if isinstance(default, ast.Constant) and isinstance(default.value, bool)]
     assert not found, f"parameters defaulting to a bool at {found}"
+
+
+def test_the_tracker_imports_nothing_of_the_lines_problem():
+    # homotopy.py solves quadric systems of any shape; the tangency forms, the
+    # bodies and the Schubert counts build on it, never the other way round
+    lines_problem = {"tangency", "projective", "bodies", "schubert"}
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "homotopy.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            imported |= {alias.name for alias in node.names} if not module else {module}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[-1] for alias in node.names}
+    assert imported and not imported & lines_problem, imported & lines_problem

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import tangentflats as tf
 from conftest import random_ellipsoid
-from tangentflats import tangency
+from tangentflats import homotopy, tangency
 from tangentflats.projective import haar_matrices
 
 SPHERE_RADII = (np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 4)
@@ -164,7 +164,7 @@ def test_homotopy_is_the_straight_line_with_its_t_derivative(start):
         tangency._normalize_forms(random_complex_forms(gen, (R, 4)))
     M1 = tangency._normalize_forms(tf.tangency_quadric_of(
         np.array([random_symmetric(gen) for _ in range(4 * R)])).reshape(R, 4, 6, 6))
-    evaluate = functools.partial(tangency._homotopy, M0, M1, gam)
+    evaluate = functools.partial(homotopy._homotopy, M0, M1, gam)
     H, J, dH = evaluate(p, t)
     # H is p^T M p and J = 2 M p for M = gam (1 - t) M0 + t M1
     M = (gam * (1 - t))[:, None, None, None] * M0 + t[:, None, None, None] * M1
@@ -273,7 +273,7 @@ def test_trial_result_independent_of_chunk_companions():
     for name, start in (("spheres", None), ("spheres", tangency._sphere_start()),
                         ("ellipsoids", tangency._quadric_start())):
         def solve(rows):
-            return tangency._solve_batch(forms[name][rows], [rngs[k] for k in rows],
+            return homotopy._solve_batch(forms[name][rows], [rngs[k] for k in rows],
                                          start)
 
         together = solve(list(range(8)))
@@ -312,12 +312,12 @@ def test_carried_first_stage_is_the_tangent_at_the_renormalized_point(family):
         X = haar_matrices(4, 4 * R, gen)[:, :, 0] / np.cos(gen.uniform(0.1, 1.5, (4 * R, 1)))
         forms = tangency._normalize_forms(tf.tangency_quadric_of(
             np.eye(4) - X[:, :, None] * X[:, None, :]).reshape(R, 4, 6, 6))
-    evaluate = functools.partial(tangency._homotopy, M0, forms, gam)
+    evaluate = functools.partial(homotopy._homotopy, M0, forms, gam)
     H, J, dH = evaluate(p, t)
-    _, tangent, ok = tangency._newton_steps(J, p, -H, -dH)
+    _, tangent, ok = homotopy._newton_steps(J, p, -H, -dH)
     scale = np.linalg.norm(p, axis=1, keepdims=True)
     _, J1, dH1 = evaluate(p / scale, t)
-    k1, ok1 = tangency._newton_steps(J1, p / scale, -dH1)
+    k1, ok1 = homotopy._newton_steps(J1, p / scale, -dH1)
     assert ok.all() and ok1.all()
     error = np.linalg.norm(tangent / scale - k1, axis=1)
     assert (error <= 1e-12 * np.linalg.norm(k1, axis=1)).all(), error.max()
@@ -325,13 +325,13 @@ def test_carried_first_stage_is_the_tangent_at_the_renormalized_point(family):
 
 def counted_solves(monkeypatch):
     """The (rows, right-hand sides) of every bordered solve, in call order."""
-    calls, solve = [], tangency._newton_steps
+    calls, solve = [], homotopy._newton_steps
 
     def counted(J, p, *rhs):
         calls.append((len(p), len(rhs)))
         return solve(J, p, *rhs)
 
-    monkeypatch.setattr(tangency, "_newton_steps", counted)
+    monkeypatch.setattr(homotopy, "_newton_steps", counted)
     return calls
 
 
@@ -348,7 +348,7 @@ def test_a_tracker_step_solves_until_its_corrector_converges(monkeypatch):
     # that have not yet converged or failed
     start = tangency._quadric_start()
     calls = counted_solves(monkeypatch)
-    sols = tangency._solve_batch(ellipsoid_forms()[None], [tf.RngStream(6)], start)[0]
+    sols = homotopy._solve_batch(ellipsoid_forms()[None], [tf.RngStream(6)], start)[0]
     assert sols.tracked == 32 and calls[0] == (32, 1)
     i, passes = 1, 0
     while i < len(calls):
@@ -369,9 +369,9 @@ def test_a_large_predictor_error_rejects_the_step_after_one_solve(monkeypatch):
     # with no predictor error allowed, each pass ends after its first
     # corrector solve, every step is rejected and the paths stall at t = 0
     start = tangency._quadric_start()
-    monkeypatch.setattr(tangency, "_MAX_PREDICTOR_ERROR", 0.0)
+    monkeypatch.setattr(homotopy, "_MAX_PREDICTOR_ERROR", 0.0)
     calls = counted_solves(monkeypatch)
-    result = tangency._solve_batch(ellipsoid_forms()[None], [tf.RngStream(6)], start)[0]
+    result = homotopy._solve_batch(ellipsoid_forms()[None], [tf.RngStream(6)], start)[0]
     assert isinstance(result, tf.PathFailureError)
     assert all(columns == 1 for _, columns in calls)
     work = result.work
@@ -383,10 +383,10 @@ def test_a_large_predictor_error_rejects_the_step_after_one_solve(monkeypatch):
 
 def test_each_path_has_its_own_step_budget(monkeypatch):
     # three steps reach t = 0.1 + 0.15 + 0.225 at most, so every path stalls
-    monkeypatch.setattr(tangency, "_MAX_STEPS", 3)
+    monkeypatch.setattr(homotopy, "_MAX_STEPS", 3)
     forms = tangency._moved_quadrics(main_theorem_spheres(),
                                      haar_matrices(4, 4, tf.RngStream(5).generator()))
-    result = tangency._solve_batch(forms[None], [tf.RngStream(6)],
+    result = homotopy._solve_batch(forms[None], [tf.RngStream(6)],
                                    tangency._sphere_start())[0]
     assert isinstance(result, tf.PathFailureError)
     assert (result.work.max_path_steps, result.work.path_steps) == (3, 3 * 12)
@@ -404,7 +404,7 @@ def test_a_path_that_ends_on_another_paths_endpoint_is_lost(route):
     bodies = main_theorem_spheres() if route == "spheres" else \
         [random_ellipsoid(gen) for _ in range(4)]
     forms = tangency._moved_quadrics(bodies, haar_matrices(4, 4, gen))
-    result = tangency._solve_batch(forms[None], [tf.RngStream(35)], (M0, starts))[0]
+    result = homotopy._solve_batch(forms[None], [tf.RngStream(35)], (M0, starts))[0]
     assert isinstance(result, tf.PathFailureError)
     assert str(result) == f"1 of {len(starts)} paths lost"
     assert result.path_log == ["path 1: jumped onto path 0's endpoint"]
@@ -428,14 +428,14 @@ def forms_and_rows(draw):
 @given(forms_and_rows())
 def test_products_of_real_complex_and_shared_forms(case):
     M, p, rows = case
-    Y = tangency._products(M, p)
+    Y = homotopy._products(M, p)
     flat = np.broadcast_to(M, (len(p), 5, 6, 6)).reshape(len(p), 30, 6)
     reference = np.einsum("rkj,rj->rk", flat, p).reshape(-1, 5, 6)
     scale = np.einsum("rkj,rj->rk", np.abs(flat), np.abs(p)).reshape(-1, 5, 6)
     assert Y.shape == (len(p), 5, 6) and Y.dtype == complex
     assert (np.abs(Y - reference) <= 1e-14 * scale).all()
     # no row depends on the batch it is in
-    sub = tangency._products(M if M.ndim == 3 else M[rows], p[rows])
+    sub = homotopy._products(M if M.ndim == 3 else M[rows], p[rows])
     assert np.array_equal(sub, Y[rows])
 
 
@@ -445,7 +445,7 @@ def scalar_classify(Ms, sol):
     m = np.argmax(np.abs(sol))
     aligned = sol * (sol[m].conj() / abs(sol[m]))
     ratio = np.linalg.norm(aligned.imag) / np.linalg.norm(aligned.real)
-    if ratio >= tangency._BORDERLINE_RATIO:
+    if ratio >= homotopy._BORDERLINE_RATIO:
         return None, False, False, False
     x = aligned.real / np.linalg.norm(aligned.real)
     for _ in range(8):
@@ -453,8 +453,8 @@ def scalar_classify(Ms, sol):
         r = np.concatenate([-np.einsum('i,sij,j->s', x, Ms, x), [0.0]])
         x = x + np.linalg.lstsq(np.vstack([J, x[None, :]]), r, rcond=1e-12)[0]
         x = x / np.linalg.norm(x)
-    real = (ratio < tangency._REAL_RATIO and np.abs(
-        np.einsum('i,sij,j->s', x, Ms, x)).max() < tangency._RESIDUAL_TOL)
+    real = (ratio < homotopy._REAL_RATIO and np.abs(
+        np.einsum('i,sij,j->s', x, Ms, x)).max() < homotopy._RESIDUAL_TOL)
     Jb = np.vstack([2.0 * np.einsum('sij,j->si', Ms, x), x[None, :]])
     sv = np.linalg.svd(Jb, compute_uv=False)
     return x, real, not real, real and sv[-1] < 1e-7 * sv[0]
@@ -469,7 +469,7 @@ def test_batched_classification_matches_the_scalar_reference():
     forms = tangency._moved_quadrics(bodies, gs)
     gen = tf.RngStream(42).generator()
     Ms, points = [], []
-    for M, sols in zip(forms, tangency._solve_batch(forms, [
+    for M, sols in zip(forms, homotopy._solve_batch(forms, [
             tf.RngStream(43, k) for k in range(4)], tangency._quadric_start())):
         # the endpoints, and real solutions given a phase and an imaginary
         # part that makes them real, borderline, or not candidates at all
@@ -479,7 +479,7 @@ def test_batched_classification_matches_the_scalar_reference():
         points += [*sols.solutions, *noisy]
         Ms += [M] * (len(sols.solutions) + len(noisy))
     Ms, points = np.array(Ms), np.array(points)
-    polished, *masks = tangency._classify(Ms, points, np.ones(len(points), bool))
+    polished, *masks = homotopy._classify(Ms, points, np.ones(len(points), bool))
     assert masks[0].sum() > 0 and masks[1].sum() > 0
     for row in range(len(points)):
         x, *flags = scalar_classify(Ms[row], points[row])
@@ -493,9 +493,9 @@ def test_sphere_start_data():
     assert G.shape == (5, 6, 6) and starts.shape == (12, 6)
     assert not G.flags.writeable and not starts.flags.writeable
     assert np.abs(G[:4] - G[:4].transpose(0, 2, 1)).max() <= 1e-15
-    F, J = tangency._target(np.broadcast_to(G, (12, 5, 6, 6)), starts)
+    F, J = homotopy._target(np.broadcast_to(G, (12, 5, 6, 6)), starts)
     assert np.abs(F).max() <= 1e-12
-    sv = np.linalg.svd(tangency._bordered(J, starts), compute_uv=False)
+    sv = np.linalg.svd(homotopy._bordered(J, starts), compute_uv=False)
     assert (sv[:, -1] > 1e-7 * sv[:, 0]).all()
     # a line in the absolute quadric x.x = 0, and its rotations, solve the
     # start member, as they solve every member of the family
@@ -512,9 +512,9 @@ def test_quadric_start_data():
     assert G.shape == (5, 6, 6) and starts.shape == (32, 6)
     assert not G.flags.writeable and not starts.flags.writeable
     assert np.array_equal(G[:4], G[:4].transpose(0, 2, 1))
-    F, J = tangency._target(np.broadcast_to(G, (32, 5, 6, 6)), starts)
+    F, J = homotopy._target(np.broadcast_to(G, (32, 5, 6, 6)), starts)
     assert np.abs(F).max() < 1e-12
-    sv = np.linalg.svd(tangency._bordered(J, starts), compute_uv=False)
+    sv = np.linalg.svd(homotopy._bordered(J, starts), compute_uv=False)
     assert (sv[:, -1] > 1e-7 * sv[:, 0]).all()
     again = tangency._quadric_start.__wrapped__()
     assert np.array_equal(again[0], G) and np.array_equal(again[1], starts)
@@ -531,7 +531,7 @@ def test_main_theorem_spheres_have_twelve_isolated_solutions():
         assert (sols.tracked, sols.singular, sols.failed) == (12, 20, 0)
         assert sols.real_count <= 12
         # the sphere route tracks the 12 isolated solutions alone
-        spheres = tangency._solve_one(tangency._normalize_forms(
+        spheres = homotopy._solve_one(tangency._normalize_forms(
             moved_quadrics(bodies, stream)), stream.substream(1 << 32),
             tangency._sphere_start())
         assert (spheres.tracked, spheres.singular, spheres.failed) == (12, 0, 0)
@@ -548,7 +548,7 @@ def test_sphere_route_matches_the_32_path_route_at_extreme_radii(radii):
         stream = tf.RngStream(22, trial)
         quadrics = moved_quadrics(bodies, stream)
         sols = tf.solve_tangency_system(quadrics, stream.substream(1 << 32))
-        spheres = tangency._solve_one(tangency._normalize_forms(quadrics),
+        spheres = homotopy._solve_one(tangency._normalize_forms(quadrics),
                                       stream.substream(1 << 32), tangency._sphere_start())
         assert (spheres.tracked, spheres.singular, spheres.failed) == (12, 0, 0)
         assert sols.tracked == 12 and not sols.degenerate and not spheres.degenerate
@@ -566,7 +566,7 @@ def test_sphere_draws_track_every_path_from_the_generic_start():
         stream = tf.RngStream(21, trial)
         rng = stream.substream(1 << 32)
         forms = tangency._normalize_forms(moved_quadrics(bodies, stream))
-        first = tangency._solve_batch(forms[None], [rng.substream(0)],
+        first = homotopy._solve_batch(forms[None], [rng.substream(0)],
                                       tangency._quadric_start())[0]
         assert (first.tracked, first.singular, first.failed) == (12, 20, 0), trial
         counts.append(first.real_count)     # solve_tangency_system's, with no retry
