@@ -41,7 +41,7 @@ from .tangency import DegenerateConfigurationError, average_tangent_count_empiri
 from .volumes import (TangentCountInputs, average_tangent_count,
                       grassmannian_dimension, orthogonal_volume,
                       projective_grassmannian_volume, schubert_ratio,
-                      schubert_volume, sphere_volume)
+                      schubert_volume, sphere_tangent_ratio, sphere_volume)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -215,6 +215,26 @@ def _resolve_delta(source: str, k: int, n: int, seed: int, workers: int):
     return EXPECTED_DEGREE_LINES_RP3
 
 
+def _formula_ratios(bodies, k: int, level: int):
+    """Tangent-flat ratios of the bodies, the route of each and the
+    quadrature nodes sampled: a metric sphere's ratio is the paper's closed
+    form, every other body's the curvature quadrature on one shared grid,
+    built only when some body needs it."""
+    ratios, routes, nodes, grid = [], [], 0, None
+    for body in bodies:
+        if body.kind == "metric_sphere":
+            ratios.append(sphere_tangent_ratio(k, body.n, body.radius))
+            routes.append("closed_form")
+            continue
+        if grid is None:
+            grid = surface_grid(body.n, level)
+        sample = surface_sample(body, grid)
+        ratios.append(tangent_volume_ratio_convex(sample, k))
+        routes.append("quadrature")
+        nodes += len(sample.J)
+    return ratios, routes, nodes
+
+
 def cmd_tau(args) -> dict:
     k, n = args.k, args.n
     check_flat_dimension(k, n)
@@ -232,12 +252,12 @@ def cmd_tau(args) -> dict:
                              "delta_source": args.delta_source},
               "results": results}
     if args.mode == "formula":
-        grid = surface_grid(n, args.level)
-        ratios = [tangent_volume_ratio_convex(surface_sample(b, grid), k) for b in bodies]
+        ratios, routes, nodes = _formula_ratios(bodies, k, args.level)
         tau = average_tangent_count(TangentCountInputs(k, n, tuple(ratios), delta))
         for i, r in enumerate(ratios):
             results[f"ratio_{i}"] = r
         results["average_tangent_count"] = tau
+        report["diagnostics"] = {"routes": routes, "nodes": nodes}
     else:
         if (k, n) != (1, 3) or any(b.matrix is None for b in bodies):
             raise UsageError("empirical mode counts tangent lines to quadrics "

@@ -49,7 +49,9 @@ class MCEstimate:
 def parallel_map(fn, tasks, workers: int = 1) -> list:
     """[fn(*task) for task in tasks], in order, spread over a pool of at most
     `workers` processes, capped at the tasks and the usable CPUs."""
-    workers = min(workers, len(tasks), len(os.sched_getaffinity(0)))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)       # no affinity call off Linux
+    workers = min(workers, len(tasks), cpus)
     if workers > 1:
         from multiprocessing import Pool    # only here: it slows the import
         with Pool(workers) as pool:

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tangentflats.cli import (MAX_LEVEL, MAX_PLANE_SAMPLES, MAX_SAMPLES, MAX_SWEEP_RADII,
                               MAX_TRIALS, main)
+from tangentflats.volumes import sphere_tangent_ratio
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +209,74 @@ def test_tau_formula_mode(capsys, tmp_path):
     report = json.loads(out)
     assert report["results"]["average_tangent_count"] == pytest.approx(
         1.7262 * (4 / pi) ** 4, rel=1e-5)
+
+
+def ellipsoid_file(tmp_path, semiaxes, name="ellipsoid.body"):
+    p = tmp_path / name
+    p.write_text(f"kind = ellipsoid\nn = 3\nsemiaxes = {semiaxes}\n")
+    return str(p)
+
+
+def counted_calls(monkeypatch, names):
+    """Counts the calls to the named curvature functions, patched in every
+    module that imported the name, as the benchmark's tracer patches them."""
+    import sys
+    from tangentflats import curvature
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key.startswith("tangentflats")]
+    for name in calls:
+        original = getattr(curvature, name)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted(name, original))
+    return calls
+
+
+def test_tau_formula_takes_sphere_ratios_from_the_closed_form(capsys, tmp_path,
+                                                             monkeypatch):
+    calls = counted_calls(monkeypatch, ("surface_grid", "surface_sample"))
+    radii = (pi / 6, pi / 4, pi / 3, 1.2)
+    bodies = [sphere_file(tmp_path, r, name=f"s{i}.body") for i, r in enumerate(radii)]
+    code, out, _ = run_cli(capsys, "tau", *bodies, "--mode", "formula")
+    assert code == 0
+    assert calls == {"surface_grid": 0, "surface_sample": 0}
+    report = json.loads(out)
+    assert report["diagnostics"] == {"routes": ["closed_form"] * 4, "nodes": 0}
+    for i, (body, r) in enumerate(zip(bodies, radii)):
+        ratio = report["results"][f"ratio_{i}"]
+        assert ratio == sphere_tangent_ratio(1, 3, r)
+        code, out, _ = run_cli(capsys, "omega", body, "--k", "1")
+        assert code == 0
+        assert ratio == pytest.approx(json.loads(out)["results"]["tangent_ratio"],
+                                      rel=1e-12, abs=0)
+
+
+def test_tau_formula_samples_only_the_bodies_that_are_not_spheres(
+        capsys, tmp_path, monkeypatch):
+    # the ellipsoid ratios are the ones recorded when every body took the
+    # quadrature, bit for bit
+    calls = counted_calls(monkeypatch, ("surface_grid", "surface_sample"))
+    bodies = [sphere_file(tmp_path, pi / 6, name="s0.body"),
+              ellipsoid_file(tmp_path, "1.0 0.8 0.5", name="e1.body"),
+              sphere_file(tmp_path, pi / 3, name="s2.body"),
+              ellipsoid_file(tmp_path, "1.4 0.7 1.1", name="e3.body")]
+    code, out, _ = run_cli(capsys, "tau", *bodies, "--mode", "formula")
+    assert code == 0
+    report = json.loads(out)
+    assert calls == {"surface_grid": 1, "surface_sample": 2}
+    assert (report["results"]["ratio_1"], report["results"]["ratio_3"]) == (
+        1.2578227393018613, 1.3130341134463281)
+    assert report["diagnostics"] == {
+        "routes": ["closed_form", "quadrature", "closed_form", "quadrature"],
+        "nodes": 2 * 8192}
 
 
 def test_tau_wrong_body_count(capsys, tmp_path):
@@ -515,24 +584,7 @@ HOOK_CALLS = {
 @pytest.mark.parametrize("command", sorted(HOOK_CALLS))
 def test_surface_commands_call_each_traced_function_as_recorded(
         capsys, tmp_path, monkeypatch, command):
-    import sys
-    from tangentflats import curvature
-    calls = dict.fromkeys(HOOK_CALLS[command], 0)
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    # in every module that imported the name, as the tracer patches it
-    modules = [m for key, m in sys.modules.items() if key.startswith("tangentflats")]
-    for name in calls:
-        original = getattr(curvature, name)
-        for module in modules:
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted(name, original))
+    calls = counted_calls(monkeypatch, HOOK_CALLS[command])
     body = tmp_path / "b.body"
     if command == "intrinsic":
         body.write_text("kind = ellipsoid\nn = 3\nsemiaxes = 1.0 0.8 0.5\n")
@@ -786,6 +838,7 @@ REPORT_KEYS = {"command", "parameters", "seed", "wall_time_s", "results",
                "degenerate_counts", "version"}
 SURFACE_DIAGNOSTICS = {"nodes", "min_principal_curvature",
                        "max_abs_principal_curvature", "min_ray_cosine"}
+FORMULA_DIAGNOSTICS = {"routes", "nodes"}
 TAU_DIAGNOSTICS = {"chunks", "paths_regular", "paths_singular", "paths_lost", "retries",
                    "path_steps", "max_path_steps", "rejected_steps", "min_dt", "solves"}
 
@@ -796,12 +849,15 @@ TAU_DIAGNOSTICS = {"chunks", "paths_regular", "paths_singular", "paths_lost", "r
     ("omega", "SPHERE"),
     ("omega", "SPHERE", "--sweep-radius", "0.3", "1.2", "2"),
     ("tau", *["SPHERE"] * 4),
+    ("tau", "SPHERE", "ELLIPSOID", "SPHERE", "ELLIPSOID"),
     ("tau", *["SPHERE"] * 4, "--mode", "empirical", "--trials", "2"),
     ("intrinsic", "SPHERE"),
-], ids=["volumes", "delta", "omega", "omega-sweep", "tau-formula", "tau-empirical",
-        "intrinsic"])
+], ids=["volumes", "delta", "omega", "omega-sweep", "tau-formula",
+        "tau-formula-quadrature", "tau-empirical", "intrinsic"])
 def test_every_report_has_the_same_keys_and_reproduces(capsys, tmp_path, argv):
-    argv = [sphere_file(tmp_path) if a == "SPHERE" else a for a in argv]
+    files = {"SPHERE": sphere_file(tmp_path),
+             "ELLIPSOID": ellipsoid_file(tmp_path, "1.0 0.8 0.5")}
+    argv = [files.get(a, a) for a in argv]
     reports = []
     for _ in range(2):
         code, out, err = run_cli(capsys, *argv, "--level", "2", "--workers", "1")
@@ -810,7 +866,13 @@ def test_every_report_has_the_same_keys_and_reproduces(capsys, tmp_path, argv):
     surface = argv[0] in ("omega", "intrinsic") and "--sweep-radius" not in argv
     empirical = "empirical" in argv
     assert set(reports[0]) == REPORT_KEYS | (
-        {"diagnostics"} if surface or empirical or argv[0] == "delta" else set())
+        {"diagnostics"} if surface or argv[0] in ("delta", "tau") else set())
+    if argv[0] == "tau" and not empirical:
+        assert set(reports[0]["diagnostics"]) == FORMULA_DIAGNOSTICS
+        routes = reports[0]["diagnostics"]["routes"]
+        assert routes == ["closed_form" if a == files["SPHERE"] else "quadrature"
+                          for a in argv[1:5]]
+        assert reports[0]["diagnostics"]["nodes"] == 512 * routes.count("quadrature")
     if empirical:
         assert set(reports[0]["diagnostics"]) == TAU_DIAGNOSTICS
         assert reports[0]["diagnostics"]["paths_regular"] == 2 * 12
