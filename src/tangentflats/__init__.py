@@ -12,7 +12,7 @@ product formula for the average tangent count under random rotations.
 
 __version__ = "0.1.0"
 
-from .rng import MCEstimate, RngStream
+from .rng import DegenerateConfigurationError, MCEstimate, RngStream
 from .projective import (PLUCKER_PAIRING, haar_matrices, lines_to_plucker,
                          plucker_embed, uniform_flat_frames)
 from .volumes import (TangentCountInputs, average_scaling_factor,
@@ -24,8 +24,8 @@ from .volumes import (TangentCountInputs, average_scaling_factor,
                       steiner_coefficient)
 from .bodies import (BodyError, BodyFileError, ConvexBody,
                      NonConvexQuadricError, affine_sphere, ellipsoid,
-                     format_body, implicit_surface, metric_sphere,
-                     parse_body_file, parse_body_text, quadric, rotate_body)
+                     implicit_surface, metric_sphere, parse_body_file,
+                     parse_body_text, quadric)
 from .curvature import (NonConvexBodyError, QuadratureGrid,
                         SurfaceDegeneracyError, SurfaceSample,
                         abs_normal_curvature_integral, elementary_symmetric,
@@ -42,6 +42,5 @@ from .schubert import (EXPECTED_DEGREE_LINES_RP3, TransversalCount,
                        UnsupportedIndicesError, count_line_transversals,
                        estimate_expected_degree, line_meet_form)
 from .homotopy import PathFailureError, SolutionSet
-from .tangency import (DegenerateConfigurationError,
-                       average_tangent_count_empirical, count_real_tangent_lines,
+from .tangency import (average_tangent_count_empirical, count_real_tangent_lines,
                        second_compound, solve_tangency_system, tangency_quadric_of)

@@ -17,8 +17,6 @@ from math import pi, tan
 
 import numpy as np
 
-QUADRIC_KINDS = ("metric_sphere", "affine_sphere", "ellipsoid", "quadric")
-
 
 class BodyError(ValueError):
     pass
@@ -120,13 +118,14 @@ class HomogeneousPolynomial:
 
 @dataclass(frozen=True)
 class ConvexBody:
-    """A hypersurface in RP^n together with chart metadata.
+    """A hypersurface in RP^n.
 
     For the quadric-backed kinds `matrix` is the normalized defining form
-    (one negative eigenvalue); for the implicit kind `poly` holds the
-    homogeneous polynomial and `center` an interior star point on S^n.
-    `convex` records whether strict convexity is guaranteed by construction
-    (quadric kinds) or merely declared (implicit kind).
+    (one negative eigenvalue), which encodes any affine chart; a metric
+    sphere also keeps its geodesic `radius`.  For the implicit kind `poly`
+    holds the homogeneous polynomial and `center` an interior star point on
+    S^n.  `convex` records whether strict convexity is guaranteed by
+    construction (quadric kinds) or merely declared (implicit kind).
     """
 
     kind: str
@@ -136,7 +135,6 @@ class ConvexBody:
     poly: HomogeneousPolynomial | None = None
     center: np.ndarray | None = None
     radius: float | None = None
-    chart: int = 0
 
     def defining_matrix(self) -> np.ndarray:
         if self.matrix is None:
@@ -224,8 +222,7 @@ def affine_sphere(n: int, center, radius: float, chart: int = 0) -> ConvexBody:
     A[rest, chart] = -center
     with np.errstate(all="ignore"):     # an overflow is refused as not finite
         A[chart, chart] = center @ center - radius * radius
-    return ConvexBody("affine_sphere", n, True, matrix=_normalize_quadric(A),
-                      radius=radius, chart=chart)
+    return ConvexBody("affine_sphere", n, True, matrix=_normalize_quadric(A))
 
 
 def ellipsoid(n: int, semiaxes, chart: int = 0) -> ConvexBody:
@@ -241,7 +238,7 @@ def ellipsoid(n: int, semiaxes, chart: int = 0) -> ConvexBody:
     with np.errstate(over="ignore", divide="ignore"):   # inf and 0 are refused
         diag[rest] = 1.0 / semiaxes ** 2
     _normalize_quadric(np.diag(diag))       # finite and nonsingular, as for `quadric`
-    return ConvexBody("ellipsoid", n, True, matrix=np.diag(diag), chart=chart)
+    return ConvexBody("ellipsoid", n, True, matrix=np.diag(diag))
 
 
 def quadric(A) -> ConvexBody:
@@ -273,17 +270,6 @@ def implicit_surface(n: int, coeffs, exponents, center=None,
         raise BodyError("center must be a finite nonzero vector")
     center = center / np.linalg.norm(center)
     return ConvexBody("implicit", n, convex, poly=poly, center=center)
-
-
-def rotate_body(body: ConvexBody, g: np.ndarray) -> ConvexBody:
-    """Body moved by an orthogonal matrix: x lies on the moved body iff
-    g^{-1} x lies on the original, so the quadric matrix maps to g A g^T."""
-    if body.matrix is None:
-        raise BodyError("only quadric-backed bodies support rotation")
-    g = np.asarray(g, dtype=float)
-    A = g @ body.matrix @ g.T
-    return ConvexBody("quadric", body.n, body.convex,
-                      matrix=0.5 * (A + A.T))
 
 
 # ---------------------------------------------------------------------------
@@ -387,32 +373,3 @@ def parse_body_file(path) -> ConvexBody:
     with open(path) as fh:
         return parse_body_text(fh.read(), name=str(path))
 
-
-def format_body(body: ConvexBody) -> str:
-    """Serialize a body back to the key-value format."""
-    def fmt(values):
-        return " ".join(repr(float(v)) for v in values)
-
-    lines = [f"kind = {body.kind}", f"n = {body.n}"]
-    if body.kind == "metric_sphere":
-        lines.append(f"radius = {float(body.radius)!r}")
-    elif body.kind == "affine_sphere":
-        A = body.matrix
-        rest = [j for j in range(body.n + 1) if j != body.chart]
-        lines.append("center = " + fmt(-A[body.chart, rest]))
-        lines.append(f"radius = {float(body.radius)!r}")
-        lines.append(f"chart = {body.chart}")
-    elif body.kind == "ellipsoid":
-        rest = [j for j in range(body.n + 1) if j != body.chart]
-        semi = 1.0 / np.sqrt(np.diag(body.matrix)[rest])
-        lines.append("semiaxes = " + fmt(semi))
-        lines.append(f"chart = {body.chart}")
-    elif body.kind == "quadric":
-        for row in body.matrix:
-            lines.append("row = " + fmt(row))
-    elif body.kind == "implicit":
-        for c, e in zip(body.poly.coeffs, body.poly.exponents):
-            lines.append(f"term = {float(c)!r} " + " ".join(str(int(x)) for x in e))
-        lines.append("center = " + fmt(body.center))
-        lines.append(f"convex = {str(body.convex).lower()}")
-    return "\n".join(lines) + "\n"

@@ -34,10 +34,10 @@ from .curvature import (NonConvexBodyError, SurfaceDegeneracyError,
 from .homotopy import PathFailureError
 from .intrinsic import (TubeRadiusError, bound_check, compute_profile,
                         steiner_tube_volume, sum_identity_residual)
-from .rng import MCEstimate, RngStream
+from .rng import DegenerateConfigurationError, MCEstimate, RngStream
 from .schubert import (EXPECTED_DEGREE_LINES_RP3, UnsupportedIndicesError,
                        estimate_expected_degree)
-from .tangency import DegenerateConfigurationError, average_tangent_count_empirical
+from .tangency import average_tangent_count_empirical
 from .volumes import (TangentCountInputs, average_tangent_count,
                       grassmannian_dimension, orthogonal_volume,
                       projective_grassmannian_volume, schubert_ratio,

@@ -35,6 +35,7 @@ from .rng import MCEstimate, RngStream
 from .volumes import legendre_rule, sphere_volume
 
 GRID_BUDGET_BASE = 128          # node budget at level 1 is 128, x4 per level
+MAX_GRID_NODES = 2 ** 20        # twice level 7's budget; a larger grid is refused
 DEGENERATE_DET_TOL = 1e-12
 
 
@@ -82,7 +83,9 @@ def surface_grid(n: int, level: int) -> QuadratureGrid:
         raise ValueError("level must be >= 1")
     m = n - 1
     P = grid_axis_points(n, level)
-    x, w = legendre_rule(P)
+    if 2 * P ** m > MAX_GRID_NODES:     # from n = 8 the 4-point floor outgrows the budget
+        raise BodyError(f"the grid on S^{m} needs {2 * P ** m} nodes, over {MAX_GRID_NODES}")
+    x, w = legendre_rule(P) if m > 1 else np.empty((2, 0))     # S^1 has no polar axis
     theta = (x + 1.0) * (pi / 2)
     axes = [(theta, w * (pi / 2) * np.sin(theta) ** (m - 1 - j)) for j in range(m - 1)]
     nphi = 2 * P

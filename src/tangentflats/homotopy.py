@@ -40,6 +40,7 @@ _MAX_PREDICTOR_ERROR = 1e-2     # a larger first corrector step rejects the step
 _RETRIES = 2
 _STALL_T = 1e-4                 # paths stalling past 1 - _STALL_T may still polish
 _RESIDUAL_TOL = 1e-10
+_RANK_RATIO = 1e-7              # bordered rank cut: smallest over largest singular value
 _REAL_RATIO = 1e-6
 _BORDERLINE_RATIO = 1e-4
 
@@ -157,8 +158,7 @@ def _regular_start(forms, count, seed):
     given seed, checked; both read-only, since every caller shares them."""
     p = _solve_one(forms, RngStream(seed, 1), None).solutions
     F, J = _target(np.broadcast_to(forms, (len(p),) + forms.shape), p)
-    sv = np.linalg.svd(_bordered(J, p), compute_uv=False)
-    regular = sv[:, -1] > 1e-7 * sv[:, 0]
+    regular = _full_rank(J, p)
     if regular.sum() != count or np.abs(F[regular]).max() > 1e-12:
         raise RuntimeError("a cached start system is not regular")
     p = p[regular]
@@ -169,6 +169,12 @@ def _regular_start(forms, count, seed):
 def _bordered(J, p):
     """Jacobians bordered by the patch row conj(p) of the unit sphere."""
     return np.concatenate([J, p.conj()[:, None]], axis=1)
+
+
+def _full_rank(J, p):
+    """Rows whose bordered Jacobian passes the _RANK_RATIO cut (a NaN row fails)."""
+    sv = np.linalg.svd(_bordered(J, p), compute_uv=False)
+    return sv[:, -1] > _RANK_RATIO * sv[:, 0]
 
 
 def _newton_steps(J, p, *rhs):
@@ -210,12 +216,12 @@ def _track(evaluate, params, owner, p):
     path_steps, rejected = np.zeros((2, len(p)), dtype=int)
     solves = np.ones(len(p), dtype=int)     # the first tangent's solve
     idx, min_dt = owner[:0], dt.copy()
-    _, J, dH = evaluate(*[x if x is None else x[owner] for x in params], p, t)
+    _, J, dH = evaluate(*[x[owner] for x in params], p, t)
     K1, OK1 = _newton_steps(J, p, -dH)
     while active.any():
         if active.sum() != len(idx):        # paths only ever leave the set
             idx = np.flatnonzero(active)
-            rows = [x if x is None else x[owner[idx]] for x in params]
+            rows = [x[owner[idx]] for x in params]
         path_steps[idx] += 1
         min_dt[idx] = np.minimum(min_dt[idx], dt[idx])
         pc, tc = p[idx], t[idx]
@@ -345,9 +351,8 @@ def _solve_batch(forms, rngs, start) -> list:
 
     # a clean track onto an endpoint of rank-deficient bordered Jacobian means
     # the solution set is positive dimensional there (non-transverse)
-    sv = np.linalg.svd(_bordered(J[good], p[good]), compute_uv=False)
     nonisolated = tracked_clean.copy()
-    nonisolated[good] &= sv[:, -1] < 1e-7 * sv[:, 0]
+    nonisolated[good] &= ~_full_rank(J[good], p[good])
 
     # squared phase-aligned distances |x|^2 + |y|^2 - 2 |<x, y>|, good to about
     # 1e-15: a good path i < j with an endpoint this close means j jumped onto i
@@ -397,10 +402,9 @@ def _classify(Ms, p, good):
     x = x / np.linalg.norm(x, axis=1, keepdims=True)
     _polish(Ms, x)
     F, J = _target(Ms, x)
-    sv = np.linalg.svd(_bordered(J, x), compute_uv=False)
     real = (ratio[rows] < _REAL_RATIO) & (np.abs(F).max(axis=1) < _RESIDUAL_TOL)
     points = np.zeros(p.shape, dtype=x.dtype)
     points[rows] = x
     masks = np.zeros((3, len(p)), dtype=bool)
-    masks[:, rows] = real, ~real, real & (sv[:, -1] < 1e-7 * sv[:, 0])
+    masks[:, rows] = real, ~real, real & ~_full_rank(J, x)
     return points, *masks

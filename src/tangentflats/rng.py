@@ -1,4 +1,4 @@
-"""Seeded random streams, Monte Carlo estimate records and a process pool.
+"""Seeded random streams, Monte Carlo estimates, their discard rule and a pool.
 
 Every Monte Carlo routine in this package takes an explicit stream (or a
 seed from which per-trial streams are derived), so results are bit-for-bit
@@ -31,6 +31,18 @@ class RngStream:
 
     def substream(self, offset: int) -> "RngStream":
         return RngStream(self.seed, self.stream_id + offset)
+
+
+#: Largest share of discarded Monte Carlo draws (tau trials, delta draws)
+#: that an estimate accepts; a larger one raises DegenerateConfigurationError.
+MAX_DISCARDED_SHARE = 0.05
+
+
+class DegenerateConfigurationError(RuntimeError):
+    """Degenerate draw (non-isolated or borderline-real solutions) or too many
+    discarded; path_log holds the log of the first trial that lost paths."""
+
+    path_log = ()
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projective import PLUCKER_PAIRING, plucker_index_pairs
-from .rng import MCEstimate, RngStream, parallel_map
-from .tangency import MAX_DISCARDED_SHARE, DegenerateConfigurationError
+from .rng import (MAX_DISCARDED_SHARE, DegenerateConfigurationError, MCEstimate,
+                  RngStream, parallel_map)
 
 #: Reference numerical value of the expected degree for lines in RP^3,
 #: reliable to the five digits shown.

@@ -30,7 +30,8 @@ import numpy as np
 from . import homotopy
 from .bodies import BodyError
 from .projective import PLUCKER_PAIRING, haar_matrices, plucker_index_pairs
-from .rng import MCEstimate, RngStream, parallel_map
+from .rng import (MAX_DISCARDED_SHARE, DegenerateConfigurationError, MCEstimate,
+                  RngStream, parallel_map)
 
 #: Path rows tracked together: 20 general trials or 53 sphere trials, so a
 #: 20-trial command is one batch and no loop pass runs on a few rows; 1280
@@ -38,17 +39,6 @@ from .rng import MCEstimate, RngStream, parallel_map
 _CHUNK_ROWS = 640
 _START_SEED = 1989              # the cached generic start systems and their solves
 _DEGENERATE, _PATHS_LOST = -1, -2   # per-trial counts of discarded trials
-#: Largest share of discarded Monte Carlo draws (tau trials, delta draws)
-#: that an estimate accepts; a larger one raises DegenerateConfigurationError.
-MAX_DISCARDED_SHARE = 0.05
-
-
-class DegenerateConfigurationError(RuntimeError):
-    """Configuration flagged degenerate (non-isolated or borderline-real
-    solutions).  When trials lost paths, path_log holds the log of the
-    first of them."""
-
-    path_log = ()
 
 
 def second_compound(A: np.ndarray) -> np.ndarray:

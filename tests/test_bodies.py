@@ -55,7 +55,7 @@ def test_rotate_body_membership_convention():
     gen = tf.RngStream(3).generator()
     body = tf.ellipsoid(3, [1.2, 0.8, 1.0])
     g = tf.haar_matrices(4, 1, tf.RngStream(4).generator())[0]
-    moved = tf.rotate_body(body, g)
+    moved = tf.quadric(g @ body.matrix @ g.T)
     # x on moved body iff g^T x on the original
     x = tf.surface_sample(body, tf.surface_grid(3, 2)).x
     assert np.abs(moved.surface_value(x @ g.T)).max() < 1e-10
@@ -130,74 +130,105 @@ def test_polynomial_rejects_negative_exponents():
                               np.array([[3, -1, 0], [0, 1, 1]]))
 
 
-@pytest.mark.parametrize("text", [
-    "kind = metric_sphere\nn = 3\nradius = 0.5\n",
-    "kind = affine_sphere\nn = 3\ncenter = 0.1 0.2 -0.3\nradius = 0.4\n",
-    "kind = ellipsoid\nn = 3\nsemiaxes = 1.0 0.8 0.5\n",
-])
-def test_body_file_round_trip(text):
-    body = tf.parse_body_text(text)
-    body2 = tf.parse_body_text(tf.format_body(body))
-    assert body2.kind == body.kind and body2.n == body.n
-    assert np.allclose(body2.matrix, body.matrix, atol=1e-12)
+def floats(values):
+    return " ".join(repr(float(v)) for v in values)
+
+
+def bits(a):
+    return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+
+def assert_same_body(parsed, built):
+    """The same kind, fields and array bits."""
+    def fields(b):
+        poly = (None, None) if b.poly is None else (b.poly.coeffs, b.poly.exponents)
+        return (b.kind, b.n, b.convex, b.radius,
+                *map(bits, (b.matrix, b.center, *poly)))
+    assert fields(parsed) == fields(built)
+
+
+@pytest.mark.parametrize("text, body", [
+    ("kind = metric_sphere\nn = 3\nradius = 0.5\n", tf.metric_sphere(3, 0.5)),
+    ("kind = affine_sphere\nn = 3\ncenter = 0.1 0.2 -0.3\nradius = 0.4\n",
+     tf.affine_sphere(3, [0.1, 0.2, -0.3], 0.4)),
+    ("kind = ellipsoid\nn = 3\nsemiaxes = 1.0 0.8 0.5\n",
+     tf.ellipsoid(3, [1.0, 0.8, 0.5])),
+    ("kind = quadric\nn = 3\n" + "".join(
+        f"row = {floats(r)}\n" for r in np.diag([-0.8, 1.0, 2.0, 0.5])),
+     tf.quadric(np.diag([-0.8, 1.0, 2.0, 0.5]))),
+    ("kind = implicit\nn = 3\nterm = 1.0 0 4 0 0\nterm = 1.0 0 0 4 0\n"
+     "term = 1.0 0 0 0 4\nterm = -0.3 4 0 0 0\n",
+     tf.implicit_surface(3, [1.0, 1.0, 1.0, -0.3],
+                         [[0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4], [4, 0, 0, 0]])),
+], ids=["metric_sphere", "affine_sphere", "ellipsoid", "quadric", "implicit"])
+def test_body_files_parse_to_their_constructors(text, body):
+    assert_same_body(tf.parse_body_text(text), body)
 
 
 @st.composite
-def quadric_bodies(draw):
+def quadric_body_files(draw):
+    """A body file of a quadric kind, with repr floats, and its constructor's
+    body.  A chart 0..n, or none for the default 0, is named on every kind;
+    only affine spheres and ellipsoids read it."""
     n = draw(st.integers(2, 4))
     positive = st.floats(0.1, 10.0)
-    kind = draw(st.sampled_from(tf.bodies.QUADRIC_KINDS))
+    kind = draw(st.sampled_from(
+        ["metric_sphere", "affine_sphere", "ellipsoid", "quadric"]))
+    lines = [f"kind = {kind}", f"n = {n}"]
+    chart = draw(st.none() | st.integers(0, n))
+    if chart is not None:
+        lines.append(f"chart = {chart}")
+    chart = chart or 0
     if kind == "metric_sphere":
-        return tf.metric_sphere(n, draw(st.floats(0.01, 1.56)))
+        radius = draw(st.floats(0.01, 1.56))
+        lines.append(f"radius = {radius!r}")
+        return "\n".join(lines) + "\n", tf.metric_sphere(n, radius)
     if kind == "affine_sphere":
         center = draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))
-        return tf.affine_sphere(n, center, draw(positive),
-                                draw(st.integers(0, n)))
+        radius = draw(positive)
+        lines += [f"center = {floats(center)}", f"radius = {radius!r}"]
+        return "\n".join(lines) + "\n", tf.affine_sphere(n, center, radius, chart)
     if kind == "ellipsoid":
         axes = draw(st.lists(positive, min_size=n, max_size=n))
-        return tf.ellipsoid(n, axes, draw(st.integers(0, n)))
+        lines.append(f"semiaxes = {floats(axes)}")
+        return "\n".join(lines) + "\n", tf.ellipsoid(n, axes, chart)
     # one negative eigenvalue in a Haar-random frame
     lam = np.array(draw(st.lists(positive, min_size=n + 1, max_size=n + 1)))
     lam[0] = -lam[0]
     g = tf.haar_matrices(n + 1, 1, tf.RngStream(
         draw(st.integers(0, 2 ** 32 - 1))).generator())[0]
-    return tf.quadric(g @ np.diag(lam) @ g.T)
+    A = g @ np.diag(lam) @ g.T
+    lines += [f"row = {floats(row)}" for row in A]
+    return "\n".join(lines) + "\n", tf.quadric(A)
 
 
 @settings(max_examples=200, deadline=None)
-@given(quadric_bodies())
-def test_generated_quadric_bodies_round_trip(body):
-    back = tf.parse_body_text(tf.format_body(body))
-    assert (back.kind, back.n, back.chart) == (body.kind, body.n, body.chart)
-    scale = np.abs(body.matrix).max()
-    assert np.abs(back.matrix - body.matrix).max() <= 1e-14 * scale
+@given(quadric_body_files())
+def test_generated_quadric_body_files_parse_to_their_constructors(case):
+    text, body = case
+    assert_same_body(tf.parse_body_text(text), body)
 
 
 @settings(max_examples=100, deadline=None)
-@given(polynomials_and_points(), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_generated_implicit_bodies_round_trip(case, convex, seed):
+@given(polynomials_and_points(),
+       st.none() | st.sampled_from(["true", "Yes", "1", "false", "NO", "0"]),
+       st.none() | st.integers(0, 2 ** 32 - 1))
+def test_generated_implicit_body_files_parse_to_their_constructors(
+        case, convex, seed):
     coeffs, exponents, _ = case
     d = exponents.shape[1]
-    center = tf.RngStream(seed).generator().standard_normal(d)
+    lines = ["kind = implicit", f"n = {d - 1}"]
+    lines += [f"term = {float(c)!r} " + " ".join(map(str, e))
+              for c, e in zip(coeffs, exponents)]
+    center = None
+    if seed is not None:
+        center = tf.RngStream(seed).generator().standard_normal(d)
+        lines.append(f"center = {floats(center)}")
+    if convex is not None:
+        lines.append(f"convex = {convex}")
     body = tf.implicit_surface(d - 1, coeffs, exponents, center=center,
-                               convex=convex)
-    back = tf.parse_body_text(tf.format_body(body))
-    assert (back.kind, back.n, back.convex) == (body.kind, body.n, convex)
-    assert np.array_equal(back.poly.coeffs, body.poly.coeffs)
-    assert np.array_equal(back.poly.exponents, body.poly.exponents)
-    assert np.abs(back.center - body.center).max() < 1e-15
-
-
-def test_body_file_quadric_and_implicit_round_trip():
-    b = tf.quadric(np.diag([-0.8, 1.0, 2.0, 0.5]))
-    b2 = tf.parse_body_text(tf.format_body(b))
-    assert np.allclose(b2.matrix, b.matrix)
-    imp = tf.implicit_surface(3, [1.0, 1.0, 1.0, -0.3],
-                              [[0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4],
-                               [4, 0, 0, 0]])
-    imp2 = tf.parse_body_text(tf.format_body(imp))
-    assert np.array_equal(imp2.poly.exponents, imp.poly.exponents)
-    assert np.allclose(imp2.poly.coeffs, imp.poly.coeffs)
+                               convex=convex in ("true", "Yes", "1"))
+    assert_same_body(tf.parse_body_text("\n".join(lines) + "\n"), body)
 
 
 def test_body_file_errors_carry_line_numbers():

@@ -904,15 +904,21 @@ def test_every_report_has_the_same_keys_and_reproduces(capsys, tmp_path, argv):
     (("tau", *["SPHERE"] * 3, "SPHERE4"), "all bodies must live in the same RP^n"),
     (("tau", *["SPHERE"] * 3, "QUARTIC", "--mode", "empirical"),
      "empirical mode counts tangent lines to quadrics in RP^3 only"),
+    # each polar axis keeps 4 points, so at any level 2 * 4^11 nodes
+    (("omega", "SPHERE12"), "the grid on S^11 needs 8388608 nodes, over 1048576"),
+    (("intrinsic", "SPHERE12"), "the grid on S^11 needs 8388608 nodes, over 1048576"),
 ], ids=["volumes-k", "volumes-precision", "omega-k", "sweep-body", "sweep-count",
         "sweep-h-integral", "sweep-semialgebraic", "h-integral-n", "tau-k",
-        "tau-body-count", "tau-dimensions", "tau-empirical-kind"])
+        "tau-body-count", "tau-dimensions", "tau-empirical-kind", "omega-grid-nodes",
+        "intrinsic-grid-nodes"])
 def test_command_refusals_exit_2_with_one_error_line(capsys, tmp_path, argv, message):
     quartic, sphere4 = tmp_path / "quartic.body", tmp_path / "sphere4.body"
     quartic.write_text(IMPLICIT_BODY)
     sphere4.write_text("kind = metric_sphere\nn = 4\nradius = 0.5\n")
+    sphere12 = tmp_path / "sphere12.body"
+    sphere12.write_text("kind = metric_sphere\nn = 12\nradius = 0.5\n")
     files = {"SPHERE": sphere_file(tmp_path), "SPHERE4": str(sphere4),
-             "QUARTIC": str(quartic)}
+             "QUARTIC": str(quartic), "SPHERE12": str(sphere12)}
     code, out, err = run_cli(capsys, *[files.get(a, a) for a in argv], "--level", "1")
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

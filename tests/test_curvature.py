@@ -233,6 +233,37 @@ def test_sphere_quadrature_oracle_small():
                 assert abs(prof[k] - expect) / expect < 1e-6
 
 
+def test_grid_beyond_its_node_bound_is_refused_before_any_array(monkeypatch):
+    # from n = 8 every polar axis keeps its 4-point floor whatever the level,
+    # so n = 11 would take 2 * 4^10 nodes; every n <= 10 at a level up to 7
+    # gets past the bound to its first rule or array
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(curvature, "legendre_rule", build)
+    monkeypatch.setattr(np, "meshgrid", build)
+    for n, level in itertools.product(range(2, 11), range(1, 8)):
+        with pytest.raises(Built):
+            tf.surface_grid(n, level)
+    with pytest.raises(tf.BodyError, match="2097152 nodes, over 1048576"):
+        tf.surface_grid(11, 1)
+
+
+def test_circle_grid_builds_no_polar_rule(monkeypatch):
+    # S^1 has only the azimuth; a Gauss-Legendre rule of its 4,096 polar
+    # points at level 4 took 8 s and 0.3 GB, and grows as the points cubed
+    def legendre_rule(points):
+        raise AssertionError(f"a {points}-point rule built")
+
+    monkeypatch.setattr(curvature, "legendre_rule", legendre_rule)
+    grid = tf.surface_grid(2, 4)
+    assert grid.nodes.shape == (8192, 2)
+    assert grid.weights.sum() == pytest.approx(2 * pi, rel=1e-15)
+
+
 def test_quadrature_error_decreases_for_ellipsoid():
     body = tf.ellipsoid(3, [1.6, 0.9, 0.5])
     ratio = {lv: tf.tangent_volume_ratio_convex(
@@ -270,7 +301,7 @@ def test_sphere_duality_pairs(grid3):
 def test_rotation_invariance_of_ratio(grid3):
     body = tf.ellipsoid(3, [1.5, 0.8, 1.1])
     g = tf.haar_matrices(4, 1, tf.RngStream(13).generator())[0]
-    moved = tf.rotate_body(body, g)
+    moved = tf.quadric(g @ body.matrix @ g.T)
     p1 = tf.tangent_volume_ratio_profile(tf.surface_sample(body, grid3))
     p2 = tf.tangent_volume_ratio_profile(tf.surface_sample(moved, grid3))
     assert np.abs(p1 - p2).max() < 1e-8
@@ -285,7 +316,7 @@ def test_ratios_are_invariant_under_generated_rotations(grid3_coarse,
     g = tf.haar_matrices(4, 1, tf.RngStream(seed).generator())[0]
     p1 = tf.tangent_volume_ratio_profile(tf.surface_sample(body, grid3_coarse))
     p2 = tf.tangent_volume_ratio_profile(
-        tf.surface_sample(tf.rotate_body(body, g), grid3_coarse))
+        tf.surface_sample(tf.quadric(g @ body.matrix @ g.T), grid3_coarse))
     assert np.abs(p1 - p2).max() < 1e-10
 
 

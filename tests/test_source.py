@@ -131,15 +131,29 @@ def test_no_tangency_function_takes_a_bool_default():
     assert not found, f"parameters defaulting to a bool at {found}"
 
 
-def test_the_tracker_imports_nothing_of_the_lines_problem():
-    # homotopy.py solves quadric systems of any shape; the tangency forms, the
-    # bodies and the Schubert counts build on it, never the other way round
-    lines_problem = {"tangency", "projective", "bodies", "schubert"}
+def imported_modules(name: str) -> set:
+    """Last components of the modules a package file imports (`from . import
+    x` counts as x)."""
     imported = set()
-    for node in ast.walk(ast.parse((SRC / "homotopy.py").read_text())):
+    for node in ast.walk(ast.parse((SRC / name).read_text())):
         if isinstance(node, ast.ImportFrom):
             module = (node.module or "").split(".")[-1]
             imported |= {alias.name for alias in node.names} if not module else {module}
         elif isinstance(node, ast.Import):
             imported |= {alias.name.split(".")[-1] for alias in node.names}
+    return imported
+
+
+def test_the_tracker_imports_nothing_of_the_lines_problem():
+    # homotopy.py solves quadric systems of any shape; the tangency forms, the
+    # bodies and the Schubert counts build on it, never the other way round
+    lines_problem = {"tangency", "projective", "bodies", "schubert"}
+    imported = imported_modules("homotopy.py")
     assert imported and not imported & lines_problem, imported & lines_problem
+
+
+def test_the_delta_monte_carlo_imports_nothing_of_the_tracker():
+    # schubert.py counts line transversals in closed form; the discard rule it
+    # shares with tau lives in rng, so delta loads neither tracker module
+    imported = imported_modules("schubert.py")
+    assert imported and not imported & {"tangency", "homotopy"}, imported
