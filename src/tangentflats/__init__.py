@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 from .rng import DegenerateConfigurationError, MCEstimate, RngStream
 from .projective import (PLUCKER_PAIRING, haar_matrices, lines_to_plucker,
-                         plucker_embed, uniform_flat_frames)
+                         uniform_flat_frames)
 from .volumes import (TangentCountInputs, average_scaling_factor,
                       average_tangent_count, expected_degree_lines_asymptotic,
                       grassmannian_dimension, grassmannian_volume,

@@ -275,6 +275,13 @@ def implicit_surface(n: int, coeffs, exponents, center=None,
 # ---------------------------------------------------------------------------
 # body files
 
+#: Largest n of a body file: 2 Gamma((n+1)/2) in the closed-form sphere
+#: ratio overflows from n = 342 and the quadrature grid refuses from n = 11,
+#: so no command returns a result beyond, and a matrix of (n+1)^2 entries
+#: may not fit.
+MAX_BODY_DIMENSION = 341
+
+
 def parse_body_text(text: str, name: str = "<body>") -> ConvexBody:
     """Parse the key-value body format.
 
@@ -337,6 +344,8 @@ def parse_body_text(text: str, name: str = "<body>") -> ConvexBody:
     n = require("n")
     if n < 1:       # RP^0 is a point, with no hypersurfaces
         raise BodyFileError(None, f"{name}: need n >= 1, got n = {n}")
+    if n > MAX_BODY_DIMENSION:
+        raise BodyFileError(None, f"{name}: need n <= {MAX_BODY_DIMENSION}, got n = {n}")
     chart = fields.get("chart", 0)
     try:
         if kind == "metric_sphere":

@@ -59,7 +59,6 @@ class QuadratureGrid:
     """
 
     n: int
-    level: int
     nodes: np.ndarray     # (N, n) unit vectors, a view of a node-last (n, N) array
     weights: np.ndarray   # (N,) positive, summing to |S^{n-1}|
 
@@ -107,7 +106,7 @@ def surface_grid(n: int, level: int) -> QuadratureGrid:
 
     w = weight.ravel()
     w = w * (sphere_volume(n - 1) / w.sum())
-    return QuadratureGrid(n, level, pts.reshape(n, -1).T, w)
+    return QuadratureGrid(n, pts.reshape(n, -1).T, w)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +206,12 @@ def surface_points(body: ConvexBody, grid: QuadratureGrid, roots):
 class SurfaceSample:
     """A body's surface on a quadrature grid, the one input of every
     quadrature over it: the body and grid, radial profile rho from the star
-    center (W spans center-perp), nodes x, area element J, descending
-    principal curvatures (N, n-1) and ray cosines |dF/dt| / |grad F| at the
-    radial roots."""
+    center, nodes x, area element J, descending principal curvatures (N, n-1)
+    and ray cosines |dF/dt| / |grad F| at the radial roots."""
 
     body: ConvexBody
     grid: QuadratureGrid
     rho: np.ndarray
-    center: np.ndarray
-    W: np.ndarray
     x: np.ndarray
     J: np.ndarray
     principal: np.ndarray
@@ -234,7 +230,7 @@ def surface_sample(body: ConvexBody, grid: QuadratureGrid) -> SurfaceSample:
         raise ValueError("grid dimension does not match the body")
     roots = _radial_roots(body, grid.nodes)
     x, J, ray_cosine, gradient = surface_points(body, grid, roots)
-    return SurfaceSample(body, grid, *roots, x, J,
+    return SurfaceSample(body, grid, roots[0], x, J,
                          principal_curvature_arrays(body, x, gradient), ray_cosine)
 
 
@@ -415,14 +411,14 @@ def tangent_volume_ratio_semialgebraic(sample: SurfaceSample, k: int,
     pref = comb(n - 1, k) * _ratio_prefactor(k, n)
     wj = sample.grid.weights * sample.J * pref
     if k == 0:
-        return MCEstimate(float(wj.sum()), 0.0, mc_samples, rng.seed)
+        return MCEstimate(float(wj.sum()), 0.0, mc_samples)
 
     vals = _abs_minors(sample.principal, k, mc_samples, rng.generator())
     node_mean = vals.mean(axis=1)
     node_var = vals.var(axis=1, ddof=1) if mc_samples > 1 else np.zeros(len(wj))
     total = float(wj @ node_mean)
     stderr = float(np.sqrt((wj ** 2 @ node_var) / mc_samples))
-    return MCEstimate(total, stderr, mc_samples, rng.seed)
+    return MCEstimate(total, stderr, mc_samples)
 
 
 def min_curvature_radius(sample: SurfaceSample) -> float:

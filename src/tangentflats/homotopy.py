@@ -69,12 +69,12 @@ class TrackerWork:
 
 
 class PathFailureError(RuntimeError):
-    """A solve attempt lost homotopy paths; carries the log, a line per lost
-    path, and the tracker work of the attempt."""
+    """A solve lost homotopy paths on its last attempt; carries the log, a
+    line per lost path."""
 
-    def __init__(self, message, path_log, work=TrackerWork()):
+    def __init__(self, message, path_log):
         super().__init__(message)
-        self.path_log, self.work = path_log, work
+        self.path_log = path_log
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,10 @@ class SolutionSet:
 
     solutions holds the polished endpoints, one per path in path order, with
     residual below tolerance on all m equations, unit-normalized in C^d
-    and pairwise distinct.  real_solutions is the subset that passed the
-    reality test.  Path accounting: tracked + singular + failed = the paths
-    of the start.  work is the tracker work of the attempt.
+    and pairwise distinct, unless failed > 0 paths were lost: path_log then
+    has a line for each.  real_solutions is the subset that passed the
+    reality test.  Path accounting: tracked + singular + failed = paths, the
+    paths of the start.  work is the tracker work of the attempt.
     """
 
     solutions: np.ndarray           # (S, d) complex
@@ -98,6 +99,11 @@ class SolutionSet:
     real_singular: int
     nonisolated: int
     work: TrackerWork = TrackerWork()
+    path_log: tuple = ()
+
+    @property
+    def paths(self) -> int:
+        return self.tracked + self.singular + self.failed
 
     @property
     def real_count(self) -> int:
@@ -116,10 +122,11 @@ class SolutionSet:
 
 
 def _solve_one(forms, rng, start):
-    """A batch of one of _solve_trials that raises its PathFailureError."""
+    """A batch of one of _solve_trials; PathFailureError if it lost paths."""
     result = _solve_trials(forms[None], [rng], start)[0][0]
-    if isinstance(result, PathFailureError):
-        raise result
+    if result.failed:
+        raise PathFailureError(f"{result.failed} of {result.paths} paths lost",
+                               result.path_log)
     return result
 
 
@@ -135,7 +142,7 @@ def _solve_trials(forms, rngs, start):
         work = sum((r.work for r in batch), work + TrackerWork(retries=attempt and len(pending)))
         for i, result in zip(pending, batch):
             results[i] = result
-        pending = [i for i in pending if isinstance(results[i], PathFailureError)]
+        pending = [i for i in pending if results[i].failed]
         if not pending:
             break
     return results, work
@@ -317,9 +324,9 @@ def _solve_batch(forms, rngs, start) -> list:
     """Solve the systems (T, m, d, d) of T trials together, one stream each,
     from start: a cached pair (M0, p0) of a generic member of the targets'
     family and its regular solutions, shared by every trial, or None for a
-    total-degree start on 2^m paths drawn from each stream.  Returns, per
-    trial, its SolutionSet or the PathFailureError its attempt ended in, the
-    same bit for bit whichever trials share the batch."""
+    total-degree start on 2^m paths drawn from each stream.  Returns the
+    SolutionSet of each trial, the same bit for bit whichever trials share
+    the batch."""
     (T, m, d), gens = forms.shape[:3], [rng.generator() for rng in rngs]
     gam = np.exp(2j * np.pi * np.array([gen.uniform() for gen in gens]))
     if start is not None:       # a cached start, shared by every trial
@@ -365,26 +372,20 @@ def _solve_batch(forms, rngs, start) -> list:
     onto, hit = jumped.argmax(axis=1), jumped.any(axis=1)
     G = G & ~hit
 
-    tracked, singular, nonisolated = (x.reshape(T, -1).sum(axis=1).tolist()
+    tracked, singular, nonisolated = ((x & G.ravel()).reshape(T, -1).sum(axis=1).tolist()
                                       for x in (tracked_clean, near_ok, nonisolated))
-    lost = (paths - G.sum(axis=1)).tolist()
     points, real, borderline, real_singular = _classify(Ms, p, G.ravel())
     results = []
     for k in range(T):
-        if lost[k] > 0:
-            results.append(PathFailureError(
-                f"{lost[k]} of {paths} paths lost",
-                [f"path {i}: jumped onto path {onto[k, i]}'s endpoint" if hit[k, i] else
-                 f"path {i}: stalled at t = {t[k * paths + i]:.12f}, residual "
-                 f"{residuals[k * paths + i]:.3e}" for i in np.flatnonzero(~G[k])],
-                work[k]))
-            continue
         i = slice(k * paths, (k + 1) * paths)
         results.append(SolutionSet(
             p[i], residuals[i], points[i][real[i]], tracked=tracked[k],
-            singular=singular[k], failed=0, nonisolated=nonisolated[k],
-            borderline=int(borderline[i].sum()),
-            real_singular=int(real_singular[i].sum()), work=work[k]))
+            singular=singular[k], failed=paths - tracked[k] - singular[k],
+            nonisolated=nonisolated[k], borderline=int(borderline[i].sum()),
+            real_singular=int(real_singular[i].sum()), work=work[k], path_log=tuple(
+                f"path {j}: jumped onto path {onto[k, j]}'s endpoint" if hit[k, j] else
+                f"path {j}: stalled at t = {t[k * paths + j]:.12f}, residual "
+                f"{residuals[k * paths + j]:.3e}" for j in np.flatnonzero(~G[k]))))
     return results
 
 

@@ -17,7 +17,7 @@ identity, bound check and Steiner tube volume read the profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import atan, pi, sqrt
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -103,7 +103,10 @@ class IntrinsicProfile:
 def compute_profile(body: ConvexBody, grid: QuadratureGrid) -> IntrinsicProfile:
     """Intrinsic volume profile of a convex quadric-backed body.  The polar
     comes first, refusing implicit bodies before any quadrature; the ratios,
-    reach and region volume then come from one surface sample."""
+    reach and region volume then come from one surface sample.  Beyond the
+    curvature bound, the tube of a lifted body K meets that of -K once eps
+    reaches pi/2 - R, R = arctan sqrt(-lam_0 / lam_1) the largest radial root
+    (the angular circumradius of K about its star center)."""
     polar = polar_volume(body, grid)
     sample = surface_sample(body, grid)
     ratios = tangent_volume_ratio_profile(sample)
@@ -111,7 +114,9 @@ def compute_profile(body: ConvexBody, grid: QuadratureGrid) -> IntrinsicProfile:
     if body.kind == "metric_sphere":
         reach, source = pi / 2 - body.radius, "radius"
     else:
-        reach, source = min_curvature_radius(sample), "curvature"
+        lam = body.eigh[0]
+        reach, source = min((min_curvature_radius(sample), "curvature"),
+                            (pi / 2 - atan(sqrt(-lam[0] / lam[1])), "circumradius"))
     return IntrinsicProfile(body, values, ratios, body_volume(sample), polar,
                             reach, {**sample.diagnostics(), "reach_source": source})
 
@@ -159,7 +164,7 @@ def mc_tube_volume(body: ConvexBody, eps: float, samples: int,
     vol_rpn = sphere_volume(n) / 2.0
     mean = vol_rpn * p
     stderr = vol_rpn * np.sqrt(max(p * (1 - p), 0.0) / samples)
-    return MCEstimate(float(mean), float(stderr), samples, rng.seed)
+    return MCEstimate(float(mean), float(stderr), samples)
 
 
 def sum_identity_residual(profile: IntrinsicProfile) -> float:

@@ -30,18 +30,6 @@ PLUCKER_PAIRING = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])).copy()
 PLUCKER_PAIRING.flags.writeable = False
 
 
-def plucker_embed(frames: np.ndarray) -> np.ndarray:
-    """Pluecker coordinates of flats from their frames (..., k+1, n+1): the
-    maximal minors over the lexicographic column subsets, (..., C(n+1, k+1)).
-
-    The reference construction; lines_to_plucker is the fast path for lines.
-    """
-    frames = np.asarray(frames, dtype=float)
-    k_plus_1, n_plus_1 = frames.shape[-2:]
-    return np.stack([np.linalg.det(frames[..., list(cols)])
-                     for cols in plucker_index_pairs(n_plus_1, k_plus_1)], axis=-1)
-
-
 def haar_matrices(n_plus_1: int, count: int, generator: np.random.Generator) -> np.ndarray:
     """Batch of Haar orthogonal matrices, shape (count, n+1, n+1).
 

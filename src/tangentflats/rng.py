@@ -47,12 +47,11 @@ class DegenerateConfigurationError(RuntimeError):
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Monte Carlo estimate with its standard error and provenance."""
+    """Monte Carlo estimate with its standard error and discarded samples."""
 
     mean: float
     stderr: float
     samples: int
-    seed: int
     degenerate: int = 0         # samples discarded
     failed: int = 0             # of those, lost to a numerical failure
     diagnostics: dict = field(default_factory=dict)     # deterministic run counters

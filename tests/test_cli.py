@@ -1,5 +1,6 @@
+import dataclasses
 import json
-from math import pi
+from math import atan, cos, pi, sin
 
 import numpy as np
 import pytest
@@ -320,6 +321,35 @@ def test_intrinsic_report_and_refusal(capsys, tmp_path):
     assert "validity" in err
 
 
+@pytest.mark.parametrize("semiaxes, circumradius, eps",
+                         [("3 3 3", atan(3), 0.3), ("2.5 3 4", atan(4), 0.2)])
+def test_intrinsic_reach_of_a_large_ellipsoid_is_its_circumradius_bound(
+        capsys, tmp_path, semiaxes, circumradius, eps):
+    # the tubes of the lifted body and of its antipode meet at eps = pi/2 - R;
+    # the curvature bound alone (pi/4) let (3, 3, 3) report a tube volume of
+    # 12.09 at eps = 0.5, above the pi^2 of all of RP^3
+    reach, body = pi / 2 - circumradius, ellipsoid_file(tmp_path, semiaxes)
+    code, _, err = run_cli(capsys, "intrinsic", body, "--eps", "0.5")
+    assert code == 3 and f"exceeds the validity estimate {reach:.6g}" in err
+    code, out, _ = run_cli(capsys, "intrinsic", body, "--eps", str(eps))
+    report = json.loads(out)
+    assert report["diagnostics"]["reach_source"] == "circumradius"
+    assert report["results"]["reach_estimate"] == pytest.approx(reach, rel=1e-12)
+    assert report["results"]["tube_volume"] <= pi ** 2
+
+
+def test_intrinsic_tube_of_a_round_ellipsoid_is_the_cap_of_its_metric_sphere(capsys,
+                                                                            tmp_path):
+    # semiaxes (3, 3, 3) bound the metric sphere of radius arctan 3, whose
+    # eps-tube is the cap of radius arctan 3 + eps, of volume 2 pi (r - sin r cos r)
+    r, eps = atan(3), 0.3
+    tubes = [json.loads(run_cli(capsys, "intrinsic", body, "--eps", str(eps))[1])
+             ["results"]["tube_volume"]
+             for body in (ellipsoid_file(tmp_path, "3 3 3"), sphere_file(tmp_path, r))]
+    cap = 2 * pi * (r + eps - sin(r + eps) * cos(r + eps))
+    assert tubes == pytest.approx([cap, cap], rel=1e-12)
+
+
 def test_out_file(capsys, tmp_path):
     body = sphere_file(tmp_path)
     out_path = tmp_path / "report.json"
@@ -462,12 +492,14 @@ def test_intrinsic_refuses_implicit_body(capsys, tmp_path):
 
 def _lose_paths(monkeypatch, offsets):
     """Make every tracker attempt on substream 2^32 + o, o in offsets, lose
-    paths.  A trial's attempts use substreams trial + 2^32 + attempt."""
+    its path 0: one regular path becomes a lost one, with a one-line log.  A
+    trial's attempts use substreams trial + 2^32 + attempt."""
     from tangentflats import homotopy
     solve = homotopy._solve_batch
 
     def losing(forms, rngs, *args):
-        return [homotopy.PathFailureError("1 of 32 paths lost", ["path 0"])
+        return [dataclasses.replace(result, tracked=result.tracked - 1, failed=1,
+                                    path_log=("path 0",))
                 if r.stream_id - (1 << 32) in offsets else result
                 for result, r in zip(solve(forms, rngs, *args), rngs)]
 
@@ -487,9 +519,15 @@ def test_tau_counts_path_failures_apart_from_degenerate(capsys, tmp_path,
     assert report["degenerate_counts"] == {
         "discarded_trials": 1, "path_failure_trials": 1}
     # three trials retried on the second attempt and two on the third; the
-    # lost trial's one-line path log is its one lost path
-    assert (report["diagnostics"]["retries"], report["diagnostics"]["paths_lost"]) == (5, 1)
+    # lost trial's one-line path log is its one lost path.  Retries start from
+    # the 32-path total degree, where 20 sphere paths stall on the excess
+    # component: 17 trials add 12 regular paths, trials 1 and 2 add 12 and 20
+    # singular, and trial 0's last attempt 11, 20 and its lost path
+    diagnostics = report["diagnostics"]
+    assert (diagnostics["retries"], diagnostics["paths_regular"],
+            diagnostics["paths_singular"], diagnostics["paths_lost"]) == (5, 239, 60, 1)
     # both of two trials lost: refused, naming both counts
+    monkeypatch.undo()
     _lose_paths(monkeypatch, {0, 1, 2, 3})
     code, _, err = run_cli(capsys, *argv, "--trials", "2")
     assert code == 3
@@ -907,20 +945,38 @@ def test_every_report_has_the_same_keys_and_reproduces(capsys, tmp_path, argv):
     # each polar axis keeps 4 points, so at any level 2 * 4^11 nodes
     (("omega", "SPHERE12"), "the grid on S^11 needs 8388608 nodes, over 1048576"),
     (("intrinsic", "SPHERE12"), "the grid on S^11 needs 8388608 nodes, over 1048576"),
+    # 2 Gamma((n+1)/2) of the closed-form ratio overflowed from n = 342 (to a
+    # traceback from n = 343), and the matrix of n = 10^6 did not fit in memory
+    (("tau", "--k", "0", "--n", "400", "--delta-source", "exact", *["SPHERE400"] * 400),
+     "{SPHERE400}: need n <= 341, got n = 400"),
+    (("omega", "SPHERE1000000"), "{SPHERE1000000}: need n <= 341, got n = 1000000"),
+    (("tau", "--k", "0", "--n", "342", "--delta-source", "exact", *["SPHERE342"] * 342),
+     "{SPHERE342}: need n <= 341, got n = 342"),
 ], ids=["volumes-k", "volumes-precision", "omega-k", "sweep-body", "sweep-count",
         "sweep-h-integral", "sweep-semialgebraic", "h-integral-n", "tau-k",
         "tau-body-count", "tau-dimensions", "tau-empirical-kind", "omega-grid-nodes",
-        "intrinsic-grid-nodes"])
+        "intrinsic-grid-nodes", "tau-body-dimension", "omega-body-dimension",
+        "tau-first-infinite-ratio"])
 def test_command_refusals_exit_2_with_one_error_line(capsys, tmp_path, argv, message):
-    quartic, sphere4 = tmp_path / "quartic.body", tmp_path / "sphere4.body"
+    quartic = tmp_path / "quartic.body"
     quartic.write_text(IMPLICIT_BODY)
-    sphere4.write_text("kind = metric_sphere\nn = 4\nradius = 0.5\n")
-    sphere12 = tmp_path / "sphere12.body"
-    sphere12.write_text("kind = metric_sphere\nn = 12\nradius = 0.5\n")
-    files = {"SPHERE": sphere_file(tmp_path), "SPHERE4": str(sphere4),
-             "QUARTIC": str(quartic), "SPHERE12": str(sphere12)}
+    files = {"SPHERE": sphere_file(tmp_path), "QUARTIC": str(quartic)}
+    for n in (4, 12, 342, 400, 10 ** 6):
+        body = tmp_path / f"sphere{n}.body"
+        body.write_text(f"kind = metric_sphere\nn = {n}\nradius = 0.5\n")
+        files[f"SPHERE{n}"] = str(body)
     code, out, err = run_cli(capsys, *[files.get(a, a) for a in argv], "--level", "1")
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (2, "", f"error: {message.format(**files)}\n")
+
+
+def test_tau_at_the_largest_body_dimension_reports_finite_ratios(capsys, tmp_path):
+    # n = 341 is the last n whose closed-form sphere ratio is finite
+    body = tmp_path / "sphere341.body"
+    body.write_text("kind = metric_sphere\nn = 341\nradius = 0.5\n")
+    code, out, err = run_cli(capsys, "tau", "--k", "0", "--n", "341", "--delta-source",
+                             "exact", *[str(body)] * 341)
+    assert code == 0, err
+    assert 0 < json.loads(out)["results"]["ratio_340"] < 1e-100
 
 
 # Reports recorded before main took over building and emitting them, with

@@ -157,3 +157,20 @@ def test_the_delta_monte_carlo_imports_nothing_of_the_tracker():
     # shares with tau lives in rng, so delta loads neither tracker module
     imported = imported_modules("schubert.py")
     assert imported and not imported & {"tangency", "homotopy"}, imported
+
+
+def test_lost_paths_are_raised_only_where_one_solve_is_asked_for():
+    # a batch gives one SolutionSet per trial, whose `failed` counts its lost
+    # paths; only the two single-solve entry points raise on it, and no caller
+    # tells results apart by their type
+    built, tested = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            calls = [node for node in ast.walk(top) if isinstance(node, ast.Call)]
+            built += [f"{path.stem}.{getattr(top, 'name', '<module>')}" for node in calls
+                      if ast.unparse(node.func).split(".")[-1] == "PathFailureError"]
+            tested += [f"{path.name}:{node.lineno}" for node in calls
+                       if ast.unparse(node.func) == "isinstance" and len(node.args) == 2
+                       and "PathFailureError" in ast.unparse(node.args[1])]
+    assert sorted(built) == ["homotopy._solve_one", "tangency._solve_once"], built
+    assert not tested, f"isinstance(..., PathFailureError) at {tested}"

@@ -372,7 +372,7 @@ def test_a_large_predictor_error_rejects_the_step_after_one_solve(monkeypatch):
     monkeypatch.setattr(homotopy, "_MAX_PREDICTOR_ERROR", 0.0)
     calls = counted_solves(monkeypatch)
     result = homotopy._solve_batch(ellipsoid_forms()[None], [tf.RngStream(6)], start)[0]
-    assert isinstance(result, tf.PathFailureError)
+    assert (result.tracked, result.singular, result.failed) == (0, 0, 32)
     assert all(columns == 1 for _, columns in calls)
     work = result.work
     assert work.rejected_steps == work.path_steps > 0
@@ -382,13 +382,14 @@ def test_a_large_predictor_error_rejects_the_step_after_one_solve(monkeypatch):
 
 
 def test_each_path_has_its_own_step_budget(monkeypatch):
-    # three steps reach t = 0.1 + 0.15 + 0.225 at most, so every path stalls
+    # three steps reach t = 0.1 + 0.15 + 0.225 at most, so every path stalls;
+    # the cached start is solved before the budget shrinks
+    start = tangency._sphere_start()
     monkeypatch.setattr(homotopy, "_MAX_STEPS", 3)
     forms = tangency._moved_quadrics(main_theorem_spheres(),
                                      haar_matrices(4, 4, tf.RngStream(5).generator()))
-    result = homotopy._solve_batch(forms[None], [tf.RngStream(6)],
-                                   tangency._sphere_start())[0]
-    assert isinstance(result, tf.PathFailureError)
+    result = homotopy._solve_batch(forms[None], [tf.RngStream(6)], start)[0]
+    assert (result.tracked, result.singular, result.failed) == (0, 0, 12)
     assert (result.work.max_path_steps, result.work.path_steps) == (3, 3 * 12)
     assert len(result.path_log) == 12
     assert all("stalled at t = 0." in line for line in result.path_log)
@@ -405,9 +406,33 @@ def test_a_path_that_ends_on_another_paths_endpoint_is_lost(route):
         [random_ellipsoid(gen) for _ in range(4)]
     forms = tangency._moved_quadrics(bodies, haar_matrices(4, 4, gen))
     result = homotopy._solve_batch(forms[None], [tf.RngStream(35)], (M0, starts))[0]
-    assert isinstance(result, tf.PathFailureError)
-    assert str(result) == f"1 of {len(starts)} paths lost"
-    assert result.path_log == ["path 1: jumped onto path 0's endpoint"]
+    assert (result.failed, result.paths) == (1, len(starts))
+    assert result.path_log == ("path 1: jumped onto path 0's endpoint",)
+
+
+def test_a_solve_that_loses_paths_on_every_retry_raises_its_last_log(monkeypatch):
+    # three steps a path stall every path of every attempt; the retries start
+    # from the total degree, so the last attempt has 32 paths on either route
+    tangency._quadric_start(), tangency._sphere_start()
+    monkeypatch.setattr(homotopy, "_MAX_STEPS", 3)
+    attempts, solve_batch = [], homotopy._solve_batch
+    monkeypatch.setattr(homotopy, "_solve_batch",
+                        lambda *args: attempts.append(1) or solve_batch(*args))
+    gen = tf.RngStream(36).generator()
+    ellipsoids = [random_ellipsoid(gen) for _ in range(4)]
+    gs = haar_matrices(4, 4, gen)
+    for solve in (lambda: tf.solve_tangency_system(moved_quadrics(ellipsoids, tf.RngStream(37)),
+                                                   tf.RngStream(38)),
+                  lambda: tf.count_real_tangent_lines(main_theorem_spheres(), gs,
+                                                      tf.RngStream(39))):
+        with pytest.raises(tf.PathFailureError) as exc:
+            solve()
+        assert len(attempts) == homotopy._RETRIES + 1
+        attempts.clear()
+        assert str(exc.value) == "32 of 32 paths lost"
+        assert [line.split(":")[0] for line in exc.value.path_log] == \
+            [f"path {i}" for i in range(32)]
+        assert all("stalled at t = 0." in line for line in exc.value.path_log)
 
 
 @st.composite
