@@ -18,7 +18,7 @@ quadrics = []
 for _ in range(4):
     A = gen.standard_normal((4, 4))
     quadrics.append(tf.tangency_quadric_of(0.5 * (A + A.T)))
-sols = tf.solve_tangency_system(quadrics, tf.RngStream(1))
+[sols] = tf.solve_tangency_system([quadrics], [tf.RngStream(1)])
 print(f"  tracked {sols.tracked}, singular {sols.singular}, failed {sols.failed}")
 print(f"  finite solutions: {len(sols.solutions)}")
 print(f"  worst residual: {sols.residuals.max():.2e}")
@@ -29,26 +29,27 @@ bodies = [tf.metric_sphere(3, np.pi / 4)] * 4
 gs = haar_matrices(4, 4, gen)
 qs = [tf.tangency_quadric_of(g @ b.defining_matrix() @ g.T)
       for b, g in zip(bodies, gs)]
-sols = tf.solve_tangency_system(qs, tf.RngStream(2))
+[sols] = tf.solve_tangency_system([qs], [tf.RngStream(2)])
 print(f"  tracked {sols.tracked} (the isolated solutions), singular "
       f"{sols.singular} (the excess complex family)")
 print(f"  real tangent lines this draw: {sols.real_count}")
 
+# every solve is a batch: one call tracks the 25 draws together, one stream
+# and one SolutionSet per draw
 print("\nreal counts over 25 random rotations of the four spheres:")
-counts = []
-for trial in range(25):
-    gs = haar_matrices(4, 4, gen)
-    counts.append(tf.count_real_tangent_lines(bodies, gs, tf.RngStream(3, trial)))
+gs = np.array([haar_matrices(4, 4, gen) for _ in range(25)])
+solves = tf.count_real_tangent_lines(bodies, gs, [tf.RngStream(3, t) for t in range(25)])
+counts = [sols.real_count for sols in solves]
 print(f"  {counts}")
 print(f"  all even; mean {np.mean(counts):.2f}"
       f"  (the product formula predicts {1.7262 * (4 / np.pi) ** 4:.3f})")
 
 print("\nfour affine unit spheres never exceed 12 real common tangents:")
-mx = 0
+draws, gs = [], []
 for trial in range(25):
-    bodies = [tf.affine_sphere(3, gen.standard_normal(3), gen.uniform(0.3, 1.0))
-              for _ in range(4)]
-    c = tf.count_real_tangent_lines(bodies, haar_matrices(4, 4, gen),
-                                    tf.RngStream(4, trial))
-    mx = max(mx, c)
-print(f"  max over 25 draws: {mx}")
+    draws.append([tf.affine_sphere(3, gen.standard_normal(3), gen.uniform(0.3, 1.0))
+                  for _ in range(4)])
+    gs.append(haar_matrices(4, 4, gen))
+solves = tf.count_real_tangent_lines(draws, np.array(gs),
+                                     [tf.RngStream(4, t) for t in range(25)])
+print(f"  max over 25 draws: {max(sols.real_count for sols in solves)}")

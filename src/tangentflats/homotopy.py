@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,8 +69,9 @@ class TrackerWork:
 
 
 class PathFailureError(RuntimeError):
-    """A solve lost homotopy paths on its last attempt; carries the log, a
-    line per lost path."""
+    """A single solve attempt lost homotopy paths; carries the log, a line
+    per lost path.  Only tangency._solve_once raises it: every batch entry
+    point returns failed > 0 instead."""
 
     def __init__(self, message, path_log):
         super().__init__(message)
@@ -86,7 +87,8 @@ class SolutionSet:
     and pairwise distinct, unless failed > 0 paths were lost: path_log then
     has a line for each.  real_solutions is the subset that passed the
     reality test.  Path accounting: tracked + singular + failed = paths, the
-    paths of the start.  work is the tracker work of the attempt.
+    paths of the start.  work is the tracker work of all of this trial's
+    attempts, with retries = attempts - 1.
     """
 
     solutions: np.ndarray           # (S, d) complex
@@ -121,31 +123,23 @@ class SolutionSet:
         return any((self.borderline, self.real_singular, self.nonisolated))
 
 
-def _solve_one(forms, rng, start):
-    """A batch of one of _solve_trials; PathFailureError if it lost paths."""
-    result = _solve_trials(forms[None], [rng], start)[0][0]
-    if result.failed:
-        raise PathFailureError(f"{result.failed} of {result.paths} paths lost",
-                               result.path_log)
-    return result
-
-
 def _solve_trials(forms, rngs, start):
     """_solve_batch with retries: trials whose attempt loses paths go into a
     later batch with the next substream, from a total-degree start.  Returns
-    the results and the tracker work of every attempt."""
-    results, pending, work = [None] * len(rngs), list(range(len(rngs))), TrackerWork()
+    one SolutionSet per trial, of its last attempt, whose work sums all of
+    that trial's attempts (retries = attempts - 1)."""
+    results, pending = [None] * len(rngs), list(range(len(rngs)))
     for attempt in range(_RETRIES + 1):
         batch = _solve_batch(forms[pending],
                              [rngs[i].substream(attempt) for i in pending],
                              None if attempt else start)
-        work = sum((r.work for r in batch), work + TrackerWork(retries=attempt and len(pending)))
         for i, result in zip(pending, batch):
-            results[i] = result
+            results[i] = result if not attempt else replace(
+                result, work=results[i].work + result.work + TrackerWork(retries=1))
         pending = [i for i in pending if results[i].failed]
         if not pending:
             break
-    return results, work
+    return results
 
 
 def _homotopy(M0, M1, gam, p, t):
@@ -163,10 +157,11 @@ def _regular_start(forms, count, seed):
     """The system forms (m, d, d) and its count regular solutions (count, d):
     the endpoints of full bordered rank of its total-degree solve at the
     given seed, checked; both read-only, since every caller shares them."""
-    p = _solve_one(forms, RngStream(seed, 1), None).solutions
+    result = _solve_trials(forms[None], [RngStream(seed, 1)], None)[0]
+    p = result.solutions
     F, J = _target(np.broadcast_to(forms, (len(p),) + forms.shape), p)
     regular = _full_rank(J, p)
-    if regular.sum() != count or np.abs(F[regular]).max() > 1e-12:
+    if result.failed or regular.sum() != count or np.abs(F[regular]).max() > 1e-12:
         raise RuntimeError("a cached start system is not regular")
     p = p[regular]
     forms.flags.writeable = p.flags.writeable = False

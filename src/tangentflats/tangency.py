@@ -19,6 +19,10 @@ per process on first use, to the normalized target forms M1.
   forms.  A generic member has 12 isolated solutions (Macdonald, Pach and
   Theobald, 2001); the other 20 total-degree paths end on the lines in the
   absolute quadric x.x = 0, which solve every member, and are not tracked.
+
+A single system is a batch of one: both entry points take T systems or
+rotation 4-tuples, a stream each, and return a SolutionSet per trial.  A
+call's memory grows with T x paths, so the empirical average counts a chunk a call.
 """
 from __future__ import annotations
 
@@ -81,16 +85,14 @@ def _normalize_forms(forms) -> np.ndarray:
     return np.concatenate([forms / np.sqrt(sq), pairing], axis=-3)
 
 
-def solve_tangency_system(quadrics, rng: RngStream) -> homotopy.SolutionSet:
-    """Track all 32 paths for four tangency forms (4, 6, 6) plus the
-    Pluecker quadric, from the cached generic start, and classify the
-    endpoints.  A solve that loses paths is retried from a total-degree start
-    with a fresh path-rotation constant, both derived from the stream; once
-    the retry budget is exhausted PathFailureError carries the per-path log.
-    """
-    if len(quadrics) != 4:
-        raise ValueError("need exactly four tangency quadrics")
-    return homotopy._solve_one(_normalize_forms(quadrics), rng, _quadric_start())
+def solve_tangency_system(quadrics, rngs) -> list:
+    """One SolutionSet per system of four tangency forms (T, 4, 6, 6) and the
+    Pluecker quadric, one stream each: 32 paths from the cached generic start,
+    and a retry from a total-degree start drawn from the stream for a solve
+    that loses paths (failed > 0, with a per-path log, after the last)."""
+    if np.shape(quadrics)[1:] != (4, 6, 6) or len(rngs) != len(quadrics):
+        raise ValueError("need tangency forms (T, 4, 6, 6) and one stream per system")
+    return homotopy._solve_trials(_normalize_forms(quadrics), rngs, _quadric_start())
 
 
 @functools.cache
@@ -119,32 +121,33 @@ def _quadric_start():
 
 def _moved_quadrics(bodies, rotations) -> np.ndarray:
     """Normalized target systems (..., 5, 6, 6) of the moved bodies g X for
-    rotations (..., 4, 4, 4): the tangency forms of g A g^T (membership:
-    x in gX iff g^T x in X) and the Pluecker quadric."""
-    g = np.asarray(rotations, dtype=float)
-    if len(bodies) != 4 or g.shape[-3:] != (4, 4, 4):
+    bodies (4,) or (T, 4) and rotations (..., 4, 4, 4), broadcast against
+    each other: the tangency forms of g A g^T (membership: x in gX iff
+    g^T x in X) and the Pluecker quadric."""
+    g, B = np.asarray(rotations, dtype=float), np.array(bodies, dtype=object)
+    if B.shape[-1:] != (4,) or g.shape[-3:] != (4, 4, 4):
         raise ValueError("need four bodies and four rotations")
-    A = np.array([body.defining_matrix() for body in bodies])
+    A = np.array([body.defining_matrix() for body in B.flat]).reshape(B.shape + (4, 4))
     return _normalize_forms(tangency_quadric_of(g @ A @ np.swapaxes(g, -1, -2)))
 
 
 def _start(bodies):
-    """The cached start of the bodies' family: the 12-path sphere start if all
-    are metric spheres, whose moved systems lie in the sphere family (g A g^T =
-    I - w w^T, w = sec(r) g e_0, up to scale), else the 32-path generic one."""
-    spheres = all(body.kind == "metric_sphere" for body in bodies)
+    """The cached start of the bodies' family: the 12-path sphere start if every
+    body is a metric sphere, whose moved systems lie in the sphere family (g A
+    g^T = I - w w^T, w = sec(r) g e_0, up to scale), else the 32-path one."""
+    spheres = all(body.kind == "metric_sphere" for body in np.ravel(bodies))
     return _sphere_start() if spheres else _quadric_start()
 
 
-def count_real_tangent_lines(bodies, rotations, rng: RngStream) -> int:
-    """Number of real lines tangent to four rotated quadric bodies in RP^3;
-    raises DegenerateConfigurationError for non-isolated or borderline draws."""
-    sols = homotopy._solve_one(_moved_quadrics(bodies, rotations), rng, _start(bodies))
-    if sols.degenerate:
-        raise DegenerateConfigurationError(
-            f"borderline reality: {sols.borderline}, singular real solutions: "
-            f"{sols.real_singular}, non-isolated endpoints: {sols.nonisolated}")
-    return sols.real_count
+def count_real_tangent_lines(bodies, rotations, rngs) -> list:
+    """One SolutionSet per draw of four quadric bodies, one set for every draw
+    or (T, 4), under rotation 4-tuples (T, 4, 4, 4), one stream each: its
+    real_count is the draw's number of real tangent lines unless it is
+    degenerate or lost paths (failed > 0)."""
+    g = np.asarray(rotations, dtype=float)
+    if g.ndim != 4 or np.shape(bodies)[:-1] not in ((), g.shape[:1]) or len(rngs) != len(g):
+        raise ValueError("need rotations (T, 4, 4, 4), bodies (4,) or (T, 4), T streams")
+    return homotopy._solve_trials(_moved_quadrics(bodies, g), rngs, _start(bodies))
 
 
 def _count_chunk(args):
@@ -156,11 +159,11 @@ def _count_chunk(args):
     bodies, seed, trials = args
     streams = [RngStream(seed, trial) for trial in trials]
     gs = np.array([haar_matrices(4, 4, s.generator()) for s in streams])
-    results, work = homotopy._solve_trials(
-        _moved_quadrics(bodies, gs), [s.substream(1 << 32) for s in streams], _start(bodies))
+    results = count_real_tangent_lines(bodies, gs, [s.substream(1 << 32) for s in streams])
     log = next(([f"trial {t}: {r.failed} of {r.paths} paths lost", *r.path_log]
                 for t, r in zip(trials, results) if r.failed), [])
     paths = np.array([(r.tracked, r.singular, r.failed) for r in results]).sum(axis=0)
+    work = sum((r.work for r in results), homotopy.TrackerWork())
     return [_PATHS_LOST if r.failed else _DEGENERATE if r.degenerate else r.real_count
             for r in results], log, work, paths
 

@@ -85,16 +85,18 @@ def test_criterion_3_main_theorem_empirical():
 
 def test_criterion_4_complex_count():
     gen = tf.RngStream(SEED, 400).generator()
+    quadrics = []
+    for trial in range(100):
+        for _ in range(4):
+            A = gen.standard_normal((4, 4))
+            quadrics.append(tf.tangency_quadric_of(0.5 * (A + A.T)))
+    solves = tf.solve_tangency_system(np.reshape(quadrics, (100, 4, 6, 6)),
+                                      [tf.RngStream(SEED, 401 + trial) for trial in range(100)])
     clean32 = 0
     all_accounted = True
     residual_ok = True
     parity_ok = True
-    for trial in range(100):
-        quadrics = []
-        for _ in range(4):
-            A = gen.standard_normal((4, 4))
-            quadrics.append(tf.tangency_quadric_of(0.5 * (A + A.T)))
-        sols = tf.solve_tangency_system(quadrics, tf.RngStream(SEED, 401 + trial))
+    for sols in solves:
         all_accounted &= (sols.tracked + sols.singular + sols.failed == 32)
         if len(sols.solutions) == 32 and sols.residuals.max() < 1e-10:
             clean32 += 1
@@ -109,18 +111,16 @@ def test_criterion_4_complex_count():
 
 def test_criterion_5_affine_sphere_bound():
     gen = tf.RngStream(SEED, 500).generator()
-    max_count = 0
-    degenerate = 0
+    bodies, gs = [], []
     for trial in range(200):
-        bodies = [tf.affine_sphere(3, gen.standard_normal(3),
-                                   gen.uniform(0.2, 1.2)) for _ in range(4)]
-        try:
-            count = tf.count_real_tangent_lines(
-                bodies, haar_matrices(4, 4, gen), tf.RngStream(SEED, 501 + trial))
-        except (tf.DegenerateConfigurationError, tf.PathFailureError):
-            degenerate += 1
-            continue
-        max_count = max(max_count, count)
+        bodies.append([tf.affine_sphere(3, gen.standard_normal(3),
+                                        gen.uniform(0.2, 1.2)) for _ in range(4)])
+        gs.append(haar_matrices(4, 4, gen))
+    solves = tf.count_real_tangent_lines(
+        bodies, np.array(gs), [tf.RngStream(SEED, 501 + trial) for trial in range(200)])
+    degenerate = sum(bool(r.degenerate or r.failed) for r in solves)
+    max_count = max((r.real_count for r in solves if not (r.degenerate or r.failed)),
+                    default=0)
     ok = max_count <= 12 and degenerate <= 10
     assert _report(5, ok,
                    f"affine spheres over 200 draws: max real count {max_count} "

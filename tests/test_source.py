@@ -159,10 +159,10 @@ def test_the_delta_monte_carlo_imports_nothing_of_the_tracker():
     assert imported and not imported & {"tangency", "homotopy"}, imported
 
 
-def test_lost_paths_are_raised_only_where_one_solve_is_asked_for():
-    # a batch gives one SolutionSet per trial, whose `failed` counts its lost
-    # paths; only the two single-solve entry points raise on it, and no caller
-    # tells results apart by their type
+def test_lost_paths_are_raised_only_by_the_single_attempt_hook():
+    # every solve gives one SolutionSet per trial, whose `failed` counts its
+    # lost paths; only tangency._solve_once, one attempt for perfbench's
+    # tracer, raises on it, and no caller tells results apart by their type
     built, tested = [], []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -172,5 +172,5 @@ def test_lost_paths_are_raised_only_where_one_solve_is_asked_for():
             tested += [f"{path.name}:{node.lineno}" for node in calls
                        if ast.unparse(node.func) == "isinstance" and len(node.args) == 2
                        and "PathFailureError" in ast.unparse(node.args[1])]
-    assert sorted(built) == ["homotopy._solve_one", "tangency._solve_once"], built
+    assert built == ["tangency._solve_once"], built
     assert not tested, f"isinstance(..., PathFailureError) at {tested}"

@@ -179,9 +179,9 @@ def test_homotopy_is_the_straight_line_with_its_t_derivative(start):
 
 def test_solver_generic_quadrics():
     gen = tf.RngStream(2).generator()
-    for trial in range(5):
-        quadrics = [tf.tangency_quadric_of(random_symmetric(gen)) for _ in range(4)]
-        sols = tf.solve_tangency_system(quadrics, tf.RngStream(50, trial))
+    quadrics = [[tf.tangency_quadric_of(random_symmetric(gen)) for _ in range(4)]
+                for _ in range(5)]
+    for sols in tf.solve_tangency_system(quadrics, [tf.RngStream(50, k) for k in range(5)]):
         assert sols.tracked + sols.singular + sols.failed == 32
         assert len(sols.solutions) == 32
         assert sols.residuals.max() < 1e-10
@@ -196,8 +196,8 @@ def test_solver_generic_quadrics():
 def test_solver_deterministic():
     gen = tf.RngStream(3).generator()
     quadrics = [tf.tangency_quadric_of(random_symmetric(gen)) for _ in range(4)]
-    s1 = tf.solve_tangency_system(quadrics, tf.RngStream(7))
-    s2 = tf.solve_tangency_system(quadrics, tf.RngStream(7))
+    s1, s2 = (tf.solve_tangency_system([quadrics], [tf.RngStream(7)])[0]
+              for _ in range(2))
     assert s1.real_count == s2.real_count
     assert np.array_equal(s1.residuals, s2.residuals)
 
@@ -209,12 +209,9 @@ def test_solver_repeated_quadric_degenerate():
     C = random_symmetric(gen)
     quadrics = [tf.tangency_quadric_of(A), tf.tangency_quadric_of(A),
                 tf.tangency_quadric_of(B), tf.tangency_quadric_of(C)]
-    try:
-        sols = tf.solve_tangency_system(quadrics, tf.RngStream(8))
-        assert sols.degenerate
-        assert sols.nonisolated > 0
-    except tf.PathFailureError:
-        pass                                   # an acceptable diagnosis too
+    sols = tf.solve_tangency_system([quadrics], [tf.RngStream(8)])[0]
+    # non-isolated endpoints, or lost paths: an acceptable diagnosis too
+    assert (sols.degenerate and sols.nonisolated > 0) or sols.failed
 
 
 def test_count_real_tangent_lines_common_rotation_equivariance():
@@ -222,30 +219,69 @@ def test_count_real_tangent_lines_common_rotation_equivariance():
     bodies = [tf.metric_sphere(3, 0.6), tf.ellipsoid(3, [1.2, 0.9, 0.7]),
               tf.affine_sphere(3, [0.2, -0.1, 0.3], 0.5),
               tf.metric_sphere(3, 1.0)]
+    gs, hs = [], []
     for trial in range(3):
-        gs = haar_matrices(4, 4, gen)
-        h = haar_matrices(4, 1, gen)[0]
-        c1 = tf.count_real_tangent_lines(bodies, gs, tf.RngStream(60, trial))
-        c2 = tf.count_real_tangent_lines(bodies, [h @ g for g in gs],
-                                         tf.RngStream(60, trial))
-        assert c1 == c2
-        assert c1 % 2 == 0
+        gs.append(haar_matrices(4, 4, gen))
+        hs.append(haar_matrices(4, 1, gen)[0])
+    gs = np.array(gs)
+    rngs = [tf.RngStream(60, trial) for trial in range(3)]
+    for r1, r2 in zip(tf.count_real_tangent_lines(bodies, gs, rngs),
+                      tf.count_real_tangent_lines(bodies, np.array(hs)[:, None] @ gs, rngs)):
+        assert not (r1.degenerate or r1.failed or r2.degenerate or r2.failed)
+        assert r1.real_count == r2.real_count
+        assert r1.real_count % 2 == 0
 
 
 def test_affine_sphere_real_bound_small():
     gen = tf.RngStream(6).generator()
-    hit_degenerate = 0
+    bodies, gs = [], []
     for trial in range(15):
-        bodies = [tf.affine_sphere(3, gen.standard_normal(3), gen.uniform(0.2, 1.2))
-                  for _ in range(4)]
-        try:
-            count = tf.count_real_tangent_lines(
-                bodies, haar_matrices(4, 4, gen), tf.RngStream(70, trial))
-        except tf.DegenerateConfigurationError:
+        bodies.append([tf.affine_sphere(3, gen.standard_normal(3), gen.uniform(0.2, 1.2))
+                       for _ in range(4)])
+        gs.append(haar_matrices(4, 4, gen))
+    hit_degenerate = 0
+    for sols in tf.count_real_tangent_lines(bodies, np.array(gs),
+                                            [tf.RngStream(70, trial) for trial in range(15)]):
+        assert not sols.failed
+        if sols.degenerate:
             hit_degenerate += 1
             continue
-        assert count <= 12 and count % 2 == 0
+        assert sols.real_count <= 12 and sols.real_count % 2 == 0
     assert hit_degenerate <= 2
+
+
+def test_each_draw_may_have_its_own_bodies():
+    # a (T, 4) stack of bodies gives every draw the SolutionSet it has alone
+    gen = tf.RngStream(71).generator()
+    bodies = [[tf.affine_sphere(3, gen.standard_normal(3), gen.uniform(0.2, 1.2))
+               for _ in range(4)] for _ in range(3)]
+    gs = np.array([haar_matrices(4, 4, gen) for _ in range(3)])
+    rngs = [tf.RngStream(72, k) for k in range(3)]
+    for k, together in enumerate(tf.count_real_tangent_lines(bodies, gs, rngs)):
+        [alone] = tf.count_real_tangent_lines(bodies[k], gs[k:k + 1], rngs[k:k + 1])
+        for name in ("solutions", "residuals", "real_solutions"):
+            assert np.array_equal(getattr(together, name), getattr(alone, name)), name
+        for name in ("tracked", "singular", "failed", "borderline", "real_singular",
+                     "nonisolated", "work", "path_log"):
+            assert getattr(together, name) == getattr(alone, name), name
+    # one draw that mixes metric spheres with another body puts every draw on
+    # the 32-path start, where four metric spheres stall 20 paths
+    spheres = main_theorem_spheres()
+    mixed = tf.count_real_tangent_lines([spheres, spheres[:3] + bodies[0][:1]], gs[:2],
+                                        rngs[:2])
+    assert (mixed[0].tracked, mixed[0].singular, mixed[0].paths) == (12, 20, 32)
+    assert mixed[1].paths == 32
+    [alone] = tf.count_real_tangent_lines(spheres, gs[:1], rngs[:1])
+    assert (alone.tracked, alone.singular, alone.paths) == (12, 0, 12)
+    refused = [(spheres, gs[0], rngs[:1]),                  # one unstacked 4-tuple
+               (bodies[:2], gs, rngs),                      # two sets for three draws
+               ([row[:3] for row in bodies], gs, rngs),     # three bodies a draw
+               (spheres, gs, rngs[:2])]                     # two streams for three draws
+    for args in refused:
+        with pytest.raises(ValueError):
+            tf.count_real_tangent_lines(*args)
+    with pytest.raises(ValueError):                         # one unstacked system
+        tf.solve_tangency_system(moved_quadrics(spheres, rngs[0]), rngs[:1])
 
 
 def test_tau_empirical_deterministic_and_parallel():
@@ -410,7 +446,7 @@ def test_a_path_that_ends_on_another_paths_endpoint_is_lost(route):
     assert result.path_log == ("path 1: jumped onto path 0's endpoint",)
 
 
-def test_a_solve_that_loses_paths_on_every_retry_raises_its_last_log(monkeypatch):
+def test_a_solve_that_loses_paths_on_every_retry_returns_its_last_log(monkeypatch):
     # three steps a path stall every path of every attempt; the retries start
     # from the total degree, so the last attempt has 32 paths on either route
     tangency._quadric_start(), tangency._sphere_start()
@@ -420,19 +456,19 @@ def test_a_solve_that_loses_paths_on_every_retry_raises_its_last_log(monkeypatch
                         lambda *args: attempts.append(1) or solve_batch(*args))
     gen = tf.RngStream(36).generator()
     ellipsoids = [random_ellipsoid(gen) for _ in range(4)]
-    gs = haar_matrices(4, 4, gen)
-    for solve in (lambda: tf.solve_tangency_system(moved_quadrics(ellipsoids, tf.RngStream(37)),
-                                                   tf.RngStream(38)),
+    gs = haar_matrices(4, 4, gen)[None]
+    for solve in (lambda: tf.solve_tangency_system(
+                      [moved_quadrics(ellipsoids, tf.RngStream(37))], [tf.RngStream(38)]),
                   lambda: tf.count_real_tangent_lines(main_theorem_spheres(), gs,
-                                                      tf.RngStream(39))):
-        with pytest.raises(tf.PathFailureError) as exc:
-            solve()
+                                                      [tf.RngStream(39)])):
+        [result] = solve()
         assert len(attempts) == homotopy._RETRIES + 1
         attempts.clear()
-        assert str(exc.value) == "32 of 32 paths lost"
-        assert [line.split(":")[0] for line in exc.value.path_log] == \
+        assert (result.failed, result.paths) == (32, 32)
+        assert result.work.retries == homotopy._RETRIES
+        assert [line.split(":")[0] for line in result.path_log] == \
             [f"path {i}" for i in range(32)]
-        assert all("stalled at t = 0." in line for line in exc.value.path_log)
+        assert all("stalled at t = 0." in line for line in result.path_log)
 
 
 @st.composite
@@ -545,20 +581,29 @@ def test_quadric_start_data():
     assert np.array_equal(again[0], G) and np.array_equal(again[1], starts)
 
 
+def moved_systems(bodies, seed, trials):
+    """Tangency forms (trials, 4, 6, 6) of the bodies moved by the rotations
+    of RngStream(seed, trial), and the streams that tau gives those trials."""
+    streams = [tf.RngStream(seed, trial) for trial in range(trials)]
+    return (np.array([moved_quadrics(bodies, stream) for stream in streams]),
+            [stream.substream(1 << 32) for stream in streams])
+
+
+def sphere_route(quadrics, rngs):
+    """The 12-path sphere route, with its retries, on tangency forms (T, 4, 6, 6)."""
+    return homotopy._solve_trials(tangency._normalize_forms(quadrics), rngs,
+                                  tangency._sphere_start())
+
+
 def test_main_theorem_spheres_have_twelve_isolated_solutions():
     # four spheres have at most 12 common tangent lines (Macdonald, Pach and
     # Theobald); the other 20 paths stall on the excess component at infinity
-    bodies = main_theorem_spheres()
-    for trial in range(12):
-        stream = tf.RngStream(21, trial)
-        sols = tf.solve_tangency_system(moved_quadrics(bodies, stream),
-                                        stream.substream(1 << 32))
+    quadrics, rngs = moved_systems(main_theorem_spheres(), 21, 12)
+    for sols, spheres in zip(tf.solve_tangency_system(quadrics, rngs),
+                             sphere_route(quadrics, rngs)):
         assert (sols.tracked, sols.singular, sols.failed) == (12, 20, 0)
         assert sols.real_count <= 12
         # the sphere route tracks the 12 isolated solutions alone
-        spheres = homotopy._solve_one(tangency._normalize_forms(
-            moved_quadrics(bodies, stream)), stream.substream(1 << 32),
-            tangency._sphere_start())
         assert (spheres.tracked, spheres.singular, spheres.failed) == (12, 0, 0)
         assert spheres.real_count == sols.real_count
 
@@ -568,13 +613,9 @@ def test_main_theorem_spheres_have_twelve_isolated_solutions():
 def test_sphere_route_matches_the_32_path_route_at_extreme_radii(radii):
     # the 12-path route and the 32-path solve count the same real lines,
     # beyond the main theorem's radii too
-    bodies = [tf.metric_sphere(3, r) for r in radii]
-    for trial in range(4):
-        stream = tf.RngStream(22, trial)
-        quadrics = moved_quadrics(bodies, stream)
-        sols = tf.solve_tangency_system(quadrics, stream.substream(1 << 32))
-        spheres = homotopy._solve_one(tangency._normalize_forms(quadrics),
-                                      stream.substream(1 << 32), tangency._sphere_start())
+    quadrics, rngs = moved_systems([tf.metric_sphere(3, r) for r in radii], 22, 4)
+    for sols, spheres in zip(tf.solve_tangency_system(quadrics, rngs),
+                             sphere_route(quadrics, rngs)):
         assert (spheres.tracked, spheres.singular, spheres.failed) == (12, 0, 0)
         assert sols.tracked == 12 and not sols.degenerate and not spheres.degenerate
         assert spheres.real_count == sols.real_count
@@ -585,17 +626,13 @@ def test_sphere_draws_track_every_path_from_the_generic_start():
     # its 12 isolated solutions and stalls 20 paths on the excess component
     # inside the endgame window on the first attempt (draws 3 and 11 lost
     # paths just outside it with a fixed three-step corrector)
-    bodies = main_theorem_spheres()
-    counts = []
-    for trial in range(12):
-        stream = tf.RngStream(21, trial)
-        rng = stream.substream(1 << 32)
-        forms = tangency._normalize_forms(moved_quadrics(bodies, stream))
-        first = homotopy._solve_batch(forms[None], [rng.substream(0)],
-                                      tangency._quadric_start())[0]
+    quadrics, rngs = moved_systems(main_theorem_spheres(), 21, 12)
+    firsts = homotopy._solve_batch(tangency._normalize_forms(quadrics),
+                                   [rng.substream(0) for rng in rngs], tangency._quadric_start())
+    for trial, first in enumerate(firsts):
         assert (first.tracked, first.singular, first.failed) == (12, 20, 0), trial
-        counts.append(first.real_count)     # solve_tangency_system's, with no retry
-    assert counts == [0, 4, 4, 4, 4, 4, 6, 4, 8, 4, 8, 4]
+    # solve_tangency_system's counts, with no retry
+    assert [first.real_count for first in firsts] == [0, 4, 4, 4, 4, 4, 6, 4, 8, 4, 8, 4]
 
 
 def test_criterion_3_trial_260_has_four_real_lines():
@@ -604,8 +641,8 @@ def test_criterion_3_trial_260_has_four_real_lines():
     bodies = [tf.metric_sphere(3, np.pi / 4)] * 4
     assert tangency._count_chunk((bodies, 20240801, [260]))[:2] == ([4], [])
     stream = tf.RngStream(20240801, 260)
-    sols = tf.solve_tangency_system(moved_quadrics(bodies, stream),
-                                    stream.substream(1 << 32))
+    sols = tf.solve_tangency_system([moved_quadrics(bodies, stream)],
+                                    [stream.substream(1 << 32)])[0]
     assert sols.real_count == 4
 
 
