@@ -14,24 +14,22 @@ after every step (the patch row of the bordered Jacobian is the conjugate of
 the current point).  The paths of several trials are tracked together as
 rows of one array, each with its own t and step.
 
-Every start has the same endgame: a guarded Newton polish, a residual check
-on the target system and a reality test (phase alignment, then a real Newton
-polish), each one array pass over the batch.  Paths that stall just short of
-t = 1 but polish onto the solution set are singular, not lost: they mark a
-positive-dimensional complex component shared by the family's forms (lines
-tangent to four spheres, on 32 paths), with no real solutions.  A path that
-ends on another's endpoint has jumped, and is lost.
+Every start, and tangency's eigenvalue route, has the same endgame: a guarded
+Newton polish, a residual check on the target system and a reality test
+(phase alignment, then a real Newton polish), each one array pass over the
+batch.  Paths that stall just short of t = 1 but polish onto the solution set
+are singular, not lost: they mark a positive-dimensional complex component
+shared by the family's forms (lines tangent to four spheres, on 32 paths),
+with no real solutions.  A path that ends on another's endpoint has jumped.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
-
-from .rng import RngStream
 
 _MAX_STEPS = 4000
 _MAX_DT = 0.25
@@ -47,11 +45,10 @@ _BORDERLINE_RATIO = 1e-4
 
 @dataclass(frozen=True)
 class TrackerWork:
-    """Work of the homotopy tracker over solve attempts: path steps in all
-    and of the longest path, rejected steps, the smallest step tried,
-    attempts retried, and bordered row solves (first tangents, predictor
-    and corrector).  Adding combines them, so the work of a run does not
-    depend on how its trials were split."""
+    """Work of solve attempts: path steps in all and of the longest path,
+    rejected steps, the smallest step tried, attempts retried, bordered row
+    solves, and eigenvalue solves' largest null-space ratio and smallest root
+    separation.  Adding takes sums, maxima or minima: no split moves them."""
 
     path_steps: int = 0
     max_path_steps: int = 0
@@ -59,13 +56,12 @@ class TrackerWork:
     min_dt: float = math.inf
     retries: int = 0
     solves: int = 0
+    null_space_ratio: float = 0.0
+    root_separation: float = math.inf
 
     def __add__(self, other):
-        return TrackerWork(self.path_steps + other.path_steps,
-                           max(self.max_path_steps, other.max_path_steps),
-                           self.rejected_steps + other.rejected_steps,
-                           min(self.min_dt, other.min_dt), self.retries + other.retries,
-                           self.solves + other.solves)
+        return TrackerWork(*(f(pair) for f, *pair in zip(
+            (sum, max, sum, min, sum, sum, max, min), astuple(self), astuple(other))))
 
 
 class PathFailureError(RuntimeError):
@@ -123,16 +119,15 @@ class SolutionSet:
         return any((self.borderline, self.real_singular, self.nonisolated))
 
 
-def _solve_trials(forms, rngs, start):
-    """_solve_batch with retries: trials whose attempt loses paths go into a
-    later batch with the next substream, from a total-degree start.  Returns
-    one SolutionSet per trial, of its last attempt, whose work sums all of
-    that trial's attempts (retries = attempts - 1)."""
+def _solve_trials(forms, rngs, first):
+    """first(forms, streams) with retries: trials whose attempt loses paths go
+    into a later _solve_batch with the next substream, from a total-degree
+    start.  Returns one SolutionSet per trial, of its last attempt, whose
+    work sums all of that trial's attempts (retries = attempts - 1)."""
     results, pending = [None] * len(rngs), list(range(len(rngs)))
     for attempt in range(_RETRIES + 1):
-        batch = _solve_batch(forms[pending],
-                             [rngs[i].substream(attempt) for i in pending],
-                             None if attempt else start)
+        batch = (_solve_batch if attempt else first)(
+            forms[pending], [rngs[i].substream(attempt) for i in pending])
         for i, result in zip(pending, batch):
             results[i] = result if not attempt else replace(
                 result, work=results[i].work + result.work + TrackerWork(retries=1))
@@ -151,21 +146,6 @@ def _homotopy(M0, M1, gam, p, t):
     g, s = (gam * (1 - t))[:, None], t[:, None]
     return (g * G + s * F, 2.0 * (g[..., None] * Y0 + s[..., None] * Y1),
             F - gam[:, None] * G)
-
-
-def _regular_start(forms, count, seed):
-    """The system forms (m, d, d) and its count regular solutions (count, d):
-    the endpoints of full bordered rank of its total-degree solve at the
-    given seed, checked; both read-only, since every caller shares them."""
-    result = _solve_trials(forms[None], [RngStream(seed, 1)], None)[0]
-    p = result.solutions
-    F, J = _target(np.broadcast_to(forms, (len(p),) + forms.shape), p)
-    regular = _full_rank(J, p)
-    if result.failed or regular.sum() != count or np.abs(F[regular]).max() > 1e-12:
-        raise RuntimeError("a cached start system is not regular")
-    p = p[regular]
-    forms.flags.writeable = p.flags.writeable = False
-    return forms, p
 
 
 def _bordered(J, p):
@@ -315,7 +295,7 @@ def _polish(Ms, p):
         p[rows] = p_try[improved]
 
 
-def _solve_batch(forms, rngs, start) -> list:
+def _solve_batch(forms, rngs, start=None) -> list:
     """Solve the systems (T, m, d, d) of T trials together, one stream each,
     from start: a cached pair (M0, p0) of a generic member of the targets'
     family and its regular solutions, shared by every trial, or None for a
@@ -342,8 +322,15 @@ def _solve_batch(forms, rngs, start) -> list:
     work = [TrackerWork(int(n.sum()), int(n.max()), int(r.sum()), float(dt.min()),
                         solves=int(s.sum()))
             for n, r, dt, s in zip(*(x.reshape(T, paths) for x in per_path))]
+    return _endgame(forms, p, t, work)
+
+
+def _endgame(forms, p, t, work) -> list:
+    """The SolutionSets, with the given work, of T trials of the systems forms
+    (T, m, d, d) from their endpoints p (T * paths, d) at t (T * paths,)."""
+    (T, m, d), paths = forms.shape[:3], len(p) // len(forms)
     reached, near = t >= 1.0, (t < 1.0) & (t >= 1.0 - _STALL_T)
-    Ms = forms[owner]
+    Ms = forms[np.repeat(np.arange(T), paths)]
     _polish(Ms, p)
     F, J = _target(Ms, p)
     residuals = np.abs(F).max(axis=1)

@@ -1,24 +1,15 @@
-"""Real lines tangent to four quadrics in RP^3 by homotopy continuation.
+"""Real lines tangent to four quadrics in RP^3.
 
 Tangency of a line to a quadric {x^T A x = 0} is a quadratic condition on
 Pluecker coordinates, given by the second compound matrix of A; together
 with the Pluecker quadric this yields five quadrics in P^5, kept as arrays
-of shape (..., 5, 6, 6) and solved by the tracker of `homotopy`.  Each
-family takes a parameter homotopy (Morgan and Sommese, 1989) from a generic
-complex member M0 of the family, whose regular solutions are solved once
-per process on first use, to the normalized target forms M1.
-
-- General quadrics, 32 paths: M0 is four random complex symmetric forms and
-  the Pluecker quadric.  The total-degree start serves only to solve the
-  cached starts and to retry trials that lost paths, on either route.
-- Four metric spheres, A = I - w w^T with w = sec(r) g e_0, 12 paths: M0 is
-  a member of the family F(X) = C2(I - X) - C2(X), one complex symmetric X
-  per body.  F is affine in X and F(w w^T) = C2(I - w w^T), so every target
-  lies in the family, and as a F(X0) + b F(X1) = (a + b) F((a X0 + b X1) /
-  (a + b)), so does every point of the line, after any rescaling of its
-  forms.  A generic member has 12 isolated solutions (Macdonald, Pach and
-  Theobald, 2001); the other 20 total-degree paths end on the lines in the
-  absolute quadric x.x = 0, which solve every member, and are not tracked.
+of shape (..., 5, 6, 6).  General quadrics take the tracker of `homotopy` on
+32 paths from a generic complex system (Morgan and Sommese, 1989), solved
+once per process on first use.  Four metric spheres take no path: their 12
+tangent lines (Macdonald, Pach and Theobald, 2001) are the rank-2
+projectors P with c^T P c = cos^2 r, roots of quadrics that `_sphere_roots`
+finds as eigenvectors (Stetter, 2004).  Both routes end in the tracker's
+endgame, and retry a trial that lost paths from a total-degree start.
 
 A single system is a batch of one: both entry points take T systems or
 rotation 4-tuples, a stream each, and return a SolutionSet per trial.  A
@@ -37,11 +28,13 @@ from .projective import PLUCKER_PAIRING, haar_matrices, plucker_index_pairs
 from .rng import (MAX_DISCARDED_SHARE, DegenerateConfigurationError, MCEstimate,
                   RngStream, parallel_map)
 
-#: Path rows tracked together: 20 general trials or 53 sphere trials, so a
-#: 20-trial command is one batch and no loop pass runs on a few rows; 1280
+#: Rows solved together: 20 general trials or 53 sphere trials (12 roots), so
+#: a 20-trial command is one batch and no loop pass runs on a few rows; 1280
 #: rows saved no more CPU time, while peak memory grows with the rows.
 _CHUNK_ROWS = 640
-_START_SEED = 1989              # the cached generic start systems and their solves
+_START_SEED = 1989              # the cached generic start, sphere tables and their draws
+_SPHERE_GROUP = 5               # sphere trials a Gram stack holds, 127 KB each
+_MAX_NULL_RATIO, _MIN_ROOT_SEPARATION = 1e-8, 1e-7  # seen: at most 5.4e-13, at least 2.2e-6
 _DEGENERATE, _PATHS_LOST = -1, -2   # per-trial counts of discarded trials
 
 
@@ -92,31 +85,89 @@ def solve_tangency_system(quadrics, rngs) -> list:
     that loses paths (failed > 0, with a per-path log, after the last)."""
     if np.shape(quadrics)[1:] != (4, 6, 6) or len(rngs) != len(quadrics):
         raise ValueError("need tangency forms (T, 4, 6, 6) and one stream per system")
-    return homotopy._solve_trials(_normalize_forms(quadrics), rngs, _quadric_start())
+    return homotopy._solve_trials(_normalize_forms(quadrics), rngs, functools.partial(
+        homotopy._solve_batch, start=_quadric_start()))
 
 
 @functools.cache
-def _sphere_start():
-    """A generic complex member (5, 6, 6) of the sphere family
-    F(X) = C2(I - X) - C2(X), one complex symmetric X per body, and its 12
-    isolated solutions, computed once per process on first use; the other 20
-    total-degree endpoints lie on the lines in x.x = 0."""
-    gen = RngStream(_START_SEED).generator()
-    X = gen.standard_normal((4, 4, 4)) + 1j * gen.standard_normal((4, 4, 4))
-    X = X + X.transpose(0, 2, 1)
-    return homotopy._regular_start(_normalize_forms(
-        second_compound(np.eye(4) - X) - second_compound(X)), 12, _START_SEED)
+def _sphere_tables():
+    """The column among the 126 monomials in t of degree <= 4, by degree, of the
+    product of each of degree <= 3 (56) and <= 2 (21), -1 past 4; a linear
+    form (5,) and a start block (126, 14) for the null space."""
+    mons = sorted((e for e in np.ndindex((5,) * 5) if sum(e) <= 4), key=sum)
+    index, gen = {e: k for k, e in enumerate(mons)}, RngStream(_START_SEED).generator()
+    return (np.array([[index.get(tuple(map(sum, zip(e, f))), -1) for f in mons[:21]]
+                      for e in mons[:56]]), gen.standard_normal(5), gen.standard_normal((126, 14)))
+
+
+def _sphere_roots(ww):
+    """Unit Pluecker rows (T * 12, 6) of the lines tangent to four metric
+    spheres I - w w^T, of w w^T (T, 4, 4, 4), and each trial's null-space
+    ratio and root separation (T,), all per trial."""
+    prod, form, start = _sphere_tables()
+    T, (i, j) = len(ww), np.triu_indices(4)
+    # tangency is w^T P w = 1: by the SVD of that and tr P = 2 in P's upper
+    # entries, P = L_0 + sum_j t_j L_j; and sum_ab t_a t_b W_ab = P^2 - P, t_0 = 1
+    U, s, Vt = np.linalg.svd(np.concatenate([ww[..., i, j] * (2.0 - (i == j)),
+                                             np.broadcast_to(i == j, (T, 1, 10))], axis=1))
+    L = np.zeros((T, 6, 4, 4))
+    L[..., i, j] = L[..., j, i] = np.concatenate(
+        [(np.array([1.0, 1, 1, 1, 2]) @ U / s)[:, None] @ Vt[:, :5], Vt[:, 5:]], axis=1)
+    W = L[:, :, None] @ L[:, None]
+    W[:, 0] -= L
+    coef = np.eye(21)[prod[:6, :6].ravel()].T @ W[..., i, j].reshape(T, 36, 10)
+    # the null space of the Gram matrix of the Macaulay rows (quadric, monomial
+    # mu), not formed, by inverse subspace iteration, shifted, and Rayleigh-Ritz
+    K, G = coef @ coef.transpose(0, 2, 1), np.zeros((T, 126, 126))
+    for c in prod[:21, :21]:
+        G[:, c[:, None], c] += K
+    diagonal, shift = G.reshape(T, -1)[:, ::127], np.trace(G, 0, 1, 2)[:, None] * 1e-13 / 126
+    diagonal += shift
+    X = np.linalg.qr(np.linalg.solve(G, np.linalg.qr(np.linalg.solve(G, start))[0]))[0]
+    diagonal -= shift
+    lam, V = np.linalg.eigh(X.transpose(0, 2, 1) @ G @ X)
+    N = X @ V[..., :12]
+    # eigenvectors c of the form's action matrix give the roots' monomials N c
+    Q, R = np.linalg.qr(N[:, :56])
+    ev, C = np.linalg.eig(np.linalg.solve(R, Q.transpose(0, 2, 1) @ np.einsum(
+        "j,tjsk->tsk", form, N[:, prod[:56, 1:6].T])))
+    v = N @ C
+    # C2(P) = p p^T / (p . p) for a rank-2 projector: p is its largest column
+    C2 = second_compound(L[:, :1] + np.einsum("tjr,tjab->trab", v[:, 1:6] / v[:, :1], L[:, 1:]))
+    p = np.take_along_axis(C2, np.linalg.norm(C2, axis=-2).argmax(-1)[..., None, None], -1)
+    gaps = np.abs(ev[:, :, None] - ev[:, None]) + np.diag(np.full(12, np.inf))
+    return ((p / np.linalg.norm(p, axis=-2, keepdims=True)).reshape(-1, 6),
+            np.abs(lam[:, 11]) / lam[:, 12], gaps.min(axis=(1, 2)) / np.abs(ev).max(axis=1))
+
+
+def _sphere_trials(forms, rngs, bodies, g) -> list:
+    """The sphere route's attempt at the systems forms (T, 5, 6, 6) of the bodies
+    moved by g, in groups of _SPHERE_GROUP trials; rngs go unused.  A flagged
+    trial's roots enter the endgame at t = nan, as lost paths, to be retried."""
+    A = np.reshape([b.defining_matrix() for b in np.ravel(bodies)], np.shape(bodies) + (4, 4))
+    ww, n = np.eye(4) - g @ A @ np.swapaxes(g, -1, -2), _SPHERE_GROUP   # g A g^T = I - w w^T
+    p, ratio, gap = (np.concatenate(x) for x in zip(*(
+        _sphere_roots(ww[k:k + n]) for k in range(0, len(forms), n))))
+    t = np.where((ratio <= _MAX_NULL_RATIO) & (gap >= _MIN_ROOT_SEPARATION), 1.0, np.nan)
+    return homotopy._endgame(forms, p, np.repeat(t, 12), [homotopy.TrackerWork(
+        null_space_ratio=r, root_separation=s) for r, s in zip(ratio.tolist(), gap.tolist())])
 
 
 @functools.cache
 def _quadric_start():
-    """A generic complex system (5, 6, 6), four random complex symmetric
-    forms and the Pluecker quadric, and its 32 regular solutions: the start
-    of every general trial, computed once per process on first use."""
+    """A generic complex system (5, 6, 6), four random complex symmetric forms
+    and the Pluecker quadric, and its 32 solutions, checked regular: the start
+    of every general trial, solved once per process on first use, read-only."""
     gen = RngStream(_START_SEED).generator()
     A = gen.standard_normal((4, 6, 6)) + 1j * gen.standard_normal((4, 6, 6))
-    return homotopy._regular_start(_normalize_forms(A + A.transpose(0, 2, 1)), 32,
-                                   _START_SEED)
+    forms = _normalize_forms(A + A.transpose(0, 2, 1))
+    result = homotopy._solve_batch(forms[None], [RngStream(_START_SEED, 1).substream(0)])[0]
+    p = result.solutions
+    F, J = homotopy._target(np.broadcast_to(forms, (32, 5, 6, 6)), p)
+    if result.failed or not homotopy._full_rank(J, p).all() or np.abs(F).max() > 1e-12:
+        raise RuntimeError("the cached start system is not regular")
+    forms.flags.writeable = p.flags.writeable = False
+    return forms, p
 
 
 def _moved_quadrics(bodies, rotations) -> np.ndarray:
@@ -131,12 +182,9 @@ def _moved_quadrics(bodies, rotations) -> np.ndarray:
     return _normalize_forms(tangency_quadric_of(g @ A @ np.swapaxes(g, -1, -2)))
 
 
-def _start(bodies):
-    """The cached start of the bodies' family: the 12-path sphere start if every
-    body is a metric sphere, whose moved systems lie in the sphere family (g A
-    g^T = I - w w^T, w = sec(r) g e_0, up to scale), else the 32-path one."""
-    spheres = all(body.kind == "metric_sphere" for body in np.ravel(bodies))
-    return _sphere_start() if spheres else _quadric_start()
+def _spheres(bodies) -> bool:
+    """Whether every body is a metric sphere, so the draws take the sphere route."""
+    return all(body.kind == "metric_sphere" for body in np.ravel(bodies))
 
 
 def count_real_tangent_lines(bodies, rotations, rngs) -> list:
@@ -147,7 +195,9 @@ def count_real_tangent_lines(bodies, rotations, rngs) -> list:
     g = np.asarray(rotations, dtype=float)
     if g.ndim != 4 or np.shape(bodies)[:-1] not in ((), g.shape[:1]) or len(rngs) != len(g):
         raise ValueError("need rotations (T, 4, 4, 4), bodies (4,) or (T, 4), T streams")
-    return homotopy._solve_trials(_moved_quadrics(bodies, g), rngs, _start(bodies))
+    first = (functools.partial(_sphere_trials, bodies=bodies, g=g) if _spheres(bodies)
+             else functools.partial(homotopy._solve_batch, start=_quadric_start()))
+    return homotopy._solve_trials(_moved_quadrics(bodies, g), rngs, first)
 
 
 def _count_chunk(args):
@@ -198,7 +248,8 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    size = _CHUNK_ROWS // len(_start(bodies)[1])       # solved before a pool forks
+    spheres = _spheres(bodies)      # the 32-path start is solved before a pool forks
+    size = _CHUNK_ROWS // (12 if spheres else len(_quadric_start()[1]))
     chunks = [((tuple(bodies), seed, range(i, min(i + size, trials))),)
               for i in range(0, trials, size)]
     parts = parallel_map(_count_chunk, chunks, workers)
@@ -215,8 +266,10 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
     mean = float(ok.mean())
     stderr = float(ok.std(ddof=1) / np.sqrt(ok.size)) if ok.size > 1 else 0.0
     regular, singular, lost = sum(p for *_, p in parts).tolist()
-    work = sum((w for *_, w, _ in parts), homotopy.TrackerWork())
+    work = asdict(sum((w for *_, w, _ in parts), homotopy.TrackerWork()))
+    if not spheres:             # the fields of the sphere route's eigenvalue solves
+        del work["null_space_ratio"], work["root_separation"]
     diagnostics = dict(chunks=len(parts), paths_regular=regular, paths_singular=singular,
-                       paths_lost=lost, **asdict(work))
+                       paths_lost=lost, **{k: None if v == np.inf else v for k, v in work.items()})
     return MCEstimate(mean, stderr, int(ok.size), degenerate=degenerate,
                       failed=failed, diagnostics=diagnostics)

@@ -491,19 +491,22 @@ def test_intrinsic_refuses_implicit_body(capsys, tmp_path):
 
 
 def _lose_paths(monkeypatch, offsets):
-    """Make every tracker attempt on substream 2^32 + o, o in offsets, lose
-    its path 0: one regular path becomes a lost one, with a one-line log.  A
-    trial's attempts use substreams trial + 2^32 + attempt."""
-    from tangentflats import homotopy
-    solve = homotopy._solve_batch
+    """Make every attempt on substream 2^32 + o, o in offsets, lose its path
+    0, whether tracked or on the sphere route: one regular path becomes a
+    lost one, with a one-line log.  A trial's attempts use substreams trial +
+    2^32 + attempt."""
+    from tangentflats import homotopy, tangency
 
-    def losing(forms, rngs, *args):
-        return [dataclasses.replace(result, tracked=result.tracked - 1, failed=1,
-                                    path_log=("path 0",))
-                if r.stream_id - (1 << 32) in offsets else result
-                for result, r in zip(solve(forms, rngs, *args), rngs)]
+    def losing(solve):
+        def lose(forms, rngs, *args, **kwargs):
+            return [dataclasses.replace(result, tracked=result.tracked - 1, failed=1,
+                                        path_log=("path 0",))
+                    if r.stream_id - (1 << 32) in offsets else result
+                    for result, r in zip(solve(forms, rngs, *args, **kwargs), rngs)]
+        return lose
 
-    monkeypatch.setattr(homotopy, "_solve_batch", losing)
+    monkeypatch.setattr(homotopy, "_solve_batch", losing(homotopy._solve_batch))
+    monkeypatch.setattr(tangency, "_sphere_trials", losing(tangency._sphere_trials))
 
 
 def test_tau_counts_path_failures_apart_from_degenerate(capsys, tmp_path,
@@ -521,8 +524,9 @@ def test_tau_counts_path_failures_apart_from_degenerate(capsys, tmp_path,
     # three trials retried on the second attempt and two on the third; the
     # lost trial's one-line path log is its one lost path.  Retries start from
     # the 32-path total degree, where 20 sphere paths stall on the excess
-    # component: 17 trials add 12 regular paths, trials 1 and 2 add 12 and 20
-    # singular, and trial 0's last attempt 11, 20 and its lost path
+    # component: 17 trials add the sphere route's 12 regular roots, trials 1
+    # and 2 add 12 and 20 singular, and trial 0's last attempt 11, 20 and its
+    # lost path
     diagnostics = report["diagnostics"]
     assert (diagnostics["retries"], diagnostics["paths_regular"],
             diagnostics["paths_singular"], diagnostics["paths_lost"]) == (5, 239, 60, 1)
@@ -911,8 +915,9 @@ def test_every_report_has_the_same_keys_and_reproduces(capsys, tmp_path, argv):
         assert routes == ["closed_form" if a == files["SPHERE"] else "quadrature"
                           for a in argv[1:5]]
         assert reports[0]["diagnostics"]["nodes"] == 512 * routes.count("quadrature")
-    if empirical:
-        assert set(reports[0]["diagnostics"]) == TAU_DIAGNOSTICS
+    if empirical:       # four spheres: the eigenvalue route's two fields too
+        assert set(reports[0]["diagnostics"]) == TAU_DIAGNOSTICS | {
+            "null_space_ratio", "root_separation"}
         assert reports[0]["diagnostics"]["paths_regular"] == 2 * 12
     if surface:
         assert set(reports[0]["diagnostics"]) == SURFACE_DIAGNOSTICS | (
@@ -1016,27 +1021,49 @@ def test_tau_empirical_ellipsoid_report_matches_recorded_values(capsys, tmp_path
 
 
 # The diagnostics block of 60 trials on the main theorem's spheres, two
-# chunks (53 and 7 trials) on the 12-path route, recorded when the corrector
-# began to stop at convergence.
+# chunks (53 and 7 trials), recorded when the sphere route became one
+# eigenvalue solve a trial: the tracker work is that of retries alone, none
+# here, so min_dt is null.  The route's largest null-space ratio is a
+# rounding error and its smallest root separation moves in the last bits
+# with the BLAS thread count, so they are held to a bound and a tolerance.
 # Chunk totals are combined by sum, max and min, so --workers moves nothing.
 SPHERE_TAU_DIAGNOSTICS = {
     "chunks": 2, "paths_regular": 720, "paths_singular": 0, "paths_lost": 0,
-    "retries": 0, "path_steps": 12416, "max_path_steps": 50, "rejected_steps": 3883,
-    "min_dt": 0.0005939316004514695, "solves": 68420}
+    "retries": 0, "path_steps": 0, "max_path_steps": 0, "rejected_steps": 0,
+    "min_dt": None, "solves": 0}
+SPHERE_ROOT_SEPARATION = 0.0007307879109943775
 
 
 def test_tau_sphere_diagnostics_match_recorded_values_for_any_workers(capsys, tmp_path):
     bodies = [sphere_file(tmp_path, r, f"s{i}.body")
               for i, r in enumerate((pi / 6, pi / 4, pi / 3, pi / 4))]
+    eigen = []
     for workers in ("1", "2"):
         code, out, _ = run_cli(capsys, "tau", *bodies, "--mode", "empirical", "--trials",
                                "60", "--seed", "5", "--workers", workers)
         assert code == 0
-        report = json.loads(out)
-        assert report["diagnostics"] == SPHERE_TAU_DIAGNOSTICS
-        assert report["results"]["average_tangent_count"] == {
+        diagnostics = json.loads(out)["diagnostics"]
+        eigen.append((diagnostics.pop("null_space_ratio"), diagnostics.pop("root_separation")))
+        assert diagnostics == SPHERE_TAU_DIAGNOSTICS
+        assert 0.0 < eigen[-1][0] < 1e-11
+        assert eigen[-1][1] == pytest.approx(SPHERE_ROOT_SEPARATION, rel=1e-9)
+        assert json.loads(out)["results"]["average_tangent_count"] == {
             "degenerate": 0, "mean": 3.1666666666666665, "samples": 60,
             "stderr": 0.25285563048540816}
+    assert eigen[0] == eigen[1]
+
+
+def test_tau_sphere_report_is_strict_json(capsys, tmp_path):
+    # no path is tracked, so the smallest step tried is math.inf, which
+    # json.dumps would print as Infinity; the report holds null instead
+    bodies = [sphere_file(tmp_path, r, f"s{i}.body")
+              for i, r in enumerate((pi / 6, pi / 4, pi / 3, pi / 4))]
+    code, out, _ = run_cli(capsys, "tau", *bodies, "--mode", "empirical", "--trials",
+                           "20", "--seed", "1", "--workers", "1")
+    assert code == 0
+    report = json.loads(out, parse_constant=refuse_constant)
+    assert report["diagnostics"]["min_dt"] is None
+    assert report["diagnostics"]["retries"] == 0
 
 
 def test_omega_h_integral_report_matches_recorded_values(capsys, tmp_path):

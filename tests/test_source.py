@@ -53,14 +53,48 @@ def test_cli_imports_neither_scipy_nor_multiprocessing():
 
 
 def test_cli_import_solves_no_start_system():
-    # the cached start systems are solved on first use, never at import
+    # the cached start system is solved, and the sphere route's index tables
+    # are built, on first use, never at import
     code = ("import tangentflats.cli; from tangentflats import tangency; print("
-            "tangency._sphere_start.cache_info().currsize, "
+            "tangency._sphere_tables.cache_info().currsize, "
             "tangency._quadric_start.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
     assert out.split() == ["0", "0"]
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Lines of import statements anywhere in the source, at top level or
+    inside a function, that import scipy or one of its submodules."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_guard_flags_scipy_imports_at_any_depth():
+    assert scipy_imports("import scipy") == [1]
+    assert scipy_imports("def f():\n    from scipy.linalg import solve_triangular") == [2]
+    assert scipy_imports("import numpy as np, scipy.special as sp") == [1]
+    assert scipy_imports("from . import scipy_free\nimport numpy") == []
+
+
+def test_no_module_in_the_package_imports_scipy():
+    # scipy is a test dependency only: a lazy import inside a function would pass
+    # the import-time check above and fail only where scipy is missing
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [f"{path.name}:{line}" for path in paths
+             for line in scipy_imports(path.read_text())]
+    assert not found, f"scipy imported at {found}"
 
 
 def test_every_function_the_benchmark_tracer_hooks_exists(monkeypatch):

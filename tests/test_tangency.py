@@ -1,9 +1,8 @@
 import functools
-import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import tangentflats as tf
 from conftest import random_ellipsoid
@@ -101,66 +100,12 @@ def test_stacked_compounds_are_c_ordered():
     assert tf.tangency_quadric_of(A + np.swapaxes(A, -1, -2)).flags.c_contiguous
 
 
-complex_numbers = st.complex_numbers(max_magnitude=3.0)
-complex_vectors = st.lists(complex_numbers, min_size=4, max_size=4).map(np.array)
-UPPER = np.triu_indices(4)
-
-
-def symmetric_from_upper(values):
-    X = np.zeros((4, 4), dtype=complex)
-    X[UPPER] = values
-    return X + np.triu(X, 1).T
-
-
-complex_symmetric = st.lists(complex_numbers, min_size=10, max_size=10).map(
-    symmetric_from_upper)
-
-
-PAIRS = np.array(list(itertools.combinations(range(4), 2))).T
-
-
-def sphere_family(X):
-    """F(X) = C2(I - X) - C2(X), the family of the 12-path sphere route."""
-    return tf.second_compound(np.eye(4) - X) - tf.second_compound(X)
-
-
-def compound_bound(A):
-    """|A_ik A_jl| + |A_il A_jk|: the sum of absolute terms of C2(A), which
-    bounds its rounding error."""
-    A, (I, J), ix = np.abs(A), PAIRS, np.ix_
-    return A[ix(I, I)] * A[ix(J, J)] + A[ix(I, J)] * A[ix(J, I)]
-
-
-def family_bound(X):
-    return compound_bound(np.eye(4) + np.abs(X)) + compound_bound(X)
-
-
-@settings(max_examples=100, deadline=None)
-@given(complex_vectors, complex_symmetric, complex_symmetric, complex_numbers,
-       complex_numbers)
-def test_sphere_family_is_affine_and_holds_every_sphere(w, X0, X1, a, b):
-    # C2(w w^T) = 0, so F(w w^T) is the sphere form C2(I - w w^T); and F is
-    # affine, so a scaled combination of two members is a member.  Errors
-    # are relative to the sums of absolute terms, plus the underflow
-    # threshold, below which rounding errors are absolute
-    tiny = np.finfo(float).tiny
-    X = np.outer(w, w)
-    error = sphere_family(X) - tf.second_compound(np.eye(4) - X)
-    assert np.all(np.abs(error) <= 1e-12 * family_bound(X) + tiny)
-    assume(abs(a + b) > 1e-3 * (abs(a) + abs(b)))
-    Y = (a * X0 + b * X1) / (a + b)
-    error = a * sphere_family(X0) + b * sphere_family(X1) - (a + b) * sphere_family(Y)
-    scale = abs(a) * family_bound(X0) + abs(b) * family_bound(X1) \
-        + abs(a + b) * family_bound(Y)
-    assert np.all(np.abs(error) <= 1e-12 * scale + tiny)
-
-
 @pytest.mark.parametrize("start", ["shared", "per-row"])
 def test_homotopy_is_the_straight_line_with_its_t_derivative(start):
     gen, R = tf.RngStream(43).generator(), 12
     p = gen.standard_normal((R, 6)) + 1j * gen.standard_normal((R, 6))
     t, gam = gen.uniform(0.05, 0.95, R), np.exp(2j * np.pi * gen.uniform(size=R))
-    M0 = tangency._sphere_start()[0] if start == "shared" else \
+    M0 = tangency._quadric_start()[0] if start == "shared" else \
         tangency._normalize_forms(random_complex_forms(gen, (R, 4)))
     M1 = tangency._normalize_forms(tf.tangency_quadric_of(
         np.array([random_symmetric(gen) for _ in range(4 * R)])).reshape(R, 4, 6, 6))
@@ -304,10 +249,9 @@ def test_trial_result_independent_of_chunk_companions():
         moved_quadrics(bodies, tf.RngStream(31, k))) for k in range(8)])
         for name, bodies in (("spheres", spheres), ("ellipsoids", ellipsoids))}
     rngs = [tf.RngStream(32, k) for k in range(8)]
-    # the sphere draws from a total-degree start and on the sphere route; the
-    # ellipsoid draws from the cached generic start
-    for name, start in (("spheres", None), ("spheres", tangency._sphere_start()),
-                        ("ellipsoids", tangency._quadric_start())):
+    # the sphere draws from a total-degree start; the ellipsoid draws from
+    # the cached generic start
+    for name, start in (("spheres", None), ("ellipsoids", tangency._quadric_start())):
         def solve(rows):
             return homotopy._solve_batch(forms[name][rows], [rngs[k] for k in rows],
                                          start)
@@ -321,6 +265,26 @@ def test_trial_result_independent_of_chunk_companions():
             assert np.array_equal(chunked.residuals, alone.residuals)
             assert np.array_equal(chunked.solutions, alone.solutions)
             assert chunked.work == alone.work
+
+
+def test_sphere_route_trial_independent_of_batch_and_grouping(monkeypatch):
+    # a trial's roots come from per-trial products and gufuncs only, so it
+    # gives the same bits alone, in a batch of 20, and in groups of another size
+    bodies, rngs = main_theorem_spheres(), [tf.RngStream(46, k) for k in range(20)]
+    gs = np.array([haar_matrices(4, 4, tf.RngStream(45, k).generator()) for k in range(20)])
+    batches = [tf.count_real_tangent_lines(bodies, gs, rngs)]
+    monkeypatch.setattr(tangency, "_SPHERE_GROUP", 7)
+    batches.append(tf.count_real_tangent_lines(bodies, gs, rngs))
+    for k in range(20):
+        alone = tf.count_real_tangent_lines(bodies, gs[k:k + 1], rngs[k:k + 1])[0]
+        for batch in batches:
+            assert np.array_equal(batch[k].solutions, alone.solutions)
+            assert np.array_equal(batch[k].residuals, alone.residuals)
+            assert np.array_equal(batch[k].real_solutions, alone.real_solutions)
+            assert batch[k].real_count == alone.real_count
+            assert batch[k].work == alone.work
+        assert (alone.tracked, alone.singular, alone.failed, alone.work.path_steps) == \
+            (12, 0, 0, 0)
 
 
 def random_complex_forms(gen, shape):
@@ -343,8 +307,8 @@ def test_carried_first_stage_is_the_tangent_at_the_renormalized_point(family):
         M0 = tangency._quadric_start()[0]
     elif family == "per-row start":
         M0 = tangency._normalize_forms(random_complex_forms(gen, (R, 4)))
-    else:                                           # the sphere route's start
-        M0 = tangency._sphere_start()[0]
+    else:                                           # sphere targets, shared start
+        M0 = tangency._quadric_start()[0]
         X = haar_matrices(4, 4 * R, gen)[:, :, 0] / np.cos(gen.uniform(0.1, 1.5, (4 * R, 1)))
         forms = tangency._normalize_forms(tf.tangency_quadric_of(
             np.eye(4) - X[:, :, None] * X[:, None, :]).reshape(R, 4, 6, 6))
@@ -420,21 +384,21 @@ def test_a_large_predictor_error_rejects_the_step_after_one_solve(monkeypatch):
 def test_each_path_has_its_own_step_budget(monkeypatch):
     # three steps reach t = 0.1 + 0.15 + 0.225 at most, so every path stalls;
     # the cached start is solved before the budget shrinks
-    start = tangency._sphere_start()
+    start = tangency._quadric_start()
     monkeypatch.setattr(homotopy, "_MAX_STEPS", 3)
     forms = tangency._moved_quadrics(main_theorem_spheres(),
                                      haar_matrices(4, 4, tf.RngStream(5).generator()))
     result = homotopy._solve_batch(forms[None], [tf.RngStream(6)], start)[0]
-    assert (result.tracked, result.singular, result.failed) == (0, 0, 12)
-    assert (result.work.max_path_steps, result.work.path_steps) == (3, 3 * 12)
-    assert len(result.path_log) == 12
+    assert (result.tracked, result.singular, result.failed) == (0, 0, 32)
+    assert (result.work.max_path_steps, result.work.path_steps) == (3, 3 * 32)
+    assert len(result.path_log) == 32
     assert all("stalled at t = 0." in line for line in result.path_log)
 
 
 @pytest.mark.parametrize("route", ["spheres", "quadrics"])
 def test_a_path_that_ends_on_another_paths_endpoint_is_lost(route):
     # a start whose row 1 repeats row 0 tracks path 1 onto path 0's endpoint
-    M0, starts = tangency._sphere_start() if route == "spheres" else tangency._quadric_start()
+    M0, starts = tangency._quadric_start()
     starts = starts.copy()
     starts[1] = starts[0]
     gen = tf.RngStream(34).generator()
@@ -447,22 +411,28 @@ def test_a_path_that_ends_on_another_paths_endpoint_is_lost(route):
 
 
 def test_a_solve_that_loses_paths_on_every_retry_returns_its_last_log(monkeypatch):
-    # three steps a path stall every path of every attempt; the retries start
-    # from the total degree, so the last attempt has 32 paths on either route
-    tangency._quadric_start(), tangency._sphere_start()
+    # three steps a path stall every path of every tracked attempt; the
+    # retries start from the total degree, so the last attempt has 32 paths.
+    # Sphere trials are all flagged here, so both their retries are tracked
+    tangency._quadric_start()
     monkeypatch.setattr(homotopy, "_MAX_STEPS", 3)
+    monkeypatch.setattr(tangency, "_MAX_NULL_RATIO", -1.0)
     attempts, solve_batch = [], homotopy._solve_batch
     monkeypatch.setattr(homotopy, "_solve_batch",
-                        lambda *args: attempts.append(1) or solve_batch(*args))
+                        lambda *args, **kwargs: attempts.append(1) or solve_batch(*args, **kwargs))
     gen = tf.RngStream(36).generator()
     ellipsoids = [random_ellipsoid(gen) for _ in range(4)]
     gs = haar_matrices(4, 4, gen)[None]
-    for solve in (lambda: tf.solve_tangency_system(
-                      [moved_quadrics(ellipsoids, tf.RngStream(37))], [tf.RngStream(38)]),
-                  lambda: tf.count_real_tangent_lines(main_theorem_spheres(), gs,
-                                                      [tf.RngStream(39)])):
+    for solve, tracked in (
+            (lambda: tf.solve_tangency_system(
+                [moved_quadrics(ellipsoids, tf.RngStream(37))], [tf.RngStream(38)]),
+             homotopy._RETRIES + 1),
+            (lambda: tf.count_real_tangent_lines(ellipsoids, gs, [tf.RngStream(39)]),
+             homotopy._RETRIES + 1),
+            (lambda: tf.count_real_tangent_lines(main_theorem_spheres(), gs,
+                                                 [tf.RngStream(39)]), homotopy._RETRIES)):
         [result] = solve()
-        assert len(attempts) == homotopy._RETRIES + 1
+        assert len(attempts) == tracked
         attempts.clear()
         assert (result.failed, result.paths) == (32, 32)
         assert result.work.retries == homotopy._RETRIES
@@ -549,25 +519,6 @@ def test_batched_classification_matches_the_scalar_reference():
             assert np.abs(polished[row] - x).max() < 1e-12
 
 
-def test_sphere_start_data():
-    G, starts = tangency._sphere_start()
-    assert G.shape == (5, 6, 6) and starts.shape == (12, 6)
-    assert not G.flags.writeable and not starts.flags.writeable
-    assert np.abs(G[:4] - G[:4].transpose(0, 2, 1)).max() <= 1e-15
-    F, J = homotopy._target(np.broadcast_to(G, (12, 5, 6, 6)), starts)
-    assert np.abs(F).max() <= 1e-12
-    sv = np.linalg.svd(homotopy._bordered(J, starts), compute_uv=False)
-    assert (sv[:, -1] > 1e-7 * sv[:, 0]).all()
-    # a line in the absolute quadric x.x = 0, and its rotations, solve the
-    # start member, as they solve every member of the family
-    u, v = np.array([1, 1j, 0, 0]), np.array([0, 0, 1, 1j])
-    for g in [np.eye(4), *haar_matrices(4, 3, tf.RngStream(44).generator())]:
-        p = wedge(g @ u, g @ v)
-        assert np.abs(np.einsum("i,kij,j->k", p, G, p)).max() <= 1e-12 * np.vdot(p, p).real
-    again = tangency._sphere_start.__wrapped__()
-    assert np.array_equal(again[0], G) and np.array_equal(again[1], starts)
-
-
 def test_quadric_start_data():
     G, starts = tangency._quadric_start()
     assert G.shape == (5, 6, 6) and starts.shape == (32, 6)
@@ -589,10 +540,11 @@ def moved_systems(bodies, seed, trials):
             [stream.substream(1 << 32) for stream in streams])
 
 
-def sphere_route(quadrics, rngs):
-    """The 12-path sphere route, with its retries, on tangency forms (T, 4, 6, 6)."""
-    return homotopy._solve_trials(tangency._normalize_forms(quadrics), rngs,
-                                  tangency._sphere_start())
+def sphere_route(bodies, seed, trials):
+    """The eigenvalue route, with its retries, on the draws of moved_systems."""
+    gs = np.array([haar_matrices(4, 4, tf.RngStream(seed, trial).generator())
+                   for trial in range(trials)])
+    return tf.count_real_tangent_lines(bodies, gs, moved_systems(bodies, seed, trials)[1])
 
 
 def test_main_theorem_spheres_have_twelve_isolated_solutions():
@@ -600,24 +552,27 @@ def test_main_theorem_spheres_have_twelve_isolated_solutions():
     # Theobald); the other 20 paths stall on the excess component at infinity
     quadrics, rngs = moved_systems(main_theorem_spheres(), 21, 12)
     for sols, spheres in zip(tf.solve_tangency_system(quadrics, rngs),
-                             sphere_route(quadrics, rngs)):
+                             sphere_route(main_theorem_spheres(), 21, 12)):
         assert (sols.tracked, sols.singular, sols.failed) == (12, 20, 0)
         assert sols.real_count <= 12
-        # the sphere route tracks the 12 isolated solutions alone
+        # the eigenvalue route finds the 12 isolated solutions alone, untracked
         assert (spheres.tracked, spheres.singular, spheres.failed) == (12, 0, 0)
+        assert spheres.work.path_steps == 0
         assert spheres.real_count == sols.real_count
 
 
 @pytest.mark.parametrize("radii", [(0.1,) * 4, (1.2, 1.3, 1.4, 1.5), (0.1, 1.5, 0.1, 1.3)],
                          ids=["small", "near-pi/2", "mixed"])
 def test_sphere_route_matches_the_32_path_route_at_extreme_radii(radii):
-    # the 12-path route and the 32-path solve count the same real lines,
+    # the eigenvalue route and the 32-path solve count the same real lines,
     # beyond the main theorem's radii too
-    quadrics, rngs = moved_systems([tf.metric_sphere(3, r) for r in radii], 22, 4)
+    bodies = [tf.metric_sphere(3, r) for r in radii]
+    quadrics, rngs = moved_systems(bodies, 22, 4)
     for sols, spheres in zip(tf.solve_tangency_system(quadrics, rngs),
-                             sphere_route(quadrics, rngs)):
+                             sphere_route(bodies, 22, 4)):
         assert (spheres.tracked, spheres.singular, spheres.failed) == (12, 0, 0)
         assert sols.tracked == 12 and not sols.degenerate and not spheres.degenerate
+        assert spheres.work.path_steps == 0
         assert spheres.real_count == sols.real_count
 
 
@@ -671,7 +626,8 @@ def test_mixed_family_counts_match_recorded_values():
 
 
 def test_sphere_counts_match_recorded_values():
-    # the 12-path route; recorded when it had an evaluator of its own
+    # the sphere route; recorded when it tracked 12 paths with an evaluator
+    # of its own
     counts, log = tangency._count_chunk((main_theorem_spheres(), 777, range(24)))[:2]
     assert counts == [8, 4, 2, 0, 4, 4, 0, 4, 4, 4, 2, 4,
                       6, 4, 2, 4, 4, 2, 2, 0, 4, 0, 4, 4]
