@@ -17,6 +17,7 @@ input, 3 refusal on degenerate or out-of-validity input, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -287,7 +288,9 @@ def cmd_intrinsic(args) -> dict:
             "results": results, "diagnostics": profile.diagnostics}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept: a build takes about 1 ms."""
     parser = argparse.ArgumentParser(
         prog="tangentflats",
         description="random enumerative geometry of tangent flats")
@@ -308,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
     common(p, seed=False)
-    p.set_defaults(func=cmd_volumes, seed=None)
+    p.set_defaults(seed=None)
 
     p = sub.add_parser("delta", help="expected degree of the k-flat Grassmannian")
     p.add_argument("k", type=int)
@@ -316,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=sample_count, default=1_000_000,
                    help=f"Monte Carlo draws, at most {MAX_SAMPLES}")
     common(p)
-    p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("omega", help="tangent-flat volume ratio of a body")
     p.add_argument("body", help="body file")
@@ -329,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("LO", "HI", "COUNT"),
                    help=f"metric spheres, convex method: COUNT <= {MAX_SWEEP_RADII} radii")
     common(p)
-    p.set_defaults(func=cmd_omega)
 
     p = sub.add_parser("tau", help="average tangent count")
     p.add_argument("bodies", nargs="+", help="body files, one per hypersurface")
@@ -341,23 +342,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-source", type=delta_source, default="reference",
                    help=f"exact | reference | mc:<samples <= {MAX_SAMPLES}> | value:<x>")
     common(p)
-    p.set_defaults(func=cmd_tau)
 
     p = sub.add_parser("intrinsic", help="intrinsic volume profile and checks")
     p.add_argument("body", help="body file")
     p.add_argument("--eps", type=at_least(0, float), default=0.0,
                    help="tube radius for the Steiner evaluation")
     common(p, seed=False)
-    p.set_defaults(func=cmd_intrinsic, seed=None)
+    p.set_defaults(seed=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
-    try:
-        report = {"degenerate_counts": {}, **args.func(args)}
+    try:     # cmd_<command> is looked up per call, so a replaced one is the one run
+        report = {"degenerate_counts": {}, **globals()[f"cmd_{args.command}"](args)}
         report.update(command=args.command, seed=args.seed, version=__version__,
                       wall_time_s=time.perf_counter() - t0)
         emit(report, args)

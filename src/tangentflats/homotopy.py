@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class TrackerWork:
 
     def __add__(self, other):
         return TrackerWork(*(f(pair) for f, *pair in zip(
-            (sum, max, sum, min, sum, sum, max, min), astuple(self), astuple(other))))
+            (sum, max, sum, min, sum, sum, max, min), vars(self).values(), vars(other).values())))
 
 
 class PathFailureError(RuntimeError):
@@ -119,21 +119,21 @@ class SolutionSet:
         return any((self.borderline, self.real_singular, self.nonisolated))
 
 
-def _solve_trials(forms, rngs, first):
-    """first(forms, streams) with retries: trials whose attempt loses paths go
-    into a later _solve_batch with the next substream, from a total-degree
-    start.  Returns one SolutionSet per trial, of its last attempt, whose
-    work sums all of that trial's attempts (retries = attempts - 1)."""
-    results, pending = [None] * len(rngs), list(range(len(rngs)))
-    for attempt in range(_RETRIES + 1):
-        batch = (_solve_batch if attempt else first)(
-            forms[pending], [rngs[i].substream(attempt) for i in pending])
-        for i, result in zip(pending, batch):
-            results[i] = result if not attempt else replace(
-                result, work=results[i].work + result.work + TrackerWork(retries=1))
-        pending = [i for i in pending if results[i].failed]
+def _retry(forms, rngs, results):
+    """The first attempt's SolutionSets results, with each trial that lost
+    paths solved again by _solve_batch on its next substream, from a
+    total-degree start, at most _RETRIES times.  Returns one SolutionSet per
+    trial, of its last attempt, whose work sums all of that trial's attempts
+    (retries = attempts - 1)."""
+    results = list(results)
+    for attempt in range(1, _RETRIES + 1):
+        pending = [i for i, result in enumerate(results) if result.failed]
         if not pending:
             break
+        batch = _solve_batch(forms[pending], [rngs[i].substream(attempt) for i in pending])
+        for i, result in zip(pending, batch):
+            results[i] = replace(
+                result, work=results[i].work + result.work + TrackerWork(retries=1))
     return results
 
 

@@ -35,7 +35,6 @@ _CHUNK_ROWS = 640
 _START_SEED = 1989              # the cached generic start, sphere tables and their draws
 _SPHERE_GROUP = 5               # sphere trials a Gram stack holds, 127 KB each
 _MAX_NULL_RATIO, _MIN_ROOT_SEPARATION = 1e-8, 1e-7  # seen: at most 5.4e-13, at least 2.2e-6
-_DEGENERATE, _PATHS_LOST = -1, -2   # per-trial counts of discarded trials
 
 
 def second_compound(A: np.ndarray) -> np.ndarray:
@@ -85,8 +84,9 @@ def solve_tangency_system(quadrics, rngs) -> list:
     that loses paths (failed > 0, with a per-path log, after the last)."""
     if np.shape(quadrics)[1:] != (4, 6, 6) or len(rngs) != len(quadrics):
         raise ValueError("need tangency forms (T, 4, 6, 6) and one stream per system")
-    return homotopy._solve_trials(_normalize_forms(quadrics), rngs, functools.partial(
-        homotopy._solve_batch, start=_quadric_start()))
+    forms = _normalize_forms(quadrics)
+    return homotopy._retry(forms, rngs, homotopy._solve_batch(
+        forms, [rng.substream(0) for rng in rngs], _quadric_start()))
 
 
 @functools.cache
@@ -140,12 +140,12 @@ def _sphere_roots(ww):
             np.abs(lam[:, 11]) / lam[:, 12], gaps.min(axis=(1, 2)) / np.abs(ev).max(axis=1))
 
 
-def _sphere_trials(forms, rngs, bodies, g) -> list:
-    """The sphere route's attempt at the systems forms (T, 5, 6, 6) of the bodies
-    moved by g, in groups of _SPHERE_GROUP trials; rngs go unused.  A flagged
-    trial's roots enter the endgame at t = nan, as lost paths, to be retried."""
-    A = np.reshape([b.defining_matrix() for b in np.ravel(bodies)], np.shape(bodies) + (4, 4))
-    ww, n = np.eye(4) - g @ A @ np.swapaxes(g, -1, -2), _SPHERE_GROUP   # g A g^T = I - w w^T
+def _sphere_trials(forms, ww) -> list:
+    """The sphere route's first attempt at the systems forms (T, 5, 6, 6) of
+    four moved metric spheres I - w w^T, of w w^T (T, 4, 4, 4), in groups of
+    _SPHERE_GROUP trials.  A flagged trial's roots enter the endgame at
+    t = nan, as lost paths, to be retried."""
+    n = _SPHERE_GROUP
     p, ratio, gap = (np.concatenate(x) for x in zip(*(
         _sphere_roots(ww[k:k + n]) for k in range(0, len(forms), n))))
     t = np.where((ratio <= _MAX_NULL_RATIO) & (gap >= _MIN_ROOT_SEPARATION), 1.0, np.nan)
@@ -170,18 +170,6 @@ def _quadric_start():
     return forms, p
 
 
-def _moved_quadrics(bodies, rotations) -> np.ndarray:
-    """Normalized target systems (..., 5, 6, 6) of the moved bodies g X for
-    bodies (4,) or (T, 4) and rotations (..., 4, 4, 4), broadcast against
-    each other: the tangency forms of g A g^T (membership: x in gX iff
-    g^T x in X) and the Pluecker quadric."""
-    g, B = np.asarray(rotations, dtype=float), np.array(bodies, dtype=object)
-    if B.shape[-1:] != (4,) or g.shape[-3:] != (4, 4, 4):
-        raise ValueError("need four bodies and four rotations")
-    A = np.array([body.defining_matrix() for body in B.flat]).reshape(B.shape + (4, 4))
-    return _normalize_forms(tangency_quadric_of(g @ A @ np.swapaxes(g, -1, -2)))
-
-
 def _spheres(bodies) -> bool:
     """Whether every body is a metric sphere, so the draws take the sphere route."""
     return all(body.kind == "metric_sphere" for body in np.ravel(bodies))
@@ -192,35 +180,39 @@ def count_real_tangent_lines(bodies, rotations, rngs) -> list:
     or (T, 4), under rotation 4-tuples (T, 4, 4, 4), one stream each: its
     real_count is the draw's number of real tangent lines unless it is
     degenerate or lost paths (failed > 0)."""
-    g = np.asarray(rotations, dtype=float)
-    if g.ndim != 4 or np.shape(bodies)[:-1] not in ((), g.shape[:1]) or len(rngs) != len(g):
+    g, B = np.asarray(rotations, dtype=float), np.array(bodies, dtype=object)
+    if g.shape[1:] != (4, 4, 4) or B.shape not in ((4,), (len(g), 4)) or len(rngs) != len(g):
         raise ValueError("need rotations (T, 4, 4, 4), bodies (4,) or (T, 4), T streams")
-    first = (functools.partial(_sphere_trials, bodies=bodies, g=g) if _spheres(bodies)
-             else functools.partial(homotopy._solve_batch, start=_quadric_start()))
-    return homotopy._solve_trials(_moved_quadrics(bodies, g), rngs, first)
+    A = np.array([body.defining_matrix() for body in B.flat]).reshape(B.shape + (4, 4))
+    moved = g @ A @ np.swapaxes(g, -1, -2)      # x in gX iff g^T x in X
+    if not _spheres(bodies):
+        return solve_tangency_system(tangency_quadric_of(moved), rngs)
+    forms = _normalize_forms(tangency_quadric_of(moved))
+    return homotopy._retry(forms, rngs, _sphere_trials(forms, np.eye(4) - moved))
 
 
 def _count_chunk(args):
-    """Real tangent counts of a run of trials solved as one batch, the path
-    log of the first trial that lost paths after every retry (empty if none
-    did), the tracker work of every attempt, and the paths regular, singular
-    and lost (3,) of the last attempts; a discarded trial reads _DEGENERATE,
-    or _PATHS_LOST."""
+    """Of a run of trials solved as one batch: the real tangent counts of the
+    trials kept, the number discarded and, of those, the number that lost
+    paths after every retry, the path log of the first of these (empty if
+    none), the tracker work of every attempt, and the paths regular, singular
+    and lost (3,) of the last attempts."""
     bodies, seed, trials = args
     streams = [RngStream(seed, trial) for trial in trials]
     gs = np.array([haar_matrices(4, 4, s.generator()) for s in streams])
     results = count_real_tangent_lines(bodies, gs, [s.substream(1 << 32) for s in streams])
     log = next(([f"trial {t}: {r.failed} of {r.paths} paths lost", *r.path_log]
                 for t, r in zip(trials, results) if r.failed), [])
+    counts = [r.real_count for r in results if not (r.failed or r.degenerate)]
     paths = np.array([(r.tracked, r.singular, r.failed) for r in results]).sum(axis=0)
     work = sum((r.work for r in results), homotopy.TrackerWork())
-    return [_PATHS_LOST if r.failed else _DEGENERATE if r.degenerate else r.real_count
-            for r in results], log, work, paths
+    lost = sum(r.failed > 0 for r in results)
+    return counts, len(results) - len(counts), lost, log, work, paths
 
 
-# One trial and one attempt as batches of one; perfbench/tracer.py hooks both.
+# One trial (-1 if discarded) and one attempt as batches of one; perfbench/tracer.py hooks both.
 def _tau_trial(args) -> int:
-    return _count_chunk((*args[:2], [args[2]]))[0][0]
+    return (_count_chunk((*args[:2], [args[2]]))[0] or [-1])[0]
 
 
 def _solve_once(quadrics, rng: RngStream) -> homotopy.SolutionSet:
@@ -252,24 +244,22 @@ def average_tangent_count_empirical(bodies, trials: int, seed: int,
     size = _CHUNK_ROWS // (12 if spheres else len(_quadric_start()[1]))
     chunks = [((tuple(bodies), seed, range(i, min(i + size, trials))),)
               for i in range(0, trials, size)]
-    parts = parallel_map(_count_chunk, chunks, workers)
-    counts = np.concatenate([c for c, *_ in parts])
-    ok = counts[counts >= 0]
-    degenerate = int((counts < 0).sum())
-    failed = int((counts == _PATHS_LOST).sum())
+    counts, discarded, lost_trials, logs, works, paths = zip(
+        *parallel_map(_count_chunk, chunks, workers))
+    ok, degenerate, failed = np.array(sum(counts, []), int), sum(discarded), sum(lost_trials)
     if degenerate > MAX_DISCARDED_SHARE * trials:
         exc = DegenerateConfigurationError(
             f"{degenerate} of {trials} trials discarded ({degenerate - failed} "
             f"degenerate, {failed} lost paths after every retry)")
-        exc.path_log = next((log for _, log, *_ in parts if log), [])
+        exc.path_log = next((log for log in logs if log), [])
         raise exc
     mean = float(ok.mean())
     stderr = float(ok.std(ddof=1) / np.sqrt(ok.size)) if ok.size > 1 else 0.0
-    regular, singular, lost = sum(p for *_, p in parts).tolist()
-    work = asdict(sum((w for *_, w, _ in parts), homotopy.TrackerWork()))
+    regular, singular, lost = sum(paths).tolist()
+    work = asdict(sum(works, homotopy.TrackerWork()))
     if not spheres:             # the fields of the sphere route's eigenvalue solves
         del work["null_space_ratio"], work["root_separation"]
-    diagnostics = dict(chunks=len(parts), paths_regular=regular, paths_singular=singular,
+    diagnostics = dict(chunks=len(chunks), paths_regular=regular, paths_singular=singular,
                        paths_lost=lost, **{k: None if v == np.inf else v for k, v in work.items()})
     return MCEstimate(mean, stderr, int(ok.size), degenerate=degenerate,
                       failed=failed, diagnostics=diagnostics)

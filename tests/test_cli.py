@@ -34,6 +34,20 @@ def test_volumes_report(capsys):
     assert json.loads(out)["results"]["schubert_ratio"] == pytest.approx(1 / pi, rel=1e-12)
 
 
+def test_main_builds_one_parser_and_runs_the_current_command(capsys, monkeypatch):
+    # a replaced cmd_* runs, as perfbench's tracer needs, from a parser built once
+    from tangentflats import cli
+    calls = []
+    monkeypatch.setattr(cli, "cmd_volumes", lambda args: calls.append(args.k) or {
+        "parameters": {}, "results": {}})
+    cli.build_parser.cache_clear()
+    for k in ("1", "0"):
+        code, out, _ = run_cli(capsys, "volumes", k, "3")
+        assert code == 0 and json.loads(out)["command"] == "volumes"
+    assert calls == [1, 0]
+    assert (cli.build_parser.cache_info().misses, cli.build_parser.cache_info().hits) == (1, 1)
+
+
 def test_volumes_usage_error(capsys):
     code, _, err = run_cli(capsys, "volumes", "5", "3")
     assert code == 2
@@ -491,22 +505,22 @@ def test_intrinsic_refuses_implicit_body(capsys, tmp_path):
 
 
 def _lose_paths(monkeypatch, offsets):
-    """Make every attempt on substream 2^32 + o, o in offsets, lose its path
-    0, whether tracked or on the sphere route: one regular path becomes a
-    lost one, with a one-line log.  A trial's attempts use substreams trial +
-    2^32 + attempt."""
+    """Make every attempt of trial + attempt in offsets lose its path 0: one
+    regular path becomes a lost one, with a one-line log.  A tracked attempt
+    is known by its substream, trial + 2^32 + attempt, and the sphere route's
+    first attempt by its trial's position in the batch (one chunk, from 0)."""
     from tangentflats import homotopy, tangency
+    solve_batch, sphere_trials = homotopy._solve_batch, tangency._sphere_trials
 
-    def losing(solve):
-        def lose(forms, rngs, *args, **kwargs):
-            return [dataclasses.replace(result, tracked=result.tracked - 1, failed=1,
-                                        path_log=("path 0",))
-                    if r.stream_id - (1 << 32) in offsets else result
-                    for result, r in zip(solve(forms, rngs, *args, **kwargs), rngs)]
-        return lose
+    def lose(results, keys):
+        return [dataclasses.replace(result, tracked=result.tracked - 1, failed=1,
+                                    path_log=("path 0",)) if key in offsets else result
+                for result, key in zip(results, keys)]
 
-    monkeypatch.setattr(homotopy, "_solve_batch", losing(homotopy._solve_batch))
-    monkeypatch.setattr(tangency, "_sphere_trials", losing(tangency._sphere_trials))
+    monkeypatch.setattr(homotopy, "_solve_batch", lambda forms, rngs, *args: lose(
+        solve_batch(forms, rngs, *args), [r.stream_id - (1 << 32) for r in rngs]))
+    monkeypatch.setattr(tangency, "_sphere_trials", lambda forms, ww: lose(
+        sphere_trials(forms, ww), range(len(forms))))
 
 
 def test_tau_counts_path_failures_apart_from_degenerate(capsys, tmp_path,

@@ -1,5 +1,9 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import tangentflats as tf
 from tangentflats import homotopy
@@ -25,3 +29,21 @@ def test_two_conics_meet_in_their_real_count(a, b, real):
     for x in sols.real_solutions:
         assert np.abs(np.einsum("i,kij,j->k", x, F, x)).max() < 1e-10
 
+
+#: How TrackerWork adds each field; its defaults are the identities
+WORK_RULES = {"path_steps": sum, "max_path_steps": max, "rejected_steps": sum, "min_dt": min,
+              "retries": sum, "solves": sum, "null_space_ratio": max, "root_separation": min}
+count, step = st.integers(0, 10 ** 6), st.floats(1e-12, 1.0) | st.just(math.inf)
+works = st.builds(homotopy.TrackerWork, count, count, count, step, count, count,
+                  st.floats(0.0, 1.0), step)
+
+
+@given(st.lists(works, max_size=6), st.integers(0, 6))
+def test_tracker_work_adds_each_field_by_its_rule(parts, cut):
+    assert list(WORK_RULES) == [f.name for f in dataclasses.fields(homotopy.TrackerWork)]
+    zero = homotopy.TrackerWork()
+    total = sum(parts, zero)
+    for name, rule in WORK_RULES.items():
+        assert getattr(total, name) == rule([getattr(work, name) for work in (zero, *parts)]), name
+    # any split of a sum adds up to the whole
+    assert sum(parts[:cut], zero) + sum(parts[cut:], zero) == total

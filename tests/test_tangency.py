@@ -22,6 +22,13 @@ def moved_quadrics(bodies, stream):
             for b, g in zip(bodies, gs)]
 
 
+def target_systems(bodies, gs):
+    """Normalized systems (..., 5, 6, 6) of the four bodies moved by the
+    rotations gs (..., 4, 4, 4), as count_real_tangent_lines builds them."""
+    A = np.array([body.defining_matrix() for body in bodies])
+    return tangency._normalize_forms(tf.tangency_quadric_of(gs @ A @ np.swapaxes(gs, -1, -2)))
+
+
 def random_symmetric(gen, scale=1.0):
     A = gen.standard_normal((4, 4)) * scale
     return 0.5 * (A + A.T)
@@ -218,12 +225,17 @@ def test_each_draw_may_have_its_own_bodies():
     assert mixed[1].paths == 32
     [alone] = tf.count_real_tangent_lines(spheres, gs[:1], rngs[:1])
     assert (alone.tracked, alone.singular, alone.paths) == (12, 0, 12)
+    # one check refuses every mismatch of bodies, rotations and streams
     refused = [(spheres, gs[0], rngs[:1]),                  # one unstacked 4-tuple
                (bodies[:2], gs, rngs),                      # two sets for three draws
                ([row[:3] for row in bodies], gs, rngs),     # three bodies a draw
+               ([[row] for row in bodies], gs, rngs),       # bodies (3, 1, 4)
+               (spheres, gs[:, :3], rngs),                  # three rotations a draw
+               (spheres, gs[..., :3, :3], rngs),            # rotations of R^3
+               (spheres, gs[:, :, None], rngs),             # rotations (3, 4, 1, 4, 4)
                (spheres, gs, rngs[:2])]                     # two streams for three draws
     for args in refused:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"need rotations \(T, 4, 4, 4\)"):
             tf.count_real_tangent_lines(*args)
     with pytest.raises(ValueError):                         # one unstacked system
         tf.solve_tangency_system(moved_quadrics(spheres, rngs[0]), rngs[:1])
@@ -338,7 +350,7 @@ def counted_solves(monkeypatch):
 def ellipsoid_forms():
     gen = tf.RngStream(12).generator()
     bodies = [random_ellipsoid(gen) for _ in range(4)]
-    return tangency._moved_quadrics(bodies, haar_matrices(4, 4, tf.RngStream(5).generator()))
+    return target_systems(bodies, haar_matrices(4, 4, tf.RngStream(5).generator()))
 
 
 def test_a_tracker_step_solves_until_its_corrector_converges(monkeypatch):
@@ -386,8 +398,8 @@ def test_each_path_has_its_own_step_budget(monkeypatch):
     # the cached start is solved before the budget shrinks
     start = tangency._quadric_start()
     monkeypatch.setattr(homotopy, "_MAX_STEPS", 3)
-    forms = tangency._moved_quadrics(main_theorem_spheres(),
-                                     haar_matrices(4, 4, tf.RngStream(5).generator()))
+    forms = target_systems(main_theorem_spheres(),
+                           haar_matrices(4, 4, tf.RngStream(5).generator()))
     result = homotopy._solve_batch(forms[None], [tf.RngStream(6)], start)[0]
     assert (result.tracked, result.singular, result.failed) == (0, 0, 32)
     assert (result.work.max_path_steps, result.work.path_steps) == (3, 3 * 32)
@@ -404,7 +416,7 @@ def test_a_path_that_ends_on_another_paths_endpoint_is_lost(route):
     gen = tf.RngStream(34).generator()
     bodies = main_theorem_spheres() if route == "spheres" else \
         [random_ellipsoid(gen) for _ in range(4)]
-    forms = tangency._moved_quadrics(bodies, haar_matrices(4, 4, gen))
+    forms = target_systems(bodies, haar_matrices(4, 4, gen))
     result = homotopy._solve_batch(forms[None], [tf.RngStream(35)], (M0, starts))[0]
     assert (result.failed, result.paths) == (1, len(starts))
     assert result.path_log == ("path 1: jumped onto path 0's endpoint",)
@@ -497,7 +509,7 @@ def test_batched_classification_matches_the_scalar_reference():
               tf.affine_sphere(3, [0.1, 0.2, 0.0], 0.6)]
     gs = np.array([haar_matrices(4, 4, tf.RngStream(41, k).generator())
                    for k in range(4)])
-    forms = tangency._moved_quadrics(bodies, gs)
+    forms = target_systems(bodies, gs)
     gen = tf.RngStream(42).generator()
     Ms, points = [], []
     for M, sols in zip(forms, homotopy._solve_batch(forms, [
@@ -594,7 +606,7 @@ def test_criterion_3_trial_260_has_four_real_lines():
     # the 32-path tracker with an Euler predictor lost paths on this draw of
     # the equal-radii run on every retry; both routes now count 4
     bodies = [tf.metric_sphere(3, np.pi / 4)] * 4
-    assert tangency._count_chunk((bodies, 20240801, [260]))[:2] == ([4], [])
+    assert tangency._count_chunk((bodies, 20240801, [260]))[:4] == ([4], 0, 0, [])
     stream = tf.RngStream(20240801, 260)
     sols = tf.solve_tangency_system([moved_quadrics(bodies, stream)],
                                     [stream.substream(1 << 32)])[0]
@@ -619,29 +631,30 @@ def test_mixed_family_counts_match_recorded_values():
     bodies = [tf.metric_sphere(3, 0.5), tf.ellipsoid(3, [0.7, 1.3, 1.1]),
               tf.ellipsoid(3, [1.6, 0.8, 0.9]),
               tf.affine_sphere(3, [0.1, 0.2, 0.0], 0.6)]
-    counts, log = tangency._count_chunk((bodies, 777, range(24)))[:2]
+    counts, discarded, lost, log, *_ = tangency._count_chunk((bodies, 777, range(24)))
     assert counts == [0, 2, 6, 4, 2, 4, 0, 2, 4, 4, 2, 4,
                       6, 2, 4, 4, 2, 4, 4, 0, 2, 4, 4, 4]
-    assert log == []
+    assert (discarded, lost, log) == (0, 0, [])
 
 
 def test_sphere_counts_match_recorded_values():
     # the sphere route; recorded when it tracked 12 paths with an evaluator
     # of its own
-    counts, log = tangency._count_chunk((main_theorem_spheres(), 777, range(24)))[:2]
+    counts, discarded, lost, log, *_ = tangency._count_chunk(
+        (main_theorem_spheres(), 777, range(24)))
     assert counts == [8, 4, 2, 0, 4, 4, 0, 4, 4, 4, 2, 4,
                       6, 4, 2, 4, 4, 2, 2, 0, 4, 0, 4, 4]
-    assert log == []
+    assert (discarded, lost, log) == (0, 0, [])
 
 
 def test_ellipsoid_counts_match_recorded_values():
     # recorded when every general trial started from a total-degree system
     gen = tf.RngStream(12).generator()
     bodies = [random_ellipsoid(gen) for _ in range(4)]
-    counts, log = tangency._count_chunk((bodies, 888, range(24)))[:2]
+    counts, discarded, lost, log, *_ = tangency._count_chunk((bodies, 888, range(24)))
     assert counts == [6, 6, 4, 6, 4, 4, 2, 8, 12, 8, 6, 6,
                       2, 4, 8, 4, 4, 6, 4, 2, 6, 4, 6, 4]
-    assert log == []
+    assert (discarded, lost, log) == (0, 0, [])
 
 
 def test_tau_shrinking_radius_kills_tangents():
