@@ -34,6 +34,15 @@ class BodyFileError(BodyError):
         self.line = line
 
 
+def _array(value, dtype, message: str) -> np.ndarray:
+    """value as an array of dtype; a ragged or non-numeric one is refused
+    with a BodyError whose message names the expected shape."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise BodyError(message) from None
+
+
 def _monomials(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """Monomials x^e (M, N) at the points x (N, d) for the rows e of
     `exponents`, gathered from powers x^0 .. x^deg built by multiplication."""
@@ -74,10 +83,10 @@ class HomogeneousPolynomial:
     _hessian: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        e = np.asarray(self.exponents, dtype=int)
+        message = "need M coefficients and an M x (n+1) array of integer exponents"
+        c, e = _array(self.coeffs, float, message), _array(self.exponents, int, message)
         if c.ndim != 1 or e.ndim != 2 or c.shape[0] != e.shape[0]:
-            raise BodyError("coefficients and exponent rows must match")
+            raise BodyError(message)
         degs = e.sum(axis=1)
         if len(set(degs.tolist())) != 1:
             raise BodyError("polynomial must be homogeneous")
@@ -208,9 +217,10 @@ def metric_sphere(n: int, radius: float) -> ConvexBody:
 def affine_sphere(n: int, center, radius: float, chart: int = 0) -> ConvexBody:
     """Euclidean sphere in the affine chart x_chart = 1; convex in RP^n for
     any center and radius but not a metric sphere unless centered."""
-    center = np.asarray(center, dtype=float)
+    message = f"center must have {n} chart coordinates"
+    center = _array(center, float, message)
     if center.shape != (n,):
-        raise BodyError(f"center must have {n} chart coordinates")
+        raise BodyError(message)
     if radius <= 0:
         raise BodyError("radius must be positive")
     if not 0 <= chart <= n:
@@ -227,7 +237,7 @@ def affine_sphere(n: int, center, radius: float, chart: int = 0) -> ConvexBody:
 
 def ellipsoid(n: int, semiaxes, chart: int = 0) -> ConvexBody:
     """Axis-aligned ellipsoid in the affine chart x_chart = 1."""
-    semiaxes = np.asarray(semiaxes, dtype=float)
+    semiaxes = _array(semiaxes, float, f"need {n} positive semiaxes")
     if semiaxes.shape != (n,) or not (semiaxes > 0).all():
         raise BodyError(f"need {n} positive semiaxes")
     if not 0 <= chart <= n:
@@ -245,7 +255,10 @@ def quadric(A) -> ConvexBody:
     """General convex-bounding quadric {x^T A x = 0}; the matrix is sign
     normalized to a single negative eigenvalue and symmetrized, and scaled by
     a power of two, exactly, so that its largest entry lies in [1, 2)."""
-    A = np.asarray(A, dtype=float)
+    message = "need a square (n+1) x (n+1) quadric matrix with n >= 1"
+    A = _array(A, float, message)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or len(A) < 2:
+        raise BodyError(f"{message}, got shape {A.shape}")
     if np.isfinite(A).all():            # else refused by _normalize_quadric
         A = np.ldexp(A, 1 - np.frexp(np.abs(A).max(initial=0))[1])
     n = A.shape[0] - 1
@@ -257,15 +270,15 @@ def implicit_surface(n: int, coeffs, exponents, center=None,
     """Hypersurface {F = 0} for a homogeneous polynomial F, star-shaped
     around `center` (defaults to e_0).  Convexity is declared, not proven;
     the quadrature routines verify it at their nodes when required."""
-    poly = HomogeneousPolynomial(np.asarray(coeffs, float),
-                                 np.asarray(exponents, int))
+    poly = HomogeneousPolynomial(coeffs, exponents)
     if poly.nvars != n + 1:
         raise BodyError(f"polynomial must have {n + 1} variables")
     if center is None:
         center = np.eye(n + 1)[0]
-    center = np.asarray(center, dtype=float)
+    message = f"center must have {n + 1} homogeneous coordinates"
+    center = _array(center, float, message)
     if center.shape != (n + 1,):
-        raise BodyError(f"center must have {n + 1} homogeneous coordinates")
+        raise BodyError(message)
     if not 0 < np.linalg.norm(center) < np.inf:
         raise BodyError("center must be a finite nonzero vector")
     center = center / np.linalg.norm(center)

@@ -12,7 +12,7 @@ Each command returns its parameters and results; main completes the report
 (command, seed, version, wall_time_s), emits it as JSON with sorted keys,
 byte-identical for a fixed seed apart from wall_time_s, and maps every
 refusal to its exit code in EXIT_CODES: 0 success, 2 usage or malformed
-input, 3 refusal on degenerate or out-of-validity input, 4 numerical failure.
+input, 3 refusal on degenerate or out-of-validity input.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from .curvature import (NonConvexBodyError, SurfaceDegeneracyError,
                         surface_grid, surface_sample, tangent_line_volume_rp3,
                         tangent_volume_ratio_convex,
                         tangent_volume_ratio_semialgebraic)
-from .homotopy import PathFailureError
 from .intrinsic import (TubeRadiusError, bound_check, compute_profile,
                         steiner_tube_volume, sum_identity_residual)
 from .rng import DegenerateConfigurationError, MCEstimate, RngStream
@@ -47,7 +46,6 @@ from .volumes import (TangentCountInputs, average_tangent_count,
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
-EXIT_NUMERICAL = 4
 MAX_SWEEP_RADII = 10_000        # largest COUNT of omega --sweep-radius
 MAX_SAMPLES = 10 ** 9           # largest delta --samples and tau --delta-source mc:N
 MAX_PLANE_SAMPLES = 1024        # largest omega --samples, 16x the default
@@ -66,7 +64,6 @@ EXIT_CODES = {
     UnsupportedIndicesError: EXIT_USAGE,
     NonConvexBodyError: EXIT_REFUSED, SurfaceDegeneracyError: EXIT_REFUSED,
     TubeRadiusError: EXIT_REFUSED, DegenerateConfigurationError: EXIT_REFUSED,
-    PathFailureError: EXIT_NUMERICAL,
 }
 
 
@@ -255,6 +252,8 @@ def cmd_tau(args) -> dict:
     if args.mode == "formula":
         ratios, routes, nodes = _formula_ratios(bodies, k, args.level)
         tau = average_tangent_count(TangentCountInputs(k, n, tuple(ratios), delta))
+        if not math.isfinite(tau):
+            raise UsageError("the average tangent count overflows double precision")
         for i, r in enumerate(ratios):
             results[f"ratio_{i}"] = r
         results["average_tangent_count"] = tau

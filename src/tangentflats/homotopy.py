@@ -64,16 +64,6 @@ class TrackerWork:
             (sum, max, sum, min, sum, sum, max, min), vars(self).values(), vars(other).values())))
 
 
-class PathFailureError(RuntimeError):
-    """A single solve attempt lost homotopy paths; carries the log, a line
-    per lost path.  Only tangency._solve_once raises it: every batch entry
-    point returns failed > 0 instead."""
-
-    def __init__(self, message, path_log):
-        super().__init__(message)
-        self.path_log = path_log
-
-
 @dataclass(frozen=True)
 class SolutionSet:
     """Result of one solve of a system (m, d, d).

@@ -210,18 +210,15 @@ def _count_chunk(args):
     return counts, len(results) - len(counts), lost, log, work, paths
 
 
-# One trial (-1 if discarded) and one attempt as batches of one; perfbench/tracer.py hooks both.
+# One trial (-1 if discarded) and one attempt (its lost paths in `failed`) as
+# batches of one; perfbench/tracer.py hooks both.
 def _tau_trial(args) -> int:
     return (_count_chunk((*args[:2], [args[2]]))[0] or [-1])[0]
 
 
 def _solve_once(quadrics, rng: RngStream) -> homotopy.SolutionSet:
-    result = homotopy._solve_batch(_normalize_forms(quadrics)[None], [rng.substream(0)],
-                                   _quadric_start())[0]
-    if result.failed:
-        raise homotopy.PathFailureError(f"{result.failed} of {result.paths} paths lost",
-                                        result.path_log)
-    return result
+    return homotopy._solve_batch(_normalize_forms(quadrics)[None], [rng.substream(0)],
+                                 _quadric_start())[0]
 
 
 def average_tangent_count_empirical(bodies, trials: int, seed: int,

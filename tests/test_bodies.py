@@ -130,6 +130,25 @@ def test_polynomial_rejects_negative_exponents():
                               np.array([[3, -1, 0], [0, 1, 1]]))
 
 
+@pytest.mark.parametrize("build, shape", [
+    (lambda: tf.quadric(np.ones((3, 4))), r"square \(n\+1\) x \(n\+1\).*got shape \(3, 4\)"),
+    (lambda: tf.quadric([[1, 0], [0]]), r"square \(n\+1\) x \(n\+1\)"),
+    (lambda: tf.quadric(np.ones(4)), r"square \(n\+1\) x \(n\+1\).*got shape \(4,\)"),
+    (lambda: tf.quadric([[-1.0]]), r"n >= 1, got shape \(1, 1\)"),
+    (lambda: tf.implicit_surface(2, [1, 1], [[2, 0, 0], [0, 2]]),
+     r"M coefficients and an M x \(n\+1\) array"),
+    (lambda: tf.implicit_surface(2, [1], [[2, 0, 0]], center=[[1.0], [0.0, 1.0]]),
+     "center must have 3 homogeneous coordinates"),
+    (lambda: tf.ellipsoid(3, [[1.0], [1.0, 2.0]]), "3 positive semiaxes"),
+    (lambda: tf.affine_sphere(3, "abc", 0.5), "center must have 3 chart coordinates"),
+], ids=["quadric-not-square", "quadric-ragged", "quadric-vector", "quadric-n0",
+        "implicit-ragged", "implicit-center-ragged", "ellipsoid-ragged", "affine-center-text"])
+def test_constructors_refuse_misshapen_arrays_with_a_body_error(build, shape):
+    # numpy's broadcast and inhomogeneous-shape errors are not BodyErrors
+    with pytest.raises(tf.BodyError, match=shape):
+        build()
+
+
 def floats(values):
     return " ".join(repr(float(v)) for v in values)
 

@@ -47,3 +47,23 @@ def test_tracker_work_adds_each_field_by_its_rule(parts, cut):
         assert getattr(total, name) == rule([getattr(work, name) for work in (zero, *parts)]), name
     # any split of a sum adds up to the whole
     assert sum(parts[:cut], zero) + sum(parts[cut:], zero) == total
+
+
+def test_a_singular_row_fails_alone_in_the_per_row_fallback():
+    # one all-zero bordered row makes the stacked solve raise LinAlgError;
+    # the per-row fallback marks that row only and solves the others alone
+    gen = tf.RngStream(5).generator()
+    J = gen.standard_normal((4, 5, 6)) + 1j * gen.standard_normal((4, 5, 6))
+    p = gen.standard_normal((4, 6)) + 1j * gen.standard_normal((4, 6))
+    rhs = [gen.standard_normal((4, 5)) + 1j * gen.standard_normal((4, 5)) for _ in range(2)]
+    J[2], p[2] = 0, 0
+    *steps, ok = homotopy._newton_steps(J, p, *rhs)
+    assert ok.tolist() == [True, True, False, True]
+    for x in steps:
+        assert x.shape == (4, 6) and not x[2].any()
+    for q in (0, 1, 3):
+        *solo, solo_ok = homotopy._newton_steps(J[q:q + 1], p[q:q + 1],
+                                                *(b[q:q + 1] for b in rhs))
+        assert solo_ok.tolist() == [True]
+        for x, y in zip(steps, solo):
+            assert np.array_equal(x[q], y[0])
